@@ -94,9 +94,7 @@ def _q0(args, frame):
 
 
 def _config(args):
-    return dv.SDEConfig(dt=args.dt, T=args.T, seed=args.seed,
-                        paths=args.paths, scheme=args.scheme,
-                        projection="none" if args.no_projection else "polar")
+    return dv.SDEConfig(dt=args.dt, T=args.T, seed=args.seed, paths=args.paths)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -470,12 +468,7 @@ def _add_sim(p):
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--scheme", choices=("heun", "euler"), default="heun")
-    p.add_argument("--no-projection", action="store_true")
     p.add_argument("--q0", help="comma-separated start point")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface compatibility; reductions "
-                        "are deterministic for any value")
 
 
 def build_parser():

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratlinalg as rl
-from .errors import IntersectionNonTrivial
+from .errors import ClosureFailure, DimensionMismatch, IntersectionNonTrivial
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -206,7 +206,8 @@ class Cohomology:
 
     def inner(self, x, y):
         """Exact inner product of two HomElements of equal arity."""
-        assert x.arity == y.arity
+        if x.arity != y.arity:
+            raise DimensionMismatch(f"inner product of arities {x.arity} and {y.arity}")
         gg = self.gram_g()
         total = ZERO
         for (a, js), cx in x.coeffs.items():
@@ -426,9 +427,9 @@ class Cohomology:
         nperp = rl.span_sum(s.matrix, tperp)
         nrows = rl.row_basis(self._ortho_complement(nperp, monos))
         # exact verification: N + im d+ = hom_+, N is h-invariant
-        assert not rl.span_intersection(nrows, im.matrix)
-        assert len(nrows) + im.dim == len(monos)
-        assert self._check_h_invariant(nrows, monos)
+        if (len(nrows) + im.dim != len(monos) or rl.span_intersection(nrows, im.matrix)
+                or not self._check_h_invariant(nrows, monos)):
+            raise ClosureFailure("the Popp normal module is not an h-invariant complement")
         return self._subspace(2, nrows, monos)
 
     def normal_module_morimoto(self):
@@ -440,8 +441,8 @@ class Cohomology:
         monos = self.positive_monomials(2)
         im = self.image_partial_plus()
         rows = rl.row_basis(self._ortho_complement(im.matrix, monos))
-        assert len(rows) + im.dim == len(monos)
-        assert not rl.span_intersection(rows, im.matrix)
+        if len(rows) + im.dim != len(monos) or rl.span_intersection(rows, im.matrix):
+            raise ClosureFailure("the Morimoto normal module is not a complement of im d+")
         return self._subspace(2, rows, monos)
 
     def morimoto_popp_obstruction(self, i):

@@ -1,23 +1,43 @@
 """Deterministic and stochastic development, and the Carnot-group lift.
 
-All simulators are vectorized over paths; randomness comes from a
+Each simulator is a flow (the right-hand side of its Stratonovich or
+ordinary system) stepped by one time loop, ``_integrate``: Stratonovich-Heun
+with polar projection of h~ for the three SDEs, classical RK4 for model
+curves. All simulators are vectorized over paths; randomness comes from a
 counter-based Philox stream keyed by (seed, step), with path p consuming
-row p of each step's draw, so every increment is a pure function of
-(seed, path index, step index) regardless of batch size or execution order.
+row p of each step's draw, so a batch of P paths reproduces the first P
+paths of any larger batch at the same seed.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
+from . import expr as ex
 from .errors import DimensionMismatch, MalformedSpec, NonFinite, StepTooLarge
 
 # Dynkin coefficients of the group law through step 4:
 # x.y = x + y + [x,y]/2 + ([x,[x,y]] + [y,[y,x]])/12 - [y,[x,[x,y]]]/24
 MAX_STEP = 4
+
+
+def _step_count(dt, T):
+    """T/dt; MalformedSpec unless it is within 1e-9 relative of a positive integer.
+
+    A rounded count would simulate a horizon other than the T that
+    estimators divide by.
+    """
+    ratio = T / dt if dt > 0 else math.nan
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
+        raise MalformedSpec(
+            f"T must be a positive whole number of steps dt, got dt={dt}, T={T}")
+    return steps
 
 
 @dataclass
@@ -26,20 +46,16 @@ class SDEConfig:
     T: float = 1.0
     seed: int = 0
     paths: int = 1
-    scheme: str = "heun"
-    projection: str = "polar"
+    # constants for reports: every SDE simulator is Heun with polar projection
+    scheme: ClassVar[str] = "heun"
+    projection: ClassVar[str] = "polar"
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.T >= self.dt):
-            raise MalformedSpec(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
-        if self.scheme not in ("heun", "euler"):
-            raise MalformedSpec(f"unknown scheme {self.scheme!r}")
-        if self.projection not in ("polar", "none"):
-            raise MalformedSpec(f"unknown projection {self.projection!r}")
+        _step_count(self.dt, self.T)
 
     @property
     def steps(self):
-        return int(round(self.T / self.dt))
+        return _step_count(self.dt, self.T)
 
 
 @dataclass
@@ -94,10 +110,58 @@ def increments(seed, step, paths, width, dt):
     return bits.standard_normal((paths, width)) * np.sqrt(dt)
 
 
-def record_times(config, record):
-    if record == "full":
-        return list(range(config.steps + 1))
-    return [0, config.steps]
+# ---------------------------------------------------------------------------
+# The time stepper
+# ---------------------------------------------------------------------------
+
+def _heun(flow, state, dw):
+    """Stratonovich-Heun step; flow(*state, dw) returns the increment tuple."""
+    k1 = flow(*state, dw)
+    k2 = flow(*(x + k for x, k in zip(state, k1)), dw)
+    return tuple(x + 0.5 * (a + b) for x, a, b in zip(state, k1, k2))
+
+
+def _rk4(flow, state, t, dt):
+    """Classical RK4 step; flow(*state, t) returns the derivative tuple."""
+    k1 = flow(*state, t)
+    k2 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k1)), t + 0.5 * dt)
+    k3 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k2)), t + 0.5 * dt)
+    k4 = flow(*(x + dt * k for x, k in zip(state, k3)), t + dt)
+    return tuple(x + dt * (a + 2 * b + 2 * c + d) / 6.0
+                 for x, a, b, c, d in zip(state, k1, k2, k3, k4))
+
+
+def _integrate(advance, state, steps, dt, record, chart=None, project=False):
+    """Step state <- advance(s, state) for s < steps and return the Path.
+
+    state is (points,) or (points, frames). After each step the frames h~
+    are polar-projected when project is set and their orthogonality defect
+    is tracked; with a chart the points are wrapped and paths that leave its
+    box are marked. record is "full" (every step) or "endpoints".
+    """
+    if record not in ("full", "endpoints"):
+        raise MalformedSpec(f"record must be 'full' or 'endpoints', got {record!r}")
+    full = record == "full"
+    out = [np.empty((steps + 1 if full else 2,) + x.shape) for x in state]
+    for o, x in zip(out, state):
+        o[0] = x
+    left = None if chart is None else np.zeros(len(state[0]), dtype=bool)
+    defect = 0.0
+    for s in range(steps):
+        state = advance(s, state)
+        if project:
+            state = (state[0], polar_project(state[1]))
+        if chart is not None:
+            state = (chart.wrap(state[0]),) + state[1:]
+            left = _chart_mask(chart, state[0], left)
+        if len(state) > 1:
+            defect = max(defect, ortho_defect(state[1]))
+        if full or s + 1 == steps:
+            for o, x in zip(out, state):
+                o[s + 1 if full else 1] = x
+    times = (np.arange(steps + 1.0) if full else np.array([0.0, steps])) * dt
+    return Path(times=times, points=out[0], frames=out[1] if len(out) > 1 else None,
+                left_chart=left, ortho_defect=defect)
 
 
 # ---------------------------------------------------------------------------
@@ -184,26 +248,17 @@ def left_invariant_field(alg, x, e):
 def simulate_carnot_lift(alg, config, record="endpoints"):
     """Lift of Brownian motion on R^{k1} to the Carnot group (Heun scheme)."""
     group = CarnotGroup(alg)
-    n, k1 = alg.dim, alg.growth[0]
-    g = np.zeros((config.paths, n))
-    recorded = record_times(config, record)
-    out = np.empty((len(recorded), config.paths, n))
-    if 0 in recorded:
-        out[0] = g
-    pos = int(0 in recorded)
-    for s in range(config.steps):
+    k1 = alg.growth[0]
+
+    def flow(g, dw):
+        return (group.left_invariant_field(g, dw),)
+
+    def advance(s, state):
         dw = group.embed(increments(config.seed, s, config.paths, k1, config.dt))
-        v1 = group.left_invariant_field(g, dw)
-        if config.scheme == "heun":
-            v2 = group.left_invariant_field(g + v1, dw)
-            g = g + 0.5 * (v1 + v2)
-        else:
-            g = g + v1
-        if s + 1 in recorded:
-            out[pos] = g
-            pos += 1
-    times = np.array(recorded, dtype=float) * config.dt
-    return Path(times=times, points=out)
+        return _heun(flow, state, dw)
+
+    return _integrate(advance, (np.zeros((config.paths, alg.dim)),),
+                      config.steps, config.dt, record)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +283,6 @@ class _DevelopSystem:
 
     def __init__(self, frame, structure, gamma):
         self.frame = frame
-        self.structure = structure
         self.gamma = gamma
         sym = gamma.sym
         self.k1 = frame.k1
@@ -280,93 +334,39 @@ def develop_sde(frame, structure, gamma, q0, config, h0=None, record="endpoints"
     """Stochastic development: Stratonovich-Heun for the (q, h~) system."""
     sys = _DevelopSystem(frame, structure, gamma)
     k1 = frame.k1
-    q = np.tile(np.asarray(q0, dtype=float), (config.paths, 1))
-    h = _prepare_h0(h0, k1, config.paths)
-    recorded = record_times(config, record)
-    out_q = np.empty((len(recorded), config.paths, frame.chart.dim))
-    out_h = np.empty((len(recorded), config.paths, k1, k1))
-    left = np.zeros(config.paths, dtype=bool)
-    defect = 0.0
-    pos = 0
-    if 0 in recorded:
-        out_q[0], out_h[0] = q, h
-        pos = 1
-    for s in range(config.steps):
-        dw = increments(config.seed, s, config.paths, k1, config.dt)
-        dq1, dh1 = sys.flow(q, h, dw)
-        if config.scheme == "heun":
-            dq2, dh2 = sys.flow(q + dq1, h + dh1, dw)
-            q = q + 0.5 * (dq1 + dq2)
-            h = h + 0.5 * (dh1 + dh2)
-        else:
-            q, h = q + dq1, h + dh1
-        if config.projection == "polar" and sys.blocks.size:
-            h = polar_project(h)
-        q = frame.chart.wrap(q)
-        left = _chart_mask(frame.chart, q, left)
-        defect = max(defect, ortho_defect(h))
-        if s + 1 in recorded:
-            out_q[pos], out_h[pos] = q, h
-            pos += 1
-    times = np.array(recorded, dtype=float) * config.dt
-    return Path(times=times, points=out_q, frames=out_h,
-                left_chart=left, ortho_defect=defect)
+
+    def advance(s, state):
+        return _heun(sys.flow, state, increments(config.seed, s, config.paths, k1, config.dt))
+
+    state = (np.tile(np.asarray(q0, dtype=float), (config.paths, 1)),
+             _prepare_h0(h0, k1, config.paths))
+    return _integrate(advance, state, config.steps, config.dt, record,
+                      chart=frame.chart, project=bool(sys.blocks.size))
 
 
-def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None,
-                  record="full", projection="polar"):
+def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full"):
     """Deterministic development of a model curve with control u(t).
 
     u is a sequence of k1 expressions in the single variable t; integration
-    is classical RK4 on the coupled (q, h~) system.
+    is classical RK4 on the coupled (q, h~) system with polar projection.
     """
-    from . import expr as ex
-
     sys = _DevelopSystem(frame, structure, gamma)
     k1 = frame.k1
     u = [ex.parse(c) if isinstance(c, str) else c for c in u]
     if len(u) != k1:
         raise MalformedSpec(f"need {k1} control components, got {len(u)}")
-    q = np.asarray(q0, dtype=float)[None, :].copy()
-    h = _prepare_h0(h0, k1, 1)
-    steps = int(round(T / dt))
-    recorded = record_times(SDEConfig(dt=dt, T=max(T, dt), paths=1), record)
-    out_q = np.empty((len(recorded), 1, frame.chart.dim))
-    out_h = np.empty((len(recorded), 1, k1, k1))
-    left = np.zeros(1, dtype=bool)
-    defect, pos = 0.0, 0
-    if 0 in recorded:
-        out_q[0], out_h[0] = q, h
-        pos = 1
+    steps = _step_count(dt, T)
 
-    def uval(t):
+    def flow(q, h, t):
         env = {"t": t}
-        return np.array([[float(c(env)) for c in u]])
+        return sys.flow(q, h, np.array([[float(c(env)) for c in u]]))
 
-    for s in range(steps):
-        t = s * dt
+    def advance(s, state):
+        return _rk4(flow, state, s * dt, dt)
 
-        def rhs(qq, hh, tt):
-            dq, dh = sys.flow(qq, hh, uval(tt))
-            return dq, dh
-
-        k1q, k1h = rhs(q, h, t)
-        k2q, k2h = rhs(q + 0.5 * dt * k1q, h + 0.5 * dt * k1h, t + 0.5 * dt)
-        k3q, k3h = rhs(q + 0.5 * dt * k2q, h + 0.5 * dt * k2h, t + 0.5 * dt)
-        k4q, k4h = rhs(q + dt * k3q, h + dt * k3h, t + dt)
-        q = q + dt * (k1q + 2 * k2q + 2 * k3q + k4q) / 6.0
-        h = h + dt * (k1h + 2 * k2h + 2 * k3h + k4h) / 6.0
-        if projection == "polar" and sys.blocks.size:
-            h = polar_project(h)
-        q = frame.chart.wrap(q)
-        left = _chart_mask(frame.chart, q, left)
-        defect = max(defect, ortho_defect(h))
-        if s + 1 in recorded:
-            out_q[pos], out_h[pos] = q, h
-            pos += 1
-    times = np.array(recorded, dtype=float) * dt
-    return Path(times=times, points=out_q, frames=out_h,
-                left_chart=left, ortho_defect=defect)
+    state = (np.asarray(q0, dtype=float)[None, :].copy(), _prepare_h0(h0, k1, 1))
+    return _integrate(advance, state, steps, dt, record,
+                      chart=frame.chart, project=bool(sys.blocks.size))
 
 
 def simulate_popp(frame, structure, q0, config, record="endpoints"):
@@ -376,35 +376,17 @@ def simulate_popp(frame, structure, q0, config, record="endpoints"):
     with drift coefficients d_i = -sum_l c_il^l.
     """
     k1 = frame.k1
-    q = np.tile(np.asarray(q0, dtype=float), (config.paths, 1))
-    recorded = record_times(config, record)
-    out = np.empty((len(recorded), config.paths, frame.chart.dim))
-    left = np.zeros(config.paths, dtype=bool)
-    pos = 0
-    if 0 in recorded:
-        out[0] = q
-        pos = 1
 
-    def flow(qq, dw):
-        x = frame.matrix(qq)[:, :, :k1]
-        d = structure.divergence(qq)
-        return np.einsum("pdi,pi->pd", x, dw + 0.5 * d * config.dt)
+    def flow(q, dw):
+        x = frame.matrix(q)[:, :, :k1]
+        d = structure.divergence(q)
+        return (np.einsum("pdi,pi->pd", x, dw + 0.5 * d * config.dt),)
 
-    for s in range(config.steps):
-        dw = increments(config.seed, s, config.paths, k1, config.dt)
-        v1 = flow(q, dw)
-        if config.scheme == "heun":
-            v2 = flow(q + v1, dw)
-            q = q + 0.5 * (v1 + v2)
-        else:
-            q = q + v1
-        q = frame.chart.wrap(q)
-        left = _chart_mask(frame.chart, q, left)
-        if s + 1 in recorded:
-            out[pos] = q
-            pos += 1
-    times = np.array(recorded, dtype=float) * config.dt
-    return Path(times=times, points=out, left_chart=left)
+    def advance(s, state):
+        return _heun(flow, state, increments(config.seed, s, config.paths, k1, config.dt))
+
+    state = (np.tile(np.asarray(q0, dtype=float), (config.paths, 1)),)
+    return _integrate(advance, state, config.steps, config.dt, record, chart=frame.chart)
 
 
 def check_finite(path):

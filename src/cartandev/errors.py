@@ -30,7 +30,7 @@ class SurjectivityFailure(CartandevError):
 
 
 class ClosureFailure(CartandevError):
-    """A commutator of symmetry generators left their span (internal bug guard)."""
+    """An exact closure or complement certificate failed (internal bug guard)."""
 
 
 class IntersectionNonTrivial(CartandevError):

@@ -89,71 +89,24 @@ def _connection_generator_value(frame, structure, gamma, sym, f, q0):
     return float((base + extra)[0])
 
 
-def generator_test(frame, structure, gamma, sym, f, q0, config, process="develop",
-                   h0=None, bias_factor=2.0):
-    """Compare (E f(q_t) - f(q0)) / t against (1/2) Delta f(q0).
-
-    Runs at t and t/2; passes when the t-run discrepancy is within
-    3 stderr/t plus an empirical O(t) bias allowance extrapolated from the
-    two runs, and the bias estimate shrinks with t.
-    """
-    chart = frame.chart
-    q0v = np.asarray(q0, dtype=float)
-    f0 = float(_evaluate(f, chart, q0v[None])[0])
-    symbolic = 0.5 * _connection_generator_value(frame, structure, gamma, sym, f, q0)
-
-    runs = {}
-    for t in (config.T, config.T / 2.0):
-        cfg = dv.SDEConfig(dt=config.dt, T=t, seed=config.seed,
-                           paths=config.paths, scheme=config.scheme,
-                           projection=config.projection)
-        path = run_process(process, frame, structure, gamma, q0v, cfg, h0=h0)
-        est = estimate_expectation(path, f, chart, cfg)
-        runs[t] = {"mc_value": (est.mean - f0) / t,
-                   "stderr": est.stderr / t,
-                   "estimate": est}
-    t1, t2 = config.T, config.T / 2.0
-    gap1 = runs[t1]["mc_value"] - symbolic
-    gap2 = runs[t2]["mc_value"] - symbolic
-    # O(t) weak bias: model gap ~ C t, estimate C from the coarse run
-    bias1 = abs(gap2 - gap1) + 3.0 * (runs[t1]["stderr"] + runs[t2]["stderr"])
-    tol1 = 3.0 * runs[t1]["stderr"] + bias_factor * bias1
-    ok = abs(gap1) <= tol1
-    bias_shrinks = (abs(gap2) <= abs(gap1)
-                    + 3.0 * (runs[t1]["stderr"] + runs[t2]["stderr"]))
-    return {
-        "test": "generator",
-        "t": t1,
-        "dt": config.dt,
-        "paths": config.paths,
-        "mc_value": runs[t1]["mc_value"],
-        "mc_value_half_t": runs[t2]["mc_value"],
-        "symbolic_value": symbolic,
-        "stderr": runs[t1]["stderr"],
-        "stderr_half_t": runs[t2]["stderr"],
-        "z": gap1 / runs[t1]["stderr"] if runs[t1]["stderr"] else 0.0,
-        "tolerance": tol1,
-        "bias_shrinks": bool(bias_shrinks),
-        "pass": bool(ok),
-    }
-
-
 def generator_family_test(frame, structure, gamma, sym, fs, q0, config,
                           process="develop", h0=None, bias_factor=2.0):
-    """generator_test over a family of functions with shared simulations.
+    """Compare (E f(q_t) - f(q0)) / t against (1/2) Delta f(q0) for each f.
 
-    fs is a list of (label, Expr); the two runs (t and t/2) are simulated
-    once and every function is evaluated on the same endpoints.
+    fs is a list of (label, Expr). The process runs once at t and once at
+    t/2 (both whole numbers of steps dt) and every function is evaluated on
+    the same endpoints. A function passes when its t-run discrepancy is
+    within 3 stderr/t plus an empirical O(t) bias allowance extrapolated from
+    the two runs; bias_shrinks reports whether the bias estimate shrinks
+    with t.
     """
     chart = frame.chart
     q0v = np.asarray(q0, dtype=float)
-    endpoints = {}
-    for t in (config.T, config.T / 2.0):
-        cfg = dv.SDEConfig(dt=config.dt, T=t, seed=config.seed,
-                           paths=config.paths, scheme=config.scheme,
-                           projection=config.projection)
-        endpoints[t] = run_process(process, frame, structure, gamma, q0v, cfg,
-                                   h0=h0).endpoints()
+    configs = [dv.SDEConfig(dt=config.dt, T=t, seed=config.seed, paths=config.paths)
+               for t in (config.T, config.T / 2.0)]
+    endpoints = {cfg.T: run_process(process, frame, structure, gamma, q0v, cfg,
+                                    h0=h0).endpoints()
+                 for cfg in configs}
     reports = []
     for label, f in fs:
         f0 = float(_evaluate(f, chart, q0v[None])[0])
@@ -167,6 +120,7 @@ def generator_family_test(frame, structure, gamma, sym, fs, q0, config,
         t1, t2 = config.T, config.T / 2.0
         gap1 = runs[t1]["mc_value"] - symbolic
         gap2 = runs[t2]["mc_value"] - symbolic
+        # O(t) weak bias: model gap ~ C t, estimate C from the coarse run
         bias1 = abs(gap2 - gap1) + 3.0 * (runs[t1]["stderr"] + runs[t2]["stderr"])
         tol1 = 3.0 * runs[t1]["stderr"] + bias_factor * bias1
         reports.append({

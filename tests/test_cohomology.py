@@ -8,7 +8,7 @@ from cartandev import algebra as al
 from cartandev import cohomology as ch
 from cartandev import ratlinalg as rl
 from cartandev.builtins import algebra as builtin_algebra
-from cartandev.errors import IntersectionNonTrivial
+from cartandev.errors import ClosureFailure, DimensionMismatch, IntersectionNonTrivial
 
 
 def make_cohomology(name):
@@ -108,6 +108,12 @@ def test_h3_trace_module_inner_products():
             assert co.inner(gen, probe) == Fraction(1, 2)
 
 
+def test_inner_rejects_mixed_arities():
+    co = make_cohomology("heisenberg3")
+    with pytest.raises(DimensionMismatch):
+        co.inner(ch.hom_element(1, [(2, (0,), 1)]), ch.hom_element(2, [(2, (0, 1), 1)]))
+
+
 # -- obstruction elements -----------------------------------------------------
 
 
@@ -159,6 +165,21 @@ def test_morimoto_normal_module_complements_image(name):
     monos = co.positive_monomials(2)
     assert n.dim + im.dim == len(monos)
     assert not rl.span_intersection(n.matrix, im.matrix)
+
+
+def test_popp_certificate_raises_when_not_h_invariant(monkeypatch):
+    # the exact certificates are checks that raise, so they hold under python -O
+    co = make_cohomology("heisenberg3")
+    monkeypatch.setattr(ch.Cohomology, "_check_h_invariant", lambda self, rows, monos: False)
+    with pytest.raises(ClosureFailure):
+        co.normal_module_popp()
+
+
+def test_morimoto_certificate_raises_when_meeting_image(monkeypatch):
+    co = make_cohomology("heisenberg3")
+    monkeypatch.setattr(rl, "span_intersection", lambda a, b: [[Fraction(1)]])
+    with pytest.raises(ClosureFailure):
+        co.normal_module_morimoto()
 
 
 def test_h3_degree_one_differential_bijective():

@@ -7,7 +7,7 @@ from cartandev import algebra as al
 from cartandev import builtins as bi
 from cartandev import develop as dv
 from cartandev import manifold as mf
-from cartandev.errors import StepTooLarge
+from cartandev.errors import MalformedSpec, StepTooLarge
 
 
 def heisenberg():
@@ -242,6 +242,48 @@ def test_carnot_lift_runs_and_records():
     assert path.points.shape == (config.steps + 1, 100, 3)
     assert np.allclose(path.points[0], 0.0)
     dv.check_finite(path)
+
+
+def _simulators():
+    frame, st, gamma, q0 = sde_setup("contact-halfplane")
+    heis = bi.algebra("heisenberg3")
+    return {
+        "carnot": lambda cfg, record: dv.simulate_carnot_lift(heis, cfg, record=record),
+        "develop": lambda cfg, record: dv.develop_sde(frame, st, gamma, q0, cfg,
+                                                       record=record),
+        "popp": lambda cfg, record: dv.simulate_popp(frame, st, q0, cfg, record=record),
+        "curve": lambda cfg, record: dv.develop_curve(frame, st, gamma,
+                                                       ["cos(t)", "sin(t)"], q0,
+                                                       cfg.dt, cfg.T, record=record),
+    }
+
+
+@pytest.mark.parametrize("name", ["carnot", "develop", "popp", "curve"])
+def test_recording_full_and_endpoints_agree(name):
+    simulate = _simulators()[name]
+    config = dv.SDEConfig(dt=1e-2, T=0.3, seed=5, paths=4)
+    full = simulate(config, "full")
+    ends = simulate(config, "endpoints")
+    assert np.array_equal(full.times, np.arange(config.steps + 1) * config.dt)
+    assert np.array_equal(ends.times, np.array([0, config.steps]) * config.dt)
+    assert ends.times[-1] == pytest.approx(config.T)
+    assert full.points.shape[0] == config.steps + 1 and ends.points.shape[0] == 2
+    assert np.array_equal(full.points[[0, -1]], ends.points)
+    if full.frames is not None:
+        assert np.array_equal(full.frames[[0, -1]], ends.frames)
+        assert full.ortho_defect == ends.ortho_defect
+    with pytest.raises(MalformedSpec):
+        simulate(config, "last")
+
+
+@pytest.mark.parametrize("dt,T", [(3e-3, 0.01), (0.1, 0.04), (1e-2, 0.0), (0.0, 1.0)])
+def test_horizon_must_be_whole_steps(dt, T):
+    # a rounded step count would simulate a horizon other than T
+    with pytest.raises(MalformedSpec):
+        dv.SDEConfig(dt=dt, T=T)
+    frame, st, gamma, q0 = sde_setup("contact-halfplane")
+    with pytest.raises(MalformedSpec):
+        dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)"], q0, dt, T)
 
 
 def test_path_csv_output(tmp_path):

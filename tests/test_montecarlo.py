@@ -9,7 +9,7 @@ from cartandev import develop as dv
 from cartandev import expr as ex
 from cartandev import manifold as mf
 from cartandev import montecarlo as mc
-from cartandev.errors import NonFinite
+from cartandev.errors import MalformedSpec, NonFinite
 
 
 def setup(name):
@@ -89,10 +89,12 @@ def test_symbolic_generator_matches_popp_when_gamma_solves():
 def test_generator_test_passes_small_scale():
     frame, st, gamma, sym, q0 = setup("heisenberg3")
     cfg = dv.SDEConfig(dt=5e-4, T=0.02, seed=5, paths=20000)
-    rep = mc.generator_test(frame, st, gamma, sym, ex.parse("x^2"), q0, cfg)
-    assert rep["pass"] and rep["bias_shrinks"]
-    assert rep["symbolic_value"] == pytest.approx(1.0)
-    assert abs(rep["mc_value"] - 1.0) < 0.1
+    rep = mc.generator_family_test(frame, st, gamma, sym, [("x^2", ex.parse("x^2"))],
+                                   q0, cfg)
+    r = rep["functions"][0]
+    assert r["pass"] and r["bias_shrinks"]
+    assert r["symbolic_value"] == pytest.approx(1.0)
+    assert abs(r["mc_value"] - 1.0) < 0.1
 
 
 def test_generator_family_test_structure():
@@ -104,6 +106,14 @@ def test_generator_family_test_structure():
     assert [r["f"] for r in rep["functions"]] == \
         ["x", "y", "z", "x^2", "y^2", "z^2"]
     assert all(r["pass"] for r in rep["functions"])
+
+
+def test_generator_family_test_rejects_odd_step_count():
+    # T = 5 dt: the T/2 run would be 2.5 steps, so no horizon can be simulated
+    frame, st, gamma, sym, q0 = setup("heisenberg3")
+    cfg = dv.SDEConfig(dt=1e-2, T=0.05, seed=0, paths=8)
+    with pytest.raises(MalformedSpec):
+        mc.generator_family_test(frame, st, gamma, sym, [("x", ex.parse("x"))], q0, cfg)
 
 
 # -- equivalence of the two simulations -------------------------------------------
