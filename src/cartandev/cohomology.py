@@ -400,12 +400,13 @@ class Cohomology:
         return HomElement(2, out)
 
     def _check_h_invariant(self, rows, monos):
-        for alpha in range(self.amb.sym.dimH):
-            for r in rows:
-                acted = self.h_action(alpha, self._from_coords(2, r, monos))
-                if not rl.in_span(rows, self._coords(acted, monos)):
-                    return False
-        return True
+        acted = [self._coords(self.h_action(alpha, self._from_coords(2, r, monos)), monos)
+                 for alpha in range(self.amb.sym.dimH) for r in rows]
+        return rl.rank(rows + acted) == rl.rank(rows)
+
+    def _complements(self, rows, im, monos):
+        """Whether rows are independent and span a complement of im within hom_+."""
+        return len(rows) + im.dim == len(monos) == rl.rank(rows + im.matrix)
 
     def normal_module_popp(self):
         """Normal module orthogonal to the trace module S.
@@ -422,12 +423,10 @@ class Cohomology:
             witness = self._from_coords(2, inter[0], monos)
             raise IntersectionNonTrivial(
                 "the trace module meets the orthocomplement of im d+", witness)
-        t = rl.span_sum(s.matrix, operp)
-        tperp = self._ortho_complement(t, monos)
-        nperp = rl.span_sum(s.matrix, tperp)
-        nrows = rl.row_basis(self._ortho_complement(nperp, monos))
+        tperp = self._ortho_complement(s.matrix + operp, monos)
+        nrows = self._ortho_complement(s.matrix + tperp, monos)
         # exact verification: N + im d+ = hom_+, N is h-invariant
-        if (len(nrows) + im.dim != len(monos) or rl.span_intersection(nrows, im.matrix)
+        if (not self._complements(nrows, im, monos)
                 or not self._check_h_invariant(nrows, monos)):
             raise ClosureFailure("the Popp normal module is not an h-invariant complement")
         return self._subspace(2, nrows, monos)
@@ -440,8 +439,8 @@ class Cohomology:
         """
         monos = self.positive_monomials(2)
         im = self.image_partial_plus()
-        rows = rl.row_basis(self._ortho_complement(im.matrix, monos))
-        if len(rows) + im.dim != len(monos) or rl.span_intersection(rows, im.matrix):
+        rows = self._ortho_complement(im.matrix, monos)
+        if not self._complements(rows, im, monos):
             raise ClosureFailure("the Morimoto normal module is not a complement of im d+")
         return self._subspace(2, rows, monos)
 

@@ -104,19 +104,19 @@ def generator_family_test(frame, structure, gamma, sym, fs, q0, config,
     q0v = np.asarray(q0, dtype=float)
     configs = [dv.SDEConfig(dt=config.dt, T=t, seed=config.seed, paths=config.paths)
                for t in (config.T, config.T / 2.0)]
-    endpoints = {cfg.T: run_process(process, frame, structure, gamma, q0v, cfg,
-                                    h0=h0).endpoints()
-                 for cfg in configs}
+    endpoints = [(cfg, run_process(process, frame, structure, gamma, q0v, cfg,
+                                   h0=h0).endpoints())
+                 for cfg in configs]
     reports = []
     for label, f in fs:
         f0 = float(_evaluate(f, chart, q0v[None])[0])
         symbolic = 0.5 * _connection_generator_value(frame, structure, gamma,
                                                      sym, f, q0v)
         runs = {}
-        for t, end in endpoints.items():
-            vals = _evaluate(f, chart, end)
-            runs[t] = {"mc_value": (vals.mean() - f0) / t,
-                       "stderr": vals.std(ddof=1) / np.sqrt(len(vals)) / t}
+        for cfg, end in endpoints:
+            est = summarize(_evaluate(f, chart, end), cfg)
+            runs[cfg.T] = {"mc_value": (est.mean - f0) / est.t,
+                           "stderr": est.stderr / est.t}
         t1, t2 = config.T, config.T / 2.0
         gap1 = runs[t1]["mc_value"] - symbolic
         gap2 = runs[t2]["mc_value"] - symbolic
@@ -162,13 +162,12 @@ def equivalence_test(frame, structure, gamma, q0, config, h0=None,
     for i, name in enumerate(frame.chart.coords):
         for label, xa, xb in ((name, a[:, i], b[:, i]),
                               (f"{name}^2", a[:, i] ** 2, b[:, i] ** 2)):
-            se = np.hypot(xa.std(ddof=1) / np.sqrt(len(xa)),
-                          xb.std(ddof=1) / np.sqrt(len(xb)))
-            z = float((xa.mean() - xb.mean()) / se) if se else 0.0
+            ea, eb = summarize(xa, config), summarize(xb, config)
+            se = np.hypot(ea.stderr, eb.stderr)
+            z = float((ea.mean - eb.mean) / se) if se else 0.0
             worst = max(worst, abs(z))
-            rows.append({"moment": label, "developed": float(xa.mean()),
-                         "direct": float(xb.mean()), "stderr": float(se),
-                         "z": z})
+            rows.append({"moment": label, "developed": ea.mean,
+                         "direct": eb.mean, "stderr": float(se), "z": z})
     return {
         "test": "equivalence",
         "t": config.T,

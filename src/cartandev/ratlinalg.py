@@ -133,20 +133,6 @@ def solve(a, b):
     return x
 
 
-def in_span(basis, v):
-    """Whether v lies in the row span of basis."""
-    if all(x == 0 for x in v):
-        return True
-    if not basis:
-        return False
-    return rank(basis + [v]) == rank(basis)
-
-
-def span_sum(a, b):
-    """Basis of row-span(a) + row-span(b)."""
-    return row_basis(a + b)
-
-
 def span_intersection(a, b):
     """Basis of the intersection of two row spans."""
     if not a or not b:

@@ -177,9 +177,33 @@ def test_popp_certificate_raises_when_not_h_invariant(monkeypatch):
 
 def test_morimoto_certificate_raises_when_meeting_image(monkeypatch):
     co = make_cohomology("heisenberg3")
-    monkeypatch.setattr(rl, "span_intersection", lambda a, b: [[Fraction(1)]])
+    monkeypatch.setattr(ch.Cohomology, "_complements", lambda self, rows, im, monos: False)
     with pytest.raises(ClosureFailure):
         co.normal_module_morimoto()
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "free23"])
+def test_complements_rejects_non_complements(name):
+    co = make_cohomology(name)
+    rows = co.normal_module_popp().matrix
+    im = co.image_partial_plus()
+    monos = co.positive_monomials(2)
+    assert co._complements(rows, im, monos)
+    # right count, but one row now lies in im d+
+    assert not co._complements(rows[:-1] + [im.matrix[0]], im, monos)
+    # right count, but dependent rows
+    assert not co._complements(rows[:-1] + [rows[0]], im, monos)
+    # independent and meeting im d+ trivially, but one dimension short
+    assert not co._complements(rows[:-1], im, monos)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "free23"])
+def test_check_h_invariant_rejects_a_monomial_line(name):
+    co = make_cohomology(name)
+    monos = co.positive_monomials(2)
+    line = [Fraction(int(m == (0, (0, 1)))) for m in monos]
+    assert sum(line) == 1
+    assert not co._check_h_invariant([line], monos)
 
 
 def test_h3_degree_one_differential_bijective():
