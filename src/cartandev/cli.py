@@ -442,10 +442,12 @@ def _suite_equivalence(paths):
     sym = al.symmetry_algebra(bi.algebra("heisenberg3"))
     gamma = mf.solve_christoffel(frame, structure, sym)
     cfg = dv.SDEConfig(dt=2e-3, T=0.5, seed=13, paths=paths)
-    rep = mc.equivalence_test(frame, structure, gamma, [0.0, 1.0, 0.5], cfg)
+    q0 = [0.0, 1.0, 0.5]
+    direct = dv.simulate_popp(frame, structure, q0, cfg)
+    rep = mc.equivalence_test(frame, structure, gamma, q0, cfg, direct=direct)
     bad = mc.equivalence_test(frame, structure,
                               gamma.perturbed(np.array([[0.5, 0.0]])),
-                              [0.0, 1.0, 0.5], cfg)
+                              q0, cfg, direct=direct)
     ok = rep["pass"] and not bad["pass"]
     return ok, (f"max|z| {rep['max_abs_z']:.2f}, "
                 f"perturbed {bad['max_abs_z']:.2f}")

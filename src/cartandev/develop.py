@@ -145,7 +145,12 @@ def _integrate(advance, state, steps, dt, record, chart=None, project=False):
     out = [np.empty((steps + 1 if full else 2,) + x.shape) for x in state]
     for o, x in zip(out, state):
         o[0] = x
-    left = None if chart is None else np.zeros(len(state[0]), dtype=bool)
+    left = None
+    if chart is not None:
+        left = np.zeros(len(state[0]), dtype=bool)
+        box = np.array(chart.bounds())
+        bounded = [i for i, c in enumerate(chart.coords) if c not in chart.periodic]
+        lo, hi = box[bounded, 0], box[bounded, 1]
     defect = 0.0
     for s in range(steps):
         state = advance(s, state)
@@ -153,7 +158,8 @@ def _integrate(advance, state, steps, dt, record, chart=None, project=False):
             state = (state[0], polar_project(state[1]))
         if chart is not None:
             state = (chart.wrap(state[0]),) + state[1:]
-            left = _chart_mask(chart, state[0], left)
+            q = state[0][:, bounded]
+            left |= ((q < lo) | (q > hi)).any(axis=1)
         if len(state) > 1:
             defect = max(defect, ortho_defect(state[1]))
         if full or s + 1 == steps:
@@ -279,10 +285,15 @@ def ortho_defect(h):
 
 
 class _DevelopSystem:
-    """Right-hand sides of the coupled (q, h~) development system."""
+    """Right-hand sides of the coupled (q, h~) development system.
+
+    Gamma comes from the connection object, fed the Popp drift of the same
+    compiled evaluation that gives the frame, so the flow evaluates the
+    chart geometry once.
+    """
 
     def __init__(self, frame, structure, gamma):
-        self.frame = frame
+        self.structure = structure
         self.gamma = gamma
         sym = gamma.sym
         self.k1 = frame.k1
@@ -299,24 +310,15 @@ class _DevelopSystem:
         dh~ = sum_alpha (u^T h~ Gamma^alpha(q)) h~ A_alpha.
         """
         v = np.einsum("pji,pj->pi", h, u)                 # h~^T u
-        x = self.frame.matrix(q)[:, :, :self.k1]
+        x, div = self.structure.horizontal(q)
         dq = np.einsum("pdi,pi->pd", x, v)
         if len(self.blocks):
-            gam = self.gamma.at(q)                        # (P, dimH, k1)
+            gam = self.gamma.at(q, div)                   # (P, dimH, k1)
             s = np.einsum("pai,pi->pa", gam, v)           # scalar per generator
             dh = np.einsum("pa,pjk,akl->pjl", s, h, self.blocks)
         else:
             dh = np.zeros_like(h)
         return dq, dh
-
-
-def _chart_mask(chart, q, mask):
-    b = np.array(chart.bounds())
-    for i, name in enumerate(chart.coords):
-        if name in chart.periodic:
-            continue
-        mask |= (q[:, i] < b[i, 0]) | (q[:, i] > b[i, 1])
-    return mask
 
 
 def _prepare_h0(h0, k1, paths):
@@ -378,8 +380,7 @@ def simulate_popp(frame, structure, q0, config, record="endpoints"):
     k1 = frame.k1
 
     def flow(q, dw):
-        x = frame.matrix(q)[:, :, :k1]
-        d = structure.divergence(q)
+        x, d = structure.horizontal(q)
         return (np.einsum("pdi,pi->pd", x, dw + 0.5 * d * config.dt),)
 
     def advance(s, state):

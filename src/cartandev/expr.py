@@ -10,12 +10,14 @@ Grammar (loosest to tightest binding):
 
 Names are either coordinate variables or the functions sin, cos, exp.
 Expressions support exact symbolic differentiation and vectorized
-evaluation on numpy arrays.
+evaluation on numpy arrays, one tree at a time or, through ``Compiled``,
+several trees at once with every shared subtree evaluated once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -289,6 +291,69 @@ def pow_(a, k):
     if _is_const(a):
         return Const(a.value ** k)
     return Pow(a, k)
+
+
+# -- shared-subexpression evaluation -------------------------------------------
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+           Div: operator.truediv}
+
+
+class Compiled:
+    """Several Expr roots lowered to one op list without repeated subtrees.
+
+    Every distinct subtree gets one slot of a value list: a constant is
+    stored in ``values``, a variable is read from env, and an op
+    (slot, fn, a, b) stores fn(slot a) or, for a binary node, fn(slot a,
+    slot b); a Pow's integer exponent is a constant. Slots are keyed by fn
+    and operand slots, so structurally equal subtrees share one and are
+    evaluated once per call. Each op applies the same operation to the same
+    operands as the tree node it replaces, so every output equals its
+    root's own evaluation bit for bit.
+    """
+
+    def __init__(self, roots):
+        self.values, self.names, self.ops = [], [], []
+        slots = {}
+        self.outputs = [self._lower(r, slots) for r in roots]
+
+    def _lower(self, e, slots):
+        if isinstance(e, Const):
+            # repr keeps -0.0 apart from 0.0 and an int exponent from a float
+            key = ("const", repr(e.value))
+        elif isinstance(e, Var):
+            key = ("var", e.name)
+        elif isinstance(e, Neg):
+            key = (operator.neg, self._lower(e.arg, slots), None)
+        elif isinstance(e, Call):
+            key = (_FUNCS[e.func], self._lower(e.arg, slots), None)
+        elif isinstance(e, Pow):
+            key = (operator.pow, self._lower(e.base, slots),
+                   self._lower(Const(e.exponent), slots))
+        else:
+            key = (_BINARY[type(e)], self._lower(e.left, slots),
+                   self._lower(e.right, slots))
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(self.values)
+            self.values.append(e.value if isinstance(e, Const) else None)
+            if isinstance(e, Var):
+                self.names.append((slot, e.name))
+            elif not isinstance(e, Const):
+                self.ops.append((slot,) + key)
+        return slot
+
+    def __call__(self, env):
+        """Values of the roots, in order, with env as for Expr.__call__."""
+        vals = list(self.values)
+        for slot, name in self.names:
+            try:
+                vals[slot] = env[name]
+            except KeyError:
+                raise UnknownIdentifier(f"unknown variable {name!r}") from None
+        for slot, fn, a, b in self.ops:
+            vals[slot] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+        return [vals[i] for i in self.outputs]
 
 
 # -- parser -------------------------------------------------------------------

@@ -4,6 +4,13 @@ A sub-Riemannian structure is described in a single chart by an adapted
 frame (X_1, ..., X_n) with a declared growth vector; the first k_1 fields
 are an orthonormal basis of the distribution. All pointwise computations
 are vectorized over arrays of sample points.
+
+What the simulators need at every step, the horizontal fields X_1..X_k1
+and the Popp drift div_i = sum_l c_li^l, is built symbolically once per
+StructureField (the drift in the closed form d_a X_i^a - X_i(det X)/det X)
+and evaluated in one shared-subexpression pass. The full structure
+functions c_ij^k come from a batched linear solve and serve the one-off
+checks: growth, nilpotentization, model comparison and the Levy form.
 """
 
 from __future__ import annotations
@@ -203,11 +210,41 @@ def load_frame(path):
 # Structure constants
 # ---------------------------------------------------------------------------
 
+def _determinant(rows):
+    """Cofactor expansion of a square matrix of Exprs along its first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    out = ex.Const(0.0)
+    for j, head in enumerate(rows[0]):
+        term = ex.mul(head, _determinant([r[:j] + r[j + 1:] for r in rows[1:]]))
+        out = ex.add(out, term) if j % 2 == 0 else ex.sub(out, term)
+    return out
+
+
+def _popp_divergence(frame):
+    """div_i = sum_l c_li^l for i <= k1 as Exprs, and det X.
+
+    div_i is the divergence of X_i with respect to |det X|^-1 dx, the volume
+    on which the frame has unit volume: d_a X_i^a - X_i(det X) / det X.
+    """
+    chart = frame.chart
+    det = _determinant(frame.fields)
+    out = []
+    for field in frame.fields[:frame.k1]:
+        trace = ex.Const(0.0)
+        for comp, name in zip(field, chart.coords):
+            trace = ex.add(trace, comp.diff(name))
+        out.append(ex.sub(trace, ex.div(apply_field(field, det, chart), det)))
+    return out, det
+
+
 class StructureField:
     """Pointwise structure functions c_ij^k with [X_i, X_j] = sum_k c_ij^k X_k.
 
-    Brackets are formed symbolically; the expansion in the frame is a batched
-    linear solve at each requested point.
+    The horizontal fields and the Popp drift sum_l c_li^l are compiled once,
+    from the closed form of _popp_divergence, into one shared-subexpression
+    evaluation (``horizontal``). The full c_ij^k (``at``) expand the
+    symbolic brackets in the frame by a batched linear solve at each point.
     """
 
     def __init__(self, frame):
@@ -218,6 +255,32 @@ class StructureField:
             for j in range(i + 1, n):
                 self._brackets[i][j] = lie_bracket(
                     frame.fields[i], frame.fields[j], frame.chart)
+        div, det = _popp_divergence(frame)
+        self._horizontal = ex.Compiled(
+            [c for field in frame.fields[:frame.k1] for c in field] + div + [det])
+
+    def horizontal(self, points):
+        """X_1..X_k1 and the Popp drift at points: shapes (P, d, k1), (P, k1).
+
+        Raises SingularFrame where det X vanishes or the drift is not finite.
+        """
+        d, k1 = self.frame.chart.dim, self.frame.k1
+        env = self.frame.chart.env(points)
+        p = len(next(iter(env.values())))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = self._horizontal(env)
+        x = np.empty((p, d, k1))
+        for i in range(k1):
+            for a in range(d):
+                x[:, a, i] = vals[i * d + a]
+        div = np.empty((p, k1))
+        for i in range(k1):
+            div[:, i] = vals[k1 * d + i]
+        if not np.all(vals[-1] != 0):
+            raise SingularFrame("frame matrix singular at a sample point")
+        if not np.isfinite(div).all():
+            raise SingularFrame("Popp drift not finite at a sample point")
+        return x, div
 
     def bracket_values(self, points):
         """All [X_i, X_j] (i<j) evaluated: shape (P, d, pairs)."""
@@ -260,10 +323,7 @@ class StructureField:
 
     def divergence(self, points):
         """div_i = sum_l c_li^l for i <= k1, shape (P, k1)."""
-        c = self.at(points)
-        k1 = self.frame.k1
-        # c[p, l, i, l] summed over l
-        return np.einsum("plil->pi", c)[:, :k1]
+        return self.horizontal(points)[1]
 
 
 def structure_constants(frame):
@@ -502,13 +562,18 @@ class ChristoffelField:
                 f"expected Gamma of shape {(sym.dimH, k1)}, got {values.shape}")
         return cls(sym, k1, constant=values)
 
-    def at(self, points):
-        """Gamma values of shape (P, dimH, k1)."""
+    def at(self, points, div=None):
+        """Gamma values of shape (P, dimH, k1).
+
+        div, when given, is the Popp drift at points (StructureField.horizontal
+        of the same frame), so a caller that has it is spared its evaluation.
+        """
         points = np.atleast_2d(points)
         p = len(points)
         if self._constant is not None:
             return np.broadcast_to(self._constant, (p,) + self._constant.shape)
-        div = self.structure.divergence(points)      # (P, k1)
+        if div is None:
+            div = self.structure.divergence(points)  # (P, k1)
         flat = div @ self._pinv.T                    # (P, dimH*k1)
         return flat.reshape(p, self.sym.dimH, self.k1)
 
@@ -517,8 +582,8 @@ class ChristoffelField:
         parent = self
 
         class _Perturbed(ChristoffelField):
-            def at(self, points):
-                return parent.at(points) + np.asarray(delta, dtype=float)
+            def at(self, points, div=None):
+                return parent.at(points, div) + np.asarray(delta, dtype=float)
 
         return _Perturbed(self.sym, self.k1)
 

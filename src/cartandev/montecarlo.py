@@ -8,7 +8,7 @@ import numpy as np
 
 from . import develop as dv
 from . import manifold as mf
-from .errors import NonFinite
+from .errors import MalformedSpec, NonFinite
 
 
 @dataclass
@@ -145,16 +145,23 @@ def generator_family_test(frame, structure, gamma, sym, fs, q0, config,
 
 
 def equivalence_test(frame, structure, gamma, q0, config, h0=None,
-                     threshold=3.0):
+                     threshold=3.0, direct=None):
     """Developed process vs direct Popp diffusion: moment z-scores.
 
     Compares first and second empirical moments of every chart coordinate at
-    the endpoint time; passes iff all |z| <= threshold.
+    the endpoint time; passes iff all |z| <= threshold. The direct diffusion
+    does not depend on gamma: direct, when given, is its simulate_popp Path
+    at the same q0 and config, so several connections can be compared with
+    one simulation of it.
     """
     q0v = np.asarray(q0, dtype=float)
+    if direct is None:
+        direct = dv.simulate_popp(frame, structure, q0v, config)
+    elif (direct.points.shape[1:] != (config.paths, frame.chart.dim)
+          or direct.times[-1] != config.steps * config.dt):
+        raise MalformedSpec("the direct Popp path was simulated at another config")
     dev = dv.develop_sde(frame, structure, gamma, q0v, config, h0=h0)
-    pop = dv.simulate_popp(frame, structure, q0v, config)
-    a, b = dev.endpoints(), pop.endpoints()
+    a, b = dev.endpoints(), direct.endpoints()
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NonFinite("non-finite endpoints in the equivalence test")
     rows = []

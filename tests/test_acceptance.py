@@ -253,9 +253,11 @@ def test_equivalence_and_negative_control():
     frame, st, alg, sym, q0 = context_for("contact-halfplane")
     gamma = mf.solve_christoffel(frame, st, sym)
     config = dv.SDEConfig(dt=1e-3, T=0.2, seed=2, paths=50000)
-    good = mc.equivalence_test(frame, st, gamma, q0, config)
+    direct = dv.simulate_popp(frame, st, q0, config)
+    good = mc.equivalence_test(frame, st, gamma, q0, config, direct=direct)
     assert good["pass"] and good["max_abs_z"] <= 3.0
 
-    bad = mc.equivalence_test(frame, st, gamma.perturbed(0.5), q0, config)
+    bad = mc.equivalence_test(frame, st, gamma.perturbed(0.5), q0, config,
+                              direct=direct)
     assert not bad["pass"]
     assert bad["max_abs_z"] > 5.0

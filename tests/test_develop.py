@@ -1,5 +1,7 @@
 """Tests for the group law, left-invariant fields, and development dynamics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from cartandev import algebra as al
 from cartandev import builtins as bi
 from cartandev import develop as dv
 from cartandev import manifold as mf
-from cartandev.errors import MalformedSpec, StepTooLarge
+from cartandev.errors import MalformedSpec, SingularFrame, StepTooLarge
 
 
 def heisenberg():
@@ -213,6 +215,29 @@ def test_sde_lift_independence():
     q_rot = run(r.copy())
     assert np.abs(q_base - q_rot).max() < 1e-6
     assert np.abs(q_base - base.endpoints()).max() < 1e-12
+
+
+def test_sde_takes_gamma_from_the_connection():
+    # a zero offset must reproduce the solved connection bit for bit, so the
+    # perturbed negative controls run through the same compiled flow
+    frame, st, gamma, q0 = sde_setup("contact-halfplane")
+    config = dv.SDEConfig(dt=1e-3, T=0.1, seed=5, paths=16)
+    base = dv.develop_sde(frame, st, gamma, q0, config, record="full")
+    same = dv.develop_sde(frame, st, gamma.perturbed(0.0), q0, config, record="full")
+    assert np.array_equal(base.points, same.points)
+    assert np.array_equal(base.frames, same.frames)
+
+
+def test_singular_frame_raises_not_nan():
+    config = dv.SDEConfig(dt=1e-2, T=0.1, seed=0, paths=4)
+    frame = bi.frame("hyperbolic-plane")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularFrame):
+            dv.simulate_popp(frame, mf.StructureField(frame), [0.0, 0.0], config)
+        frame, st, gamma, _ = sde_setup("contact-halfplane")
+        with pytest.raises(SingularFrame):
+            dv.develop_sde(frame, st, gamma, [0.0, 0.0, 0.5], config)
 
 
 def test_sde_orthogonality_defect_small():

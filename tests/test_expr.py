@@ -106,6 +106,43 @@ def test_diff_constant_folding():
     assert ex.parse("y^2").diff("x") == ex.Const(0.0)
 
 
+# -- shared-subexpression evaluation ---------------------------------------------
+
+
+def test_compiled_shares_repeated_subtrees():
+    # x, sin(x), the product and the sum: the second sin(x) and the second
+    # product share slots, whether or not they are the same objects
+    roots = [ex.parse("sin(x)*sin(x) + sin(x)*sin(x)"), ex.parse("sin(x)")]
+    prog = ex.Compiled(roots)
+    assert len(prog.values) == 4 and len(prog.ops) == 3
+    x = np.linspace(-1.0, 1.0, 9)
+    out = prog({"x": x})
+    assert all(np.array_equal(o, r({"x": x})) for o, r in zip(out, roots))
+
+
+def test_compiled_keeps_signed_zeros_and_int_exponents_apart():
+    roots = [ex.Mul(ex.Var("x"), ex.Const(0.0)), ex.Mul(ex.Var("x"), ex.Const(-0.0)),
+             ex.Pow(ex.Var("x"), 2), ex.Mul(ex.Var("x"), ex.Const(2.0))]
+    out = ex.Compiled(roots)({"x": np.array([1.0, -3.0])})
+    assert [np.signbit(o).tolist() for o in out[:2]] == [[False, True], [True, False]]
+    assert out[2].tolist() == [1.0, 9.0] and out[3].tolist() == [2.0, -6.0]
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_compiled_equals_tree_evaluation(text):
+    e = ex.parse(text)
+    roots = [e, e.diff("x"), e.diff("y"), e.diff("x").diff("y")]
+    rng = np.random.default_rng(5)
+    env = {"x": rng.uniform(0.2, 1.0, 50), "y": rng.uniform(0.2, 1.0, 50)}
+    out = ex.Compiled(roots)(env)
+    assert all(np.array_equal(o, r(env)) for o, r in zip(out, roots))
+
+
+def test_compiled_unknown_identifier():
+    with pytest.raises(UnknownIdentifier):
+        ex.Compiled([ex.parse("x + q")])({"x": 1.0})
+
+
 # -- printing round-trip --------------------------------------------------------
 
 

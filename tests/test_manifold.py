@@ -8,7 +8,7 @@ from cartandev import builtins as bi
 from cartandev import expr as ex
 from cartandev import manifold as mf
 from cartandev.errors import (Inconsistent, MalformedSpec, ModelMismatch,
-                              RankDrop, UnknownIdentifier)
+                              RankDrop, SingularFrame, UnknownIdentifier)
 
 
 def symmetry_for(name):
@@ -95,6 +95,29 @@ def test_structure_residual_small(name):
     assert st.residual(pts) < 1e-9
     c = st.at(pts)
     assert np.allclose(c, -np.swapaxes(c, 1, 2))
+
+
+@pytest.mark.parametrize("name", bi.FRAME_NAMES)
+def test_compiled_geometry_matches_solve(name):
+    frame = bi.frame(name)
+    st = mf.StructureField(frame)
+    pts = frame.chart.sample_points(200)
+    x, div = st.horizontal(pts)
+    assert np.array_equal(x, frame.matrix(pts)[:, :, :frame.k1])
+    solved = np.einsum("plil->pi", st.at(pts))[:, :frame.k1]
+    assert np.abs(div - solved).max() <= 1e-12
+    env = frame.chart.env(pts)
+    comps = [c for field in frame.fields for c in field]
+    for c, v in zip(comps, ex.Compiled(comps)(env)):
+        assert np.array_equal(np.broadcast_to(v, len(pts)),
+                              np.broadcast_to(c(env), len(pts)))
+
+
+def test_compiled_geometry_rejects_singular_points():
+    frame = bi.frame("hyperbolic-plane")
+    st = mf.StructureField(frame)
+    with pytest.raises(SingularFrame):
+        st.horizontal([[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_goursat_structure_function():

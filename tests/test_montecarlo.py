@@ -128,6 +128,17 @@ def test_equivalence_passes_small_scale():
     assert len(rep["moments"]) == 2 * frame.chart.dim
 
 
+def test_equivalence_reuses_a_direct_path():
+    frame, st, gamma, sym, q0 = setup("contact-halfplane")
+    cfg = dv.SDEConfig(dt=1e-2, T=0.2, seed=3, paths=200)
+    direct = dv.simulate_popp(frame, st, q0, cfg)
+    assert (mc.equivalence_test(frame, st, gamma, q0, cfg, direct=direct)
+            == mc.equivalence_test(frame, st, gamma, q0, cfg))
+    other = dv.SDEConfig(dt=1e-2, T=0.1, seed=3, paths=200)
+    with pytest.raises(MalformedSpec):
+        mc.equivalence_test(frame, st, gamma, q0, other, direct=direct)
+
+
 def test_equivalence_detects_wrong_connection():
     # adding 0.5 to the first Christoffel symbol changes the drift and the
     # moment comparison must reject it decisively
