@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import ratlinalg as rl
 from .errors import ClosureFailure, DimensionMismatch, IntersectionNonTrivial
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = rl.ZERO
+ONE = rl.ONE
 
 
 def _sort_sign(t):
@@ -36,6 +36,11 @@ def _sort_sign(t):
         if a == b:
             return tuple(t), 0
     return tuple(t), sign
+
+
+def _column_index(monos):
+    """Map each monomial of a coordinate order to its column."""
+    return {m: i for i, m in enumerate(monos)}
 
 
 @dataclass(frozen=True)
@@ -312,8 +317,10 @@ class Cohomology:
 
     # -- subspaces of positive-degree hom(^2 n, g) ---------------------------
 
-    def _coords(self, elem, monos):
-        index = {m: i for i, m in enumerate(monos)}
+    def _coords(self, elem, monos, index=None):
+        """Dense coordinates of elem over monos; index is _column_index(monos)."""
+        if index is None:
+            index = _column_index(monos)
         row = [ZERO] * len(monos)
         for m, c in elem.coeffs.items():
             if m not in index:
@@ -322,7 +329,7 @@ class Cohomology:
         return row
 
     def _from_coords(self, arity, row, monos):
-        return HomElement(arity, {m: c for m, c in zip(monos, row) if c != 0})
+        return HomElement(arity, {m: c for m, c in zip(monos, row) if c is not ZERO and c})
 
     def _subspace(self, arity, rows, monos):
         basis = rl.row_basis(rows)
@@ -330,11 +337,19 @@ class Cohomology:
         return HomSubspace(arity=arity, elements=elems, matrix=basis, monomials=monos)
 
     def _gram_restricted(self, monos):
+        """Gram matrix of monos; entries across _block_key blocks are zero."""
         key = ("restr", tuple(monos))
         if key not in self._blocks:
-            m = [[self.inner(HomElement(2, {m1: ONE}), HomElement(2, {m2: ONE}))
-                  for m2 in monos] for m1 in monos]
-            self._blocks[key] = m
+            groups = {}
+            for i, m in enumerate(monos):
+                groups.setdefault(self._block_key(m), []).append(i)
+            gram = [[ZERO] * len(monos) for _ in monos]
+            for ids in groups.values():
+                for i in ids:
+                    x = HomElement(2, {monos[i]: ONE})
+                    for j in ids:
+                        gram[i][j] = self.inner(x, HomElement(2, {monos[j]: ONE}))
+            self._blocks[key] = gram
         return self._blocks[key]
 
     def _ortho_complement(self, rows, monos):
@@ -347,11 +362,12 @@ class Cohomology:
     def image_partial_plus(self):
         """Basis of the differential's image of positive-degree hom(n, g)."""
         monos = self.positive_monomials(2)
+        index = _column_index(monos)
         rows = []
         for m in self.positive_monomials(1):
             d = self._monomial_differential(1, m)
             if not d.is_zero():
-                rows.append(self._coords(d, monos))
+                rows.append(self._coords(d, monos, index))
         return self._subspace(2, rows, monos)
 
     def s_module(self):
@@ -363,6 +379,7 @@ class Cohomology:
             phis = rl.nullspace([list(v) for v in sym.kerH])
         else:
             phis = rl.identity(k1)
+        index = _column_index(monos)
         rows = []
         for phi in phis:
             terms = []
@@ -371,7 +388,7 @@ class Cohomology:
                     if phi[i] != 0 and i != j:
                         terms.append((j, (j, i), phi[i]))
             elem = hom_element(2, terms)
-            rows.append(self._coords(elem, monos))
+            rows.append(self._coords(elem, monos, index))
         return self._subspace(2, rows, monos)
 
     def h_action(self, alpha, elem):
@@ -400,7 +417,9 @@ class Cohomology:
         return HomElement(2, out)
 
     def _check_h_invariant(self, rows, monos):
-        acted = [self._coords(self.h_action(alpha, self._from_coords(2, r, monos)), monos)
+        index = _column_index(monos)
+        acted = [self._coords(self.h_action(alpha, self._from_coords(2, r, monos)),
+                              monos, index)
                  for alpha in range(self.amb.sym.dimH) for r in rows]
         return rl.rank(rows + acted) == rl.rank(rows)
 

@@ -358,10 +358,10 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
     if len(u) != k1:
         raise MalformedSpec(f"need {k1} control components, got {len(u)}")
     steps = _step_count(dt, T)
+    control = ex.Compiled(u)
 
     def flow(q, h, t):
-        env = {"t": t}
-        return sys.flow(q, h, np.array([[float(c(env)) for c in u]]))
+        return sys.flow(q, h, np.array([[float(c) for c in control({"t": t})]]))
 
     def advance(s, state):
         return _rk4(flow, state, s * dt, dt)

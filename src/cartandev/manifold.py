@@ -47,6 +47,8 @@ class Chart:
                 raise MalformedSpec(f"periodic coordinate {p!r} not in chart")
         if self.box is not None and len(self.box) != len(self.coords):
             raise MalformedSpec("box must give one (lo, hi) per coordinate")
+        object.__setattr__(self, "_periodic_cols", tuple(
+            i for i, name in enumerate(self.coords) if name in self.periodic))
 
     @property
     def dim(self):
@@ -66,9 +68,8 @@ class Chart:
     def wrap(self, points):
         """Reduce periodic coordinates mod 2*pi (in place on a copy)."""
         points = np.array(points, dtype=float)
-        for i, name in enumerate(self.coords):
-            if name in self.periodic:
-                points[..., i] %= TAU
+        for i in self._periodic_cols:
+            points[..., i] %= TAU
         return points
 
     def sample_points(self, count=100, seed=0):

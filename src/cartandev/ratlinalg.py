@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows, each row a list of ``fractions.Fraction``.
-Row reduction uses deterministic pivoting: first nonzero column, smallest
-row index. Everything returns fresh lists; inputs are never mutated.
+Matrices are lists of rows, each row a list of ``fractions.Fraction``, at
+every function's interface. Inside, row reduction and products keep only the
+nonzero entries of each row, so their cost follows the number of nonzeros,
+not the matrix size. Row reduction uses deterministic pivoting: first
+nonzero column, smallest row index. Everything returns fresh lists; inputs
+are never mutated.
 """
 
 from fractions import Fraction
@@ -11,8 +14,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _copy(m):
-    return [list(row) for row in m]
+def _nonzeros(row):
+    """(column, entry) pairs of a row's nonzeros; the shared ZERO that fills
+    the zero cells of rows built here is skipped without a Fraction test."""
+    return [(c, x) for c, x in enumerate(row) if x is not ZERO and x]
+
+
+def _eliminate(row, f, pivot):
+    """row -= f * pivot over the pivot's nonzeros, dropping entries that cancel."""
+    for c, x in pivot.items():
+        v = row.get(c, ZERO) - f * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
 
 
 def rref(m):
@@ -20,28 +35,37 @@ def rref(m):
 
     Returns (R, pivots) where pivots is the list of pivot column indices.
     """
-    r = _copy(m)
-    if not r:
-        return r, []
-    rows, cols = len(r), len(r[0])
+    if not m:
+        return [], []
+    cols = len(m[0])
+    rest = [dict(_nonzeros(row)) for row in m]
+    done = []                      # reduced pivot rows, in pivot order
     pivots = []
-    lead = 0
     for col in range(cols):
-        if lead >= rows:
+        if not rest:
             break
-        src = next((i for i in range(lead, rows) if r[i][col] != 0), None)
-        if src is None:
+        hits = [r for r in rest if col in r]
+        if not hits:
             continue
-        r[lead], r[src] = r[src], r[lead]
-        inv = ONE / r[lead][col]
-        r[lead] = [x * inv for x in r[lead]]
-        for i in range(rows):
-            if i != lead and r[i][col] != 0:
-                f = r[i][col]
-                r[i] = [a - f * b for a, b in zip(r[i], r[lead])]
+        src = hits[0]
+        inv = ONE / src[col]
+        lead = {c: x * inv for c, x in src.items()}
+        for r in hits[1:]:
+            _eliminate(r, r[col], lead)
+        for r in done:
+            if col in r:
+                _eliminate(r, r[col], lead)
+        rest = [r for r in rest if r and r is not src]
+        done.append(lead)
         pivots.append(col)
-        lead += 1
-    return r, pivots
+    out = []
+    for r in done:
+        row = [ZERO] * cols
+        for c, x in r.items():
+            row[c] = x
+        out.append(row)
+    out.extend([ZERO] * cols for _ in range(len(m) - len(done)))
+    return out, pivots
 
 
 def rank(m):
@@ -60,33 +84,30 @@ def nullspace(m):
         return []
     cols = len(m[0])
     r, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * cols
+    pivot_set = set(pivots)
+    basis = {f: [ZERO] * cols for f in range(cols) if f not in pivot_set}
+    for f, v in basis.items():
         v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        basis.append(v)
-    return basis
+    # a reduced pivot row is 1 at its pivot and 0 at every other pivot
+    for row, p in zip(r, pivots):
+        for f, x in _nonzeros(row):
+            if f != p:
+                basis[f][p] = -x
+    return list(basis.values())
 
 
 def matmul(a, b):
     if not a or not b:
         return []
-    n, k, mcols = len(a), len(b), len(b[0])
-    out = [[ZERO] * mcols for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for j in range(k):
-            x = ai[j]
-            if x == 0:
-                continue
-            bj = b[j]
-            for c in range(mcols):
-                if bj[c] != 0:
-                    oi[c] += x * bj[c]
+    mcols = len(b[0])
+    bnz = [_nonzeros(row) for row in b]
+    out = []
+    for ai in a:
+        oi = [ZERO] * mcols
+        for j, x in _nonzeros(ai):
+            for c, y in bnz[j]:
+                oi[c] += x * y
+        out.append(oi)
     return out
 
 
@@ -137,16 +158,9 @@ def span_intersection(a, b):
     """Basis of the intersection of two row spans."""
     if not a or not b:
         return []
-    p, q = len(a), len(b)
-    cols = len(a[0])
-    # x = c.a = d.b  <=>  [c d] in ker of the stacked coefficient matrix.
-    constraint = [[a[i][j] for i in range(p)] + [-b[k][j] for k in range(q)]
-                  for j in range(cols)]
-    inter = []
-    for cd in nullspace(constraint):
-        v = [sum((cd[i] * a[i][j] for i in range(p)), ZERO) for j in range(cols)]
-        inter.append(v)
-    return row_basis(inter)
+    # x = c.a = d.b  <=>  (c, -d) is in the kernel of the transposed stack
+    kernel = nullspace(transpose(a + b))
+    return row_basis(matmul([v[:len(a)] for v in kernel], a))
 
 
 def spans_equal(a, b):

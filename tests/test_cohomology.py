@@ -12,7 +12,10 @@ from cartandev.errors import ClosureFailure, DimensionMismatch, IntersectionNonT
 
 
 def make_cohomology(name):
-    alg = builtin_algebra(name)
+    return cohomology_of(builtin_algebra(name))
+
+
+def cohomology_of(alg):
     metric = al.extend_metric(alg)
     sym = al.symmetry_algebra(alg, metric)
     amb = al.ambient(alg, sym)
@@ -90,6 +93,28 @@ def test_codifferential_adjointness(name):
             assert co.inner(da, b) == co.inner(a, db)
 
 
+# free(2,3) with e5 = [e1, e3] + [e2, e3] in place of [e2, e3]: its layer-3
+# metric is not diagonal, so the hom Gram has nonzeros off the diagonal
+# inside its blocks
+SKEWED_FREE23_SPEC = {
+    "dim": 5,
+    "growth": [2, 3, 5],
+    "brackets": {"1,2": {"3": "1"}, "1,3": {"4": "1"}, "2,3": {"4": "-1", "5": "1"}},
+}
+
+
+@pytest.mark.parametrize("alg", [builtin_algebra("heisenberg3"), builtin_algebra("free23"),
+                                 builtin_algebra("engel"), al.free_nilpotent(3, 2),
+                                 al.build_algebra(SKEWED_FREE23_SPEC)],
+                         ids=["heisenberg3", "free23", "engel", "free32", "skewed-free23"])
+def test_gram_restricted_equals_pairwise_inner(alg):
+    # the block-wise Gram skips pairs across blocks; a nonzero there would fail here
+    co = cohomology_of(alg)
+    monos = co.positive_monomials(2)
+    units = [ch.HomElement(2, {m: Fraction(1)}) for m in monos]
+    assert co._gram_restricted(monos) == [[co.inner(x, y) for y in units] for x in units]
+
+
 # -- inner products of the trace module --------------------------------------
 
 
@@ -165,6 +190,15 @@ def test_morimoto_normal_module_complements_image(name):
     monos = co.positive_monomials(2)
     assert n.dim + im.dim == len(monos)
     assert not rl.span_intersection(n.matrix, im.matrix)
+
+
+def test_free25_morimoto_module_is_a_complement():
+    # 1247 positive monomials counted from the degrees, and a rank 85 of the
+    # degree-one differentials in floating point and mod 1000003; the module
+    # raises ClosureFailure unless it complements im d+
+    co = cohomology_of(al.free_nilpotent(2, 5))
+    n = co.normal_module_morimoto()
+    assert (len(n.monomials), co.image_partial_plus().dim, n.dim) == (1247, 85, 1162)
 
 
 def test_popp_certificate_raises_when_not_h_invariant(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the exact rational linear algebra under every exact certificate."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,3 +86,85 @@ def test_span_intersection_and_equality():
     assert rl.span_intersection([], b) == []
     assert rl.spans_equal(a, F([[1, 1, 0], [1, -1, 0]]))
     assert not rl.spans_equal(a, b)
+
+
+# -- the sparse engine against the dense Gauss-Jordan loop --------------------
+
+
+def dense_rref(m):
+    """The dense Gauss-Jordan loop over every cell: the reference for rref."""
+    r = [list(row) for row in m]
+    if not r:
+        return r, []
+    rows, cols = len(r), len(r[0])
+    pivots = []
+    lead = 0
+    for col in range(cols):
+        if lead >= rows:
+            break
+        src = next((i for i in range(lead, rows) if r[i][col] != 0), None)
+        if src is None:
+            continue
+        r[lead], r[src] = r[src], r[lead]
+        inv = Fraction(1) / r[lead][col]
+        r[lead] = [x * inv for x in r[lead]]
+        for i in range(rows):
+            if i != lead and r[i][col] != 0:
+                f = r[i][col]
+                r[i] = [a - f * b for a, b in zip(r[i], r[lead])]
+        pivots.append(col)
+        lead += 1
+    return r, pivots
+
+
+def dense_matmul(a, b):
+    return [[sum((a[i][j] * b[j][c] for j in range(len(b))), Fraction(0))
+             for c in range(len(b[0]))] for i in range(len(a))]
+
+
+def random_sparse(rng, rows, cols, density):
+    return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density
+             else Fraction(0) for _ in range(cols)] for _ in range(rows)]
+
+
+def sparse_cases(seed):
+    rng = random.Random(seed)
+    tall = random_sparse(rng, 12, 5, 0.3)
+    wide = random_sparse(rng, 4, 15, 0.25)
+    square = random_sparse(rng, 9, 9, 0.2)
+    # zero rows and zero columns, then duplicated rows
+    holes = random_sparse(rng, 8, 10, 0.4)
+    for row in holes:
+        row[3] = row[7] = Fraction(0)
+    holes[2] = [Fraction(0)] * 10
+    holes[5] = [Fraction(0)] * 10
+    dupes = square[:4] + [square[1], square[3], square[1]]
+    low_rank = rl.matmul(random_sparse(rng, 10, 3, 0.6), random_sparse(rng, 3, 8, 0.6))
+    return [tall, wide, square, holes, dupes, low_rank,
+            [], [[Fraction(0)] * 6 for _ in range(4)], [[Fraction(0)]], [[]]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rref_equals_the_dense_reference(seed):
+    for m in sparse_cases(seed):
+        before = [list(row) for row in m]
+        assert rl.rref(m) == dense_rref(m)
+        assert m == before
+
+
+def test_rref_of_empty_and_zero_inputs():
+    assert rl.rref([]) == ([], [])
+    zero = F([[0, 0, 0], [0, 0, 0]])
+    assert rl.rref(zero) == (zero, [])
+    assert rl.nullspace(zero) == rl.identity(3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matmul_equals_the_triple_loop(seed):
+    rng = random.Random(100 + seed)
+    for n, k, m in [(5, 7, 3), (1, 4, 9), (8, 2, 6), (3, 3, 3)]:
+        a = random_sparse(rng, n, k, 0.4)
+        b = random_sparse(rng, k, m, 0.4)
+        a_before, b_before = [list(r) for r in a], [list(r) for r in b]
+        assert rl.matmul(a, b) == dense_matmul(a, b)
+        assert (a, b) == (a_before, b_before)
