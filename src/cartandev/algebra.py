@@ -89,16 +89,6 @@ class GradedLieAlgebra:
                     out[k] += x[i] * y[j] * ck
         return out
 
-    def structure_tensor(self):
-        """Dense antisymmetric tensor C[i][j][k] = c_ij^k (for numeric use)."""
-        n = self.dim
-        t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for (i, j), row in self.brackets.items():
-            for k, v in row.items():
-                t[i][j][k] = v
-                t[j][i][k] = -v
-        return t
-
     def to_spec(self):
         """The JSON-interchange dict (1-based indices, rationals as strings)."""
         br = {}

@@ -34,40 +34,34 @@ def _emit(report, args):
     print(json.dumps(report, indent=2))
 
 
-def _load_algebra(args):
-    if args.builtin:
-        return bi.algebra(args.builtin)
+def _read_spec(args):
     if not args.spec:
         raise MalformedSpec("provide a spec file or --builtin NAME")
     with open(args.spec) as f:
         try:
-            spec = json.load(f)
+            return json.load(f)
         except json.JSONDecodeError as e:
             raise MalformedSpec(
                 f"{args.spec}: invalid JSON at line {e.lineno}, "
                 f"column {e.colno}: {e.msg}") from None
-    return al.build_algebra(spec)
+
+
+def _load_algebra(args):
+    if args.builtin:
+        return bi.algebra(args.builtin)
+    return al.build_algebra(_read_spec(args))
 
 
 def _load_frame(args):
     if args.builtin:
         return bi.frame(args.builtin)
-    if not args.spec:
-        raise MalformedSpec("provide a spec file or --builtin NAME")
-    with open(args.spec) as f:
-        try:
-            spec = json.load(f)
-        except json.JSONDecodeError as e:
-            raise MalformedSpec(
-                f"{args.spec}: invalid JSON at line {e.lineno}, "
-                f"column {e.colno}: {e.msg}") from None
-    return mf.build_frame(spec)
+    return mf.build_frame(_read_spec(args))
 
 
 def _structure_context(args):
     """Frame, structure functions, model algebra, and its symmetries."""
     frame = _load_frame(args)
-    structure = mf.structure_constants(frame)
+    structure = mf.StructureField(frame)
     alg = bi.model_algebra_for(args.builtin) if args.builtin else None
     if alg is None:
         alg = mf.nilpotentization(frame)
@@ -101,13 +95,7 @@ def _config(args):
 
 def cmd_algebra(args):
     if args.action == "free":
-        alg = al.free_nilpotent(args.generators, args.step)
-        spec = alg.to_spec()
-        if args.output:
-            with open(args.output, "w") as f:
-                json.dump(spec, f, indent=2)
-                f.write("\n")
-        print(json.dumps(spec, indent=2))
+        _emit(al.free_nilpotent(args.generators, args.step).to_spec(), args)
         return EXIT_OK
     alg = _load_algebra(args)
     al.validate(alg)
@@ -175,7 +163,7 @@ def cmd_obstruction(args):
 
 def cmd_manifold(args):
     frame = _load_frame(args)
-    structure = mf.structure_constants(frame)
+    structure = mf.StructureField(frame)
     points = frame.chart.sample_points(60, seed=args.seed)
     report = mf.adapted_growth(frame, points, tol=args.tol)
     nil = mf.nilpotentization(frame, points, tol=max(args.tol, 1e-9))
@@ -223,14 +211,7 @@ def cmd_develop_condition(args):
 
 
 def cmd_prolong(args):
-    frame = _load_frame(args)
-    out = mf.prolong(frame)
-    spec = out.to_spec()
-    if args.output:
-        with open(args.output, "w") as f:
-            json.dump(spec, f, indent=2)
-            f.write("\n")
-    print(json.dumps(spec, indent=2))
+    _emit(mf.prolong(_load_frame(args)).to_spec(), args)
     return EXIT_OK
 
 
@@ -374,7 +355,7 @@ def _suite_cohomology():
 
 def _suite_contact_christoffel():
     frame = bi.frame("contact-halfplane")
-    structure = mf.structure_constants(frame)
+    structure = mf.StructureField(frame)
     sym = al.symmetry_algebra(bi.algebra("heisenberg3"))
     gamma = mf.solve_christoffel(frame, structure, sym)
     pts = frame.chart.sample_points(100, seed=7)
@@ -388,7 +369,7 @@ def _suite_contact_christoffel():
 
 def _suite_goursat():
     frame = bi.frame("goursat-halfplane")
-    structure = mf.structure_constants(frame)
+    structure = mf.StructureField(frame)
     alg = bi.algebra("engel")
     sym = al.symmetry_algebra(alg)
     rep = mf.develop_condition(frame, structure, alg, sym)
@@ -403,7 +384,7 @@ def _suite_levi_civita():
 
 def _suite_lift():
     frame = bi.frame("heisenberg3")
-    structure = mf.structure_constants(frame)
+    structure = mf.StructureField(frame)
     sym = al.symmetry_algebra(bi.algebra("heisenberg3"))
     gamma = mf.ChristoffelField.zero(sym, 2)
     r = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -426,7 +407,7 @@ def _suite_levy(paths):
 
 def _suite_generator(paths):
     frame = bi.frame("contact-halfplane")
-    structure = mf.structure_constants(frame)
+    structure = mf.StructureField(frame)
     sym = al.symmetry_algebra(bi.algebra("heisenberg3"))
     gamma = mf.solve_christoffel(frame, structure, sym)
     fs = mc.default_test_functions(frame.chart, squares=True)
@@ -438,7 +419,7 @@ def _suite_generator(paths):
 
 def _suite_equivalence(paths):
     frame = bi.frame("contact-halfplane")
-    structure = mf.structure_constants(frame)
+    structure = mf.StructureField(frame)
     sym = al.symmetry_algebra(bi.algebra("heisenberg3"))
     gamma = mf.solve_christoffel(frame, structure, sym)
     cfg = dv.SDEConfig(dt=2e-3, T=0.5, seed=13, paths=paths)
@@ -557,16 +538,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except MalformedSpec as e:
+    except (MalformedSpec, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except Inconsistent as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except IntersectionNonTrivial as e:
+    except (Inconsistent, IntersectionNonTrivial) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except CartandevError as e:

@@ -147,14 +147,6 @@ class Cohomology:
     def positive_monomials(self, arity):
         return [m for m in self.monomials(arity) if self.degree_of_monomial(m) > 0]
 
-    def degree_part(self, elem):
-        """Map degree -> HomElement, splitting a HomElement by monomial degree."""
-        parts = {}
-        for m, c in elem.coeffs.items():
-            d = self.degree_of_monomial(m)
-            parts.setdefault(d, {})[m] = c
-        return {d: HomElement(elem.arity, cs) for d, cs in parts.items()}
-
     # -- metric -------------------------------------------------------------
 
     def gram_g(self):

@@ -174,16 +174,6 @@ def _integrate(advance, state, steps, dt, record, chart=None, project=False):
 # Carnot group law
 # ---------------------------------------------------------------------------
 
-def _structure_tensor(alg):
-    n = alg.dim
-    t = np.zeros((n, n, n))
-    for (i, j), row in alg.brackets.items():
-        for k, v in row.items():
-            t[i, j, k] = float(v)
-            t[j, i, k] = -float(v)
-    return t
-
-
 class CarnotGroup:
     """Exponential coordinates of the first kind with the truncated group law."""
 
@@ -193,7 +183,6 @@ class CarnotGroup:
                 f"group-law operations support step <= {MAX_STEP}, "
                 f"algebra has step {alg.step}")
         self.alg = alg
-        self.tensor = _structure_tensor(alg)
         # sparse bracket terms (i < j): [x, y]_k += v (x_i y_j - x_j y_i)
         self._terms = [(i, j, k, float(v))
                        for (i, j), row in alg.brackets.items()
@@ -241,14 +230,6 @@ class CarnotGroup:
         out = np.zeros(w.shape[:-1] + (self.alg.dim,))
         out[..., :k1] = w
         return out
-
-
-def bch(alg, x, y):
-    return CarnotGroup(alg).bch(x, y)
-
-
-def left_invariant_field(alg, x, e):
-    return CarnotGroup(alg).left_invariant_field(x, e)
 
 
 def simulate_carnot_lift(alg, config, record="endpoints"):
@@ -332,7 +313,7 @@ def _prepare_h0(h0, k1, paths):
     return np.broadcast_to(h0, (paths, k1, k1)).copy()
 
 
-def develop_sde(frame, structure, gamma, q0, config, h0=None, record="endpoints"):
+def develop_sde(frame, structure, gamma, q0, config, record="endpoints"):
     """Stochastic development: Stratonovich-Heun for the (q, h~) system."""
     sys = _DevelopSystem(frame, structure, gamma)
     k1 = frame.k1
@@ -341,7 +322,7 @@ def develop_sde(frame, structure, gamma, q0, config, h0=None, record="endpoints"
         return _heun(sys.flow, state, increments(config.seed, s, config.paths, k1, config.dt))
 
     state = (np.tile(np.asarray(q0, dtype=float), (config.paths, 1)),
-             _prepare_h0(h0, k1, config.paths))
+             np.tile(np.eye(k1), (config.paths, 1, 1)))
     return _integrate(advance, state, config.steps, config.dt, record,
                       chart=frame.chart, project=bool(sys.blocks.size))
 

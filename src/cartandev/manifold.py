@@ -77,14 +77,6 @@ class Chart:
         b = np.array(self.bounds())
         return rng.uniform(b[:, 0], b[:, 1], size=(count, self.dim))
 
-    def grid(self, per_dim=5):
-        b = self.bounds()
-        axes = [np.linspace(lo + (hi - lo) / (2 * per_dim),
-                            hi - (hi - lo) / (2 * per_dim), per_dim)
-                for lo, hi in b]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
 
 def parse_component(text, chart):
     """Parse one frame component and reject unknown identifiers early."""
@@ -199,12 +191,6 @@ def build_frame(spec):
                 f"{len(coords)} coordinates")
         fields.append(tuple(parse_component(t, chart) for t in row))
     return FrameField(chart=chart, fields=tuple(fields), growth=growth)
-
-
-def load_frame(path):
-    with open(path) as f:
-        spec = json.load(f)
-    return build_frame(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +313,6 @@ class StructureField:
         return self.horizontal(points)[1]
 
 
-def structure_constants(frame):
-    return StructureField(frame)
-
-
 # ---------------------------------------------------------------------------
 # Growth and equinilpotency
 # ---------------------------------------------------------------------------
@@ -433,40 +415,27 @@ def nilpotentization(frame, points=None, tol=1e-9, max_den=10 ** 6):
 
 
 # ---------------------------------------------------------------------------
-# The Popp sub-Laplacian and the development condition
+# The second-order operator and the development condition
 # ---------------------------------------------------------------------------
 
-class PoppOperator:
-    """Descriptor of sum_{i<=k1} (X_i^2 - sum_l c_il^l ... ) in the frame.
+def second_order(frame, f, points, drift):
+    """(sum_{i<=k1} X_i^2 f + drift_i X_i f) at points; f an Expr over the chart.
 
-    The second-order part is the fixed sum of squares X_1^2 + ... + X_{k1}^2;
-    the drift coefficient on X_i is d_i = -sum_l c_il^l = sum_l c_li^l.
+    drift, shape (P, k1), is the operator's first-order coefficient: the Popp
+    drift div_i = sum_l c_li^l (StructureField.horizontal) for the Popp
+    sub-Laplacian, div + generator_defect for the generator of a connection.
+    The 2*k1 trees X_i f and X_i(X_i f) are evaluated in one compiled call.
     """
-
-    def __init__(self, frame, structure):
-        self.frame = frame
-        self.structure = structure
-
-    def drift(self, points):
-        return self.structure.divergence(points)
-
-    def apply(self, f, points):
-        """Evaluate (Delta f)(q) at points; f an Expr over the chart."""
-        chart = self.frame.chart
-        env = chart.env(points)
-        p = len(next(iter(env.values())))
-        out = np.zeros(p)
-        drift = self.drift(points)
-        for i in range(self.frame.k1):
-            xf = apply_field(self.frame.fields[i], f, chart)
-            xxf = apply_field(self.frame.fields[i], xf, chart)
-            out += np.broadcast_to(xxf(env), (p,)).copy()
-            out += drift[:, i] * np.broadcast_to(xf(env), (p,))
-        return out
-
-
-def popp_sublaplacian(frame, structure=None):
-    return PoppOperator(frame, structure or StructureField(frame))
+    chart, k1 = frame.chart, frame.k1
+    first = [apply_field(x, f, chart) for x in frame.fields[:k1]]
+    second = [apply_field(x, xf, chart) for x, xf in zip(frame.fields, first)]
+    vals = ex.Compiled(first + second)(chart.env(points))
+    p = len(drift)
+    out = np.zeros(p)
+    for i in range(k1):
+        out += np.broadcast_to(vals[k1 + i], (p,))
+        out += drift[:, i] * np.broadcast_to(vals[i], (p,))
+    return out
 
 
 @dataclass
@@ -621,7 +590,7 @@ def generator_defect(structure, sym, gamma, points):
     """defect_i(q) = sum_{alpha,j} Gamma^alpha_j (A_alpha)^j_i - sum_l c_li^l.
 
     The operator built from Gamma differs from the Popp sub-Laplacian by
-    sum_i defect_i X_i.
+    sum_i defect_i X_i: its second_order drift is div + defect.
     """
     points = np.atleast_2d(points)
     k1 = structure.frame.k1

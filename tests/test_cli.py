@@ -43,6 +43,19 @@ def test_algebra_check_missing_file(capsys):
     assert code == 2
 
 
+def test_manifold_check_missing_file(capsys):
+    code, _, err = run(capsys, "manifold", "check", "/nonexistent/frame.json")
+    assert code == 2
+
+
+def test_manifold_check_malformed_json_reports_position(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"growth": [2, 3],}')
+    code, out, err = run(capsys, "manifold", "check", str(bad))
+    assert code == 2
+    assert "line 1" in err
+
+
 def test_algebra_check_invalid_spec(capsys, tmp_path):
     bad = tmp_path / "alg.json"
     bad.write_text(json.dumps({"dim": 3, "growth": [2, 3], "brackets": {}}))
@@ -197,10 +210,14 @@ def test_verify_equivalence_small(capsys):
     assert rep["pass"] is True and rep["max_abs_z"] <= 3.0
 
 
-def test_output_file_matches_stdout(capsys, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("symmetry", "--builtin", "heisenberg3"),
+    ("algebra", "free", "--generators", "2", "--step", "3"),
+    ("prolong", "--builtin", "flat-plane"),
+], ids=["symmetry", "algebra-free", "prolong"])
+def test_output_file_matches_stdout(capsys, tmp_path, argv):
     out_file = tmp_path / "report.json"
-    code, out, _ = run(capsys, "symmetry", "--builtin", "heisenberg3",
-                       "-o", str(out_file))
+    code, out, _ = run(capsys, *argv, "-o", str(out_file))
     assert code == 0
     assert json.loads(out) == json.loads(out_file.read_text())
 

@@ -169,19 +169,88 @@ def test_check_model_mismatch():
 
 def test_popp_annihilates_constants():
     frame = bi.frame("contact-halfplane")
-    op = mf.popp_sublaplacian(frame)
+    st = mf.StructureField(frame)
     pts = frame.chart.sample_points(20, seed=6)
-    assert np.abs(op.apply(ex.parse("1"), pts)).max() < 1e-12
+    value = mf.second_order(frame, ex.parse("1"), pts, st.divergence(pts))
+    assert np.abs(value).max() < 1e-12
 
 
 def test_popp_heisenberg_squares():
     # X_1^2 (x^2) = 2 and the drift vanishes on the stratified model
     frame = bi.frame("heisenberg3")
-    op = mf.popp_sublaplacian(frame)
+    st = mf.StructureField(frame)
     pts = frame.chart.sample_points(20, seed=7)
-    assert np.allclose(op.drift(pts), 0)
-    assert np.allclose(op.apply(ex.parse("x^2"), pts), 2.0)
-    assert np.allclose(op.apply(ex.parse("z"), pts), 0.0)
+    div = st.divergence(pts)
+    assert np.allclose(div, 0)
+    assert np.allclose(mf.second_order(frame, ex.parse("x^2"), pts, div), 2.0)
+    assert np.allclose(mf.second_order(frame, ex.parse("z"), pts, div), 0.0)
+
+
+def tree_generator_value(frame, st, sym, gamma, f, pts):
+    """The generator of gamma as the Popp operator plus the defect terms.
+
+    The reference form: one tree evaluation of X_i f and X_i(X_i f) per field,
+    the defect added after the Popp value.
+    """
+    chart = frame.chart
+    env = chart.env(pts)
+    p = len(pts)
+    div = st.divergence(pts)
+    defect = mf.generator_defect(st, sym, gamma, pts)
+    base, extra = np.zeros(p), 0.0
+    for i, field in enumerate(frame.fields[:frame.k1]):
+        xf = mf.apply_field(field, f, chart)
+        xxf = mf.apply_field(field, xf, chart)
+        base += np.broadcast_to(xxf(env), (p,))
+        base += div[:, i] * np.broadcast_to(xf(env), (p,))
+        extra += defect[:, i] * np.broadcast_to(xf(env), (p,))
+    return base + extra
+
+
+def operator_functions(chart):
+    a, b = chart.coords[:2]
+    texts = list(chart.coords) + [f"{c}^2" for c in chart.coords]
+    return [ex.parse(t) for t in texts + [f"{a}*{b}", f"sin({a})*{b}"]]
+
+
+@pytest.mark.parametrize("name", bi.FRAME_NAMES)
+def test_second_order_matches_the_tree_built_generator(name):
+    frame = bi.frame(name)
+    st = mf.StructureField(frame)
+    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame)
+    sym = al.symmetry_algebra(alg, al.extend_metric(alg))
+    try:
+        gamma = mf.solve_christoffel(frame, st, sym)
+    except Inconsistent:
+        gamma = mf.ChristoffelField.zero(sym, frame.k1)
+    delta = np.random.default_rng(8).normal(size=(sym.dimH, frame.k1))
+    pts = frame.chart.sample_points(10, seed=8)
+    for g in (gamma, gamma.perturbed(delta)):
+        drift = st.divergence(pts) + mf.generator_defect(st, sym, g, pts)
+        for f in operator_functions(frame.chart):
+            got = mf.second_order(frame, f, pts, drift)
+            want = tree_generator_value(frame, st, sym, g, f, pts)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_second_order_defect_of_a_perturbed_connection():
+    # a constant offset delta of Gamma adds sum_i (M delta)_i X_i f
+    frame = bi.frame("contact-halfplane")
+    st = mf.StructureField(frame)
+    _, sym = symmetry_for("contact-halfplane")
+    gamma = mf.solve_christoffel(frame, st, sym)
+    delta = np.array([[0.3, -0.7]])
+    shift = mf.christoffel_matrix(sym, frame.k1) @ delta.ravel()
+    pts = frame.chart.sample_points(15, seed=10)
+    env = frame.chart.env(pts)
+    div = st.divergence(pts)
+    drift = div + mf.generator_defect(st, sym, gamma.perturbed(delta), pts)
+    for f in operator_functions(frame.chart):
+        want = mf.second_order(frame, f, pts, div)
+        for i, field in enumerate(frame.fields[:frame.k1]):
+            xf = mf.apply_field(field, f, frame.chart)(env)
+            want = want + shift[i] * np.broadcast_to(xf, (len(pts),))
+        assert np.abs(mf.second_order(frame, f, pts, drift) - want).max() <= 1e-12
 
 
 # -- development feasibility and Christoffel symbols ------------------------------
