@@ -16,7 +16,6 @@ from .errors import (ClosureFailure, DimensionMismatch, GradingViolation,
                      JacobiViolation, MalformedSpec, NotBracketGenerating,
                      SurjectivityFailure)
 
-Rational = Fraction
 ZERO = Fraction(0)
 
 
@@ -30,8 +29,20 @@ def _frac(x):
     raise MalformedSpec(f"not a rational coefficient: {x!r}")
 
 
+class _SparseBrackets:
+    """Basis brackets read from ``brackets``, which holds c_ij^k for i < j."""
+
+    def bracket_basis(self, i, j):
+        """[e_i, e_j] as a sparse {index: coeff} map."""
+        if i == j:
+            return {}
+        if i < j:
+            return dict(self.brackets.get((i, j), {}))
+        return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
+
+
 @dataclass(frozen=True)
-class GradedLieAlgebra:
+class GradedLieAlgebra(_SparseBrackets):
     """A stratified nilpotent Lie algebra with exact structure constants.
 
     growth is cumulative: growth[i-1] = dim of the sum of the first i layers,
@@ -64,14 +75,6 @@ class GradedLieAlgebra:
         if i < j:
             return self.brackets.get((i, j), {}).get(k, ZERO)
         return -self.brackets.get((j, i), {}).get(k, ZERO)
-
-    def bracket_basis(self, i, j):
-        """[e_i, e_j] as a sparse {index: coeff} map."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
 
     def bracket(self, x, y):
         """Bracket of two coefficient vectors over the basis."""
@@ -116,14 +119,14 @@ def _degrees_from_growth(growth):
 
 
 def _check_jacobi(alg):
+    """Jacobi identity on every basis triple of a graded or ambient algebra."""
     n = alg.dim
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 acc = [ZERO] * n
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = alg.bracket_basis(b, c)
-                    for l, v in inner.items():
+                    for l, v in alg.bracket_basis(b, c).items():
                         for m, w in alg.bracket_basis(a, l).items():
                             acc[m] += v * w
                 if any(x != 0 for x in acc):
@@ -420,7 +423,14 @@ def symmetry_algebra(alg, metric=None):
     Unknowns are the per-layer blocks of an n x n matrix A; constraints are
     skewness of the layer-1 block and the derivation identity on all basis
     pairs. Returns a canonical (echelonized) basis of the solution space.
+    Skewness is for the identity Gram matrix on layer 1, so a metric whose
+    layer-1 block is not the identity is rejected with MalformedSpec.
     """
+    k1 = alg.growth[0]
+    if metric is not None and [list(r) for r in metric.blocks[0]] != rl.identity(k1):
+        raise MalformedSpec(
+            "symmetry_algebra needs a metric with an orthonormal layer 1 "
+            "(identity layer-1 block)")
     n = alg.dim
     # unknown slots: entries (r, c) within a common layer
     slots = [(r, c) for r in range(n) for c in range(n)
@@ -438,7 +448,6 @@ def symmetry_algebra(alg, metric=None):
         if any(x != 0 for x in row):
             rows.append(row)
 
-    k1 = alg.growth[0]
     # skewness of the layer-1 block: A_rc + A_cr = 0
     for r in range(k1):
         for c in range(r, k1):
@@ -510,7 +519,7 @@ def check_metric_preservation(sym, metric):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AmbientAlgebra:
+class AmbientAlgebra(_SparseBrackets):
     """The pair (nilpotent algebra, symmetry algebra) with assembled brackets.
 
     Basis: e_1..e_n from the nilpotent part, then one element per symmetry
@@ -528,28 +537,6 @@ class AmbientAlgebra:
     def degree_of(self, a):
         """Signed degree: -layer for nilpotent basis vectors, 0 for symmetries."""
         return -self.nil.degree[a] if a < self.nil.dim else 0
-
-    def bracket_basis(self, i, j):
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
-
-    def bracket(self, x, y):
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch(
-                f"expected vectors of length {self.dim}, got {len(x)}, {len(y)}")
-        out = [ZERO] * self.dim
-        for i in range(self.dim):
-            if x[i] == 0:
-                continue
-            for j in range(self.dim):
-                if y[j] == 0:
-                    continue
-                for k, ck in self.bracket_basis(i, j).items():
-                    out[k] += x[i] * y[j] * ck
-        return out
 
 
 def ambient(alg, sym):
@@ -581,20 +568,5 @@ def ambient(alg, sym):
             if entry:
                 brackets[(n + a, n + b)] = entry
     amb = AmbientAlgebra(nil=alg, sym=sym, brackets=brackets)
-    _check_ambient_jacobi(amb)
+    _check_jacobi(amb)
     return amb
-
-
-def _check_ambient_jacobi(amb):
-    n = amb.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = [ZERO] * n
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, v in amb.bracket_basis(b, c).items():
-                        for m, w in amb.bracket_basis(a, l).items():
-                            acc[m] += v * w
-                if any(x != 0 for x in acc):
-                    raise JacobiViolation(
-                        f"ambient Jacobi fails on (e{i+1}, e{j+1}, e{k+1})")

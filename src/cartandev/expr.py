@@ -483,8 +483,3 @@ class _Parser:
 def parse(text):
     """Parse an expression string into an Expr tree (constant-folded)."""
     return _Parser(text).parse()
-
-
-def evaluate(text_or_expr, env):
-    e = parse(text_or_expr) if isinstance(text_or_expr, str) else text_or_expr
-    return e(env)

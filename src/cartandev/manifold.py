@@ -5,17 +5,18 @@ frame (X_1, ..., X_n) with a declared growth vector; the first k_1 fields
 are an orthonormal basis of the distribution. All pointwise computations
 are vectorized over arrays of sample points.
 
-What the simulators need at every step, the horizontal fields X_1..X_k1
-and the Popp drift div_i = sum_l c_li^l, is built symbolically once per
-StructureField (the drift in the closed form d_a X_i^a - X_i(det X)/det X)
-and evaluated in one shared-subexpression pass. The full structure
-functions c_ij^k come from a batched linear solve and serve the one-off
-checks: growth, nilpotentization, model comparison and the Levy form.
+Vector fields are evaluated on one path: their components are lowered into
+one shared-subexpression ``expr.Compiled`` call (``field_values``). What the
+simulators need at every step, the horizontal fields X_1..X_k1 and the Popp
+drift div_i = sum_l c_li^l, is compiled once per StructureField (the drift
+in the closed form d_a X_i^a - X_i(det X)/det X). The full structure
+functions c_ij^k come from a batched linear solve of the evaluated brackets
+in the evaluated frame and serve the one-off checks: growth,
+nilpotentization, model comparison and the Levy form.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,16 +146,6 @@ class FrameField:
                 return l + 1
         raise IndexError(i)
 
-    def matrix(self, points):
-        """Frame matrix at each point: shape (P, d, n), column j = X_{j+1}."""
-        env = self.chart.env(points)
-        p = len(next(iter(env.values())))
-        m = np.empty((p, self.chart.dim, self.n))
-        for j, field in enumerate(self.fields):
-            for a, comp in enumerate(field):
-                m[:, a, j] = comp(env)
-        return m
-
     def to_spec(self):
         return {
             "chart": {
@@ -166,8 +157,25 @@ class FrameField:
             "frame": [[str(c) for c in field] for field in self.fields],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_spec(), indent=2)
+
+def _columns(vals, p, d, m):
+    """(P, d, m) array from m*d field-major values: column j, row a = vals[j*d + a]."""
+    out = np.empty((p, d, m))
+    for j in range(m):
+        for a in range(d):
+            out[:, a, j] = vals[j * d + a]
+    return out
+
+
+def field_values(fields, chart, points):
+    """Vector fields at points: shape (P, d, m), column j = fields[j].
+
+    Every component of every field is lowered into one Compiled call, so a
+    subtree shared between components is evaluated once.
+    """
+    env = chart.env(points)
+    vals = ex.Compiled([comp for field in fields for comp in field])(env)
+    return _columns(vals, len(next(iter(env.values()))), chart.dim, len(fields))
 
 
 def build_frame(spec):
@@ -228,20 +236,21 @@ def _popp_divergence(frame):
 class StructureField:
     """Pointwise structure functions c_ij^k with [X_i, X_j] = sum_k c_ij^k X_k.
 
-    The horizontal fields and the Popp drift sum_l c_li^l are compiled once,
-    from the closed form of _popp_divergence, into one shared-subexpression
-    evaluation (``horizontal``). The full c_ij^k (``at``) expand the
-    symbolic brackets in the frame by a batched linear solve at each point.
+    Every evaluation goes through compiled trees. The horizontal fields and
+    the Popp drift sum_l c_li^l are compiled once, from the closed form of
+    _popp_divergence, into one shared-subexpression evaluation
+    (``horizontal``). The full c_ij^k (``at``) evaluate the frame and the
+    symbolic brackets in one field_values call and expand the brackets in
+    the frame by a batched linear solve at each point.
     """
 
     def __init__(self, frame):
         self.frame = frame
         n = frame.n
-        self._brackets = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                self._brackets[i][j] = lie_bracket(
-                    frame.fields[i], frame.fields[j], frame.chart)
+        self._pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self._brackets = tuple(
+            lie_bracket(frame.fields[i], frame.fields[j], frame.chart)
+            for i, j in self._pairs)
         div, det = _popp_divergence(frame)
         self._horizontal = ex.Compiled(
             [c for field in frame.fields[:frame.k1] for c in field] + div + [det])
@@ -256,10 +265,7 @@ class StructureField:
         p = len(next(iter(env.values())))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = self._horizontal(env)
-        x = np.empty((p, d, k1))
-        for i in range(k1):
-            for a in range(d):
-                x[:, a, i] = vals[i * d + a]
+        x = _columns(vals, p, d, k1)
         div = np.empty((p, k1))
         for i in range(k1):
             div[:, i] = vals[k1 * d + i]
@@ -269,41 +275,30 @@ class StructureField:
             raise SingularFrame("Popp drift not finite at a sample point")
         return x, div
 
-    def bracket_values(self, points):
-        """All [X_i, X_j] (i<j) evaluated: shape (P, d, pairs)."""
-        chart = self.frame.chart
-        env = chart.env(points)
-        p = len(next(iter(env.values())))
-        n = self.frame.n
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        vals = np.empty((p, chart.dim, len(pairs)))
-        for col, (i, j) in enumerate(pairs):
-            for a, comp in enumerate(self._brackets[i][j]):
-                vals[:, a, col] = comp(env)
-        return vals, pairs
+    def _solve(self, points):
+        """Frame matrix X, bracket columns B (one per i < j) and X^-1 B at points."""
+        vals = field_values((*self.frame.fields, *self._brackets), self.frame.chart, points)
+        frame_m, rhs = vals[:, :, :self.frame.n], vals[:, :, self.frame.n:]
+        try:
+            return frame_m, rhs, np.linalg.solve(frame_m, rhs)
+        except np.linalg.LinAlgError:
+            raise SingularFrame("frame matrix singular at a sample point") from None
 
     def at(self, points):
         """c array of shape (P, n, n, n), antisymmetric in the first two."""
-        frame_m = self.frame.matrix(points)
-        rhs, pairs = self.bracket_values(points)
-        try:
-            sol = np.linalg.solve(frame_m, rhs)
-        except np.linalg.LinAlgError:
-            raise SingularFrame("frame matrix singular at a sample point") from None
+        sol = self._solve(points)[2]
         if not np.all(np.isfinite(sol)):
             raise SingularFrame("frame solve produced non-finite coefficients")
         n = self.frame.n
         c = np.zeros((len(sol), n, n, n))
-        for col, (i, j) in enumerate(pairs):
+        for col, (i, j) in enumerate(self._pairs):
             c[:, i, j, :] = sol[:, :, col]
             c[:, j, i, :] = -sol[:, :, col]
         return c
 
     def residual(self, points):
         """Max relative residual of [X_i, X_j] = sum c_ij^k X_k at points."""
-        frame_m = self.frame.matrix(points)
-        rhs, pairs = self.bracket_values(points)
-        sol = np.linalg.solve(frame_m, rhs)
+        frame_m, rhs, sol = self._solve(points)
         recon = frame_m @ sol
         scale = 1.0 + np.abs(rhs).max()
         return float(np.abs(recon - rhs).max() / scale)
@@ -329,6 +324,19 @@ class GrowthReport:
         return self.growth == self.declared and self.graded_constant
 
 
+def _graded(frame):
+    """Triples (i, j, k), i < j, with deg k = deg i + deg j: the graded c_ij^k."""
+    n = frame.n
+    return [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)
+            if frame.degree(k) == frame.degree(i) + frame.degree(j)]
+
+
+def _rank_range(m):
+    """Least and greatest rank over the points of a (P, d, m) field stack."""
+    r = np.linalg.matrix_rank(m, tol=1e-8)
+    return int(r.min()), int(r.max())
+
+
 def adapted_growth(frame, points=None, tol=1e-9):
     """Verify filtration ranks and constancy of the graded structure functions.
 
@@ -338,41 +346,25 @@ def adapted_growth(frame, points=None, tol=1e-9):
     if points is None:
         points = frame.chart.sample_points(40, seed=1)
     chart = frame.chart
-    k1 = frame.k1
-    layers = [[frame.fields[i] for i in range(k1)]]
-    fields = list(layers[0])
+    layers = [list(frame.fields[:frame.k1])]
     for _ in range(len(frame.growth) - 1):
-        new = [lie_bracket(x, y, chart) for x in layers[0] for y in layers[-1]]
-        layers.append(new)
-        fields.extend(new)
-    env = chart.env(points)
-    p = len(next(iter(env.values())))
-    cols = np.empty((p, chart.dim, len(fields)))
-    for j, f in enumerate(fields):
-        for a, comp in enumerate(f):
-            cols[:, a, j] = comp(env)
-    counts = np.cumsum([len(l) for l in layers])
+        layers.append([lie_bracket(x, y, chart) for x in layers[0] for y in layers[-1]])
+    cols = field_values([f for layer in layers for f in layer], chart, points)
     growth = []
-    for c in counts:
-        ranks = np.linalg.matrix_rank(cols[:, :, :c], tol=1e-8)
-        if ranks.min() != ranks.max():
+    for c in np.cumsum([len(l) for l in layers]):
+        lo, hi = _rank_range(cols[:, :, :c])
+        if lo != hi:
             raise RankDrop(
                 f"filtration rank varies across sample points at layer depth "
-                f"{len(growth) + 1}: {ranks.min()}..{ranks.max()}")
-        growth.append(int(ranks[0]))
+                f"{len(growth) + 1}: {lo}..{hi}")
+        growth.append(lo)
     growth = tuple(dict.fromkeys(growth))
     if growth != frame.growth:
         raise RankDrop(
             f"computed growth {growth} differs from declared {frame.growth}")
 
-    structure = StructureField(frame)
-    c = structure.at(points)
-    max_var = 0.0
-    for i in range(frame.n):
-        for j in range(i + 1, frame.n):
-            for k in range(frame.n):
-                if frame.degree(k) == frame.degree(i) + frame.degree(j):
-                    max_var = max(max_var, float(np.ptp(c[:, i, j, k])))
+    c = StructureField(frame).at(points)
+    max_var = max([0.0] + [float(np.ptp(c[:, i, j, k])) for i, j, k in _graded(frame)])
     return GrowthReport(growth=growth, declared=frame.growth,
                         graded_constant=max_var <= tol,
                         max_graded_variation=max_var)
@@ -389,24 +381,17 @@ def nilpotentization(frame, points=None, tol=1e-9, max_den=10 ** 6):
     if points is None:
         points = frame.chart.sample_points(20, seed=2)
     c = StructureField(frame).at(points)
-    n = frame.n
     brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = {}
-            for k in range(n):
-                if frame.degree(k) != frame.degree(i) + frame.degree(j):
-                    continue
-                vals = c[:, i, j, k]
-                if np.ptp(vals) > tol:
-                    raise RankDrop(
-                        f"graded constant c_{i+1}{j+1}^{k+1} varies across "
-                        f"sample points (spread {np.ptp(vals):.2e})")
-                v = Fraction(float(vals.mean())).limit_denominator(max_den)
-                if v != 0:
-                    row[k] = v
-            if row:
-                brackets[(i, j)] = row
+    for i, j, k in _graded(frame):
+        vals = c[:, i, j, k]
+        if np.ptp(vals) > tol:
+            raise RankDrop(
+                f"graded constant c_{i+1}{j+1}^{k+1} varies across "
+                f"sample points (spread {np.ptp(vals):.2e})")
+        v = Fraction(float(vals.mean())).limit_denominator(max_den)
+        if v != 0:
+            brackets.setdefault((i, j), {})[k] = v
+    n = frame.n
     degree = tuple(frame.degree(i) for i in range(n))
     alg = GradedLieAlgebra(dim=n, step=len(frame.growth), growth=frame.growth,
                            degree=degree, brackets=brackets)
@@ -458,14 +443,8 @@ class DevelopReport:
 def check_model(frame, structure, alg, points, tol=1e-9):
     """Graded structure functions must equal the model algebra's constants."""
     c = structure.at(points)
-    n = frame.n
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if frame.degree(k) == frame.degree(i) + frame.degree(j):
-                    target = float(alg.c(i, j, k))
-                    worst = max(worst, float(np.abs(c[:, i, j, k] - target).max()))
+    worst = max([0.0] + [float(np.abs(c[:, i, j, k] - float(alg.c(i, j, k))).max())
+                         for i, j, k in _graded(frame)])
     if worst > tol:
         raise ModelMismatch(
             f"graded structure functions deviate from the model constants by "
@@ -523,14 +502,6 @@ class ChristoffelField:
     @classmethod
     def zero(cls, sym, k1):
         return cls(sym, k1, constant=np.zeros((max(sym.dimH, 0), k1)))
-
-    @classmethod
-    def constant(cls, sym, k1, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (sym.dimH, k1):
-            raise MalformedSpec(
-                f"expected Gamma of shape {(sym.dimH, k1)}, got {values.shape}")
-        return cls(sym, k1, constant=values)
 
     def at(self, points, div=None):
         """Gamma values of shape (P, dimH, k1).
@@ -672,16 +643,6 @@ def prolong(frame, angle=None, points=None):
     if points is None:
         points = new_chart.sample_points(40, seed=6)
 
-    def rank_of(fields):
-        env = new_chart.env(points)
-        p = len(next(iter(env.values())))
-        m = np.empty((p, new_chart.dim, len(fields)))
-        for j, f in enumerate(fields):
-            for a, comp in enumerate(f):
-                m[:, a, j] = comp(env)
-        r = np.linalg.matrix_rank(m, tol=1e-8)
-        return int(r.min()), int(r.max())
-
     fields = [y1, y2]
     growth = [2]
     frontier = [y1, y2]
@@ -690,7 +651,7 @@ def prolong(frame, angle=None, points=None):
         for base in (y1, y2):
             for f in frontier:
                 cand = lie_bracket(base, f, new_chart)
-                lo, hi = rank_of(fields + [cand])
+                lo, hi = _rank_range(field_values(fields + [cand], new_chart, points))
                 if lo != hi:
                     raise RankDrop("prolonged frame rank varies across samples")
                 if lo > len(fields):
@@ -702,7 +663,7 @@ def prolong(frame, angle=None, points=None):
                 f"{new_chart.dim}")
         growth.append(len(fields))
         frontier = added
-    lo, hi = rank_of(fields)
+    lo, hi = _rank_range(field_values(fields, new_chart, points))
     if lo != new_chart.dim:
         raise RankDrop("prolonged frame does not reach full rank")
     return FrameField(chart=new_chart, fields=tuple(fields),

@@ -2,22 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import develop as dv
 from . import manifold as mf
 from .errors import MalformedSpec, NonFinite
-
-
-@dataclass
-class MCEstimate:
-    mean: float
-    stderr: float
-    paths: int
-    dt: float
-    t: float
 
 
 def _evaluate(f, chart, points):
@@ -28,19 +17,13 @@ def _evaluate(f, chart, points):
     return vals
 
 
-def summarize(samples, config):
+def summarize(samples):
+    """Sample mean and its standard error, (mean, stderr), of finite samples."""
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise NonFinite("non-finite Monte Carlo samples")
-    n = len(samples)
-    return MCEstimate(mean=float(samples.mean()),
-                      stderr=float(samples.std(ddof=1) / np.sqrt(n)),
-                      paths=n, dt=config.dt, t=config.T)
-
-
-def estimate_expectation(path, f, chart, config):
-    """Mean and stderr of f at the endpoint time of a simulated Path."""
-    return summarize(_evaluate(f, chart, path.endpoints()), config)
+    return (float(samples.mean()),
+            float(samples.std(ddof=1) / np.sqrt(len(samples))))
 
 
 def default_test_functions(chart, squares=True, products=False):
@@ -83,9 +66,8 @@ def generator_family_test(frame, structure, gamma, sym, fs, q0, config):
         symbolic = 0.5 * float(mf.second_order(frame, f, q, drift)[0])
         runs = {}
         for cfg, end in endpoints:
-            est = summarize(_evaluate(f, chart, end), cfg)
-            runs[cfg.T] = {"mc_value": (est.mean - f0) / est.t,
-                           "stderr": est.stderr / est.t}
+            mean, stderr = summarize(_evaluate(f, chart, end))
+            runs[cfg.T] = {"mc_value": (mean - f0) / cfg.T, "stderr": stderr / cfg.T}
         t1, t2 = config.T, config.T / 2.0
         gap1 = runs[t1]["mc_value"] - symbolic
         gap2 = runs[t2]["mc_value"] - symbolic
@@ -137,12 +119,12 @@ def equivalence_test(frame, structure, gamma, q0, config, direct=None):
     for i, name in enumerate(frame.chart.coords):
         for label, xa, xb in ((name, a[:, i], b[:, i]),
                               (f"{name}^2", a[:, i] ** 2, b[:, i] ** 2)):
-            ea, eb = summarize(xa, config), summarize(xb, config)
-            se = np.hypot(ea.stderr, eb.stderr)
-            z = float((ea.mean - eb.mean) / se) if se else 0.0
+            (ma, sa), (mb, sb) = summarize(xa), summarize(xb)
+            se = np.hypot(sa, sb)
+            z = float((ma - mb) / se) if se else 0.0
             worst = max(worst, abs(z))
-            rows.append({"moment": label, "developed": ea.mean,
-                         "direct": eb.mean, "stderr": float(se), "z": z})
+            rows.append({"moment": label, "developed": ma,
+                         "direct": mb, "stderr": float(se), "z": z})
     return {
         "test": "equivalence",
         "t": config.T,

@@ -137,6 +137,17 @@ def test_symmetries_preserve_metric():
         assert al.check_metric_preservation(sym, m)
 
 
+def test_symmetry_algebra_needs_an_orthonormal_layer_one():
+    alg = al.build_algebra(H3)
+    good = al.extend_metric(alg)
+    skewed = al.ExtendedMetric(
+        blocks=(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))),)
+        + good.blocks[1:])
+    with pytest.raises(MalformedSpec):
+        al.symmetry_algebra(alg, skewed)
+    assert al.symmetry_algebra(alg, good) == al.symmetry_algebra(alg)
+
+
 def test_ambient_h3():
     alg = al.build_algebra(H3)
     amb = al.ambient(alg, al.symmetry_algebra(alg))

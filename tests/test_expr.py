@@ -30,7 +30,7 @@ from cartandev.errors import ExprSyntaxError, UnknownIdentifier
     ],
 )
 def test_parse_and_evaluate(text, env, value):
-    assert ex.evaluate(text, env) == pytest.approx(value, rel=1e-15)
+    assert ex.parse(text)(env) == pytest.approx(value, rel=1e-15)
 
 
 def test_vectorized_evaluation():

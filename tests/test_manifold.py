@@ -103,7 +103,7 @@ def test_compiled_geometry_matches_solve(name):
     st = mf.StructureField(frame)
     pts = frame.chart.sample_points(200)
     x, div = st.horizontal(pts)
-    assert np.array_equal(x, frame.matrix(pts)[:, :, :frame.k1])
+    assert np.array_equal(x, mf.field_values(frame.fields, frame.chart, pts)[:, :, :frame.k1])
     solved = np.einsum("plil->pi", st.at(pts))[:, :frame.k1]
     assert np.abs(div - solved).max() <= 1e-12
     env = frame.chart.env(pts)
@@ -111,6 +111,37 @@ def test_compiled_geometry_matches_solve(name):
     for c, v in zip(comps, ex.Compiled(comps)(env)):
         assert np.array_equal(np.broadcast_to(v, len(pts)),
                               np.broadcast_to(c(env), len(pts)))
+
+
+def tree_field_values(fields, chart, points):
+    """The reference evaluation: one tree walk per field component."""
+    env = chart.env(points)
+    m = np.empty((len(points), chart.dim, len(fields)))
+    for j, field in enumerate(fields):
+        for a, comp in enumerate(field):
+            m[:, a, j] = comp(env)
+    return m
+
+
+@pytest.mark.parametrize("name", bi.FRAME_NAMES)
+def test_field_values_match_the_tree_walk(name):
+    frame = bi.frame(name)
+    st = mf.StructureField(frame)
+    pts = frame.chart.sample_points(50, seed=12)
+    pairs = [(i, j) for i in range(frame.n) for j in range(i + 1, frame.n)]
+    brackets = tuple(mf.lie_bracket(frame.fields[i], frame.fields[j], frame.chart)
+                     for i, j in pairs)
+    frame_m = tree_field_values(frame.fields, frame.chart, pts)
+    rhs = tree_field_values(brackets, frame.chart, pts)
+    both = mf.field_values(frame.fields + brackets, frame.chart, pts)
+    assert np.array_equal(both[:, :, :frame.n], frame_m)
+    assert np.array_equal(both[:, :, frame.n:], rhs)
+    assert np.array_equal(mf.field_values(brackets, frame.chart, pts), rhs)
+    sol = np.linalg.solve(frame_m, rhs)
+    c = st.at(pts)
+    for col, (i, j) in enumerate(pairs):
+        assert np.array_equal(c[:, i, j], sol[:, :, col])
+        assert np.array_equal(c[:, j, i], -sol[:, :, col])
 
 
 def test_compiled_geometry_rejects_singular_points():
@@ -145,6 +176,19 @@ def test_adapted_growth_detects_wrong_declaration():
         growth=(2, 3))
     with pytest.raises(RankDrop):
         mf.adapted_growth(frame)
+
+
+def test_adapted_growth_rejects_a_rank_that_varies():
+    # [d_x, d_y + x^2 d_z] = 2x d_z vanishes on x = 0 only
+    chart = mf.Chart(coords=("x", "y", "z"))
+    one, zero = ex.Const(1.0), ex.Const(0.0)
+    frame = mf.FrameField(
+        chart=chart,
+        fields=((one, zero, zero), (zero, one, ex.parse("x^2")), (zero, zero, one)),
+        growth=(2, 3))
+    pts = np.array([[0.0, 0.1, 0.2], [0.0, -0.4, 0.7], [0.5, -0.3, 0.4]])
+    with pytest.raises(RankDrop, match="varies"):
+        mf.adapted_growth(frame, pts)
 
 
 def test_nilpotentization_of_heisenberg_frame():
@@ -378,7 +422,8 @@ def test_frame_spec_round_trip(name):
     assert again.growth == frame.growth
     assert again.chart.coords == frame.chart.coords
     pts = frame.chart.sample_points(10, seed=11)
-    assert np.allclose(again.matrix(pts), frame.matrix(pts), atol=1e-12)
+    assert np.allclose(mf.field_values(again.fields, again.chart, pts),
+                       mf.field_values(frame.fields, frame.chart, pts), atol=1e-12)
 
 
 def test_build_frame_rejects_malformed():

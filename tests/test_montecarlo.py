@@ -26,16 +26,12 @@ def setup(name):
 
 
 def test_summarize_constant_samples():
-    cfg = dv.SDEConfig(dt=1e-2, T=0.1, paths=50)
-    est = mc.summarize(np.full(50, 3.25), cfg)
-    assert est.mean == 3.25 and est.stderr == 0.0
-    assert est.paths == 50 and est.t == 0.1
+    assert mc.summarize(np.full(50, 3.25)) == (3.25, 0.0)
 
 
 def test_summarize_rejects_nonfinite():
-    cfg = dv.SDEConfig(dt=1e-2, T=0.1, paths=4)
     with pytest.raises(NonFinite):
-        mc.summarize([1.0, np.nan, 2.0, 3.0], cfg)
+        mc.summarize([1.0, np.nan, 2.0, 3.0])
 
 
 def test_stderr_scales_with_path_count():
@@ -45,8 +41,7 @@ def test_stderr_scales_with_path_count():
     def stderr(paths, seed):
         cfg = dv.SDEConfig(dt=1e-2, T=0.2, seed=seed, paths=paths)
         path = dv.develop_sde(frame, st, gamma, q0, cfg)
-        return mc.estimate_expectation(path, ex.parse("x"), frame.chart,
-                                       cfg).stderr
+        return mc.summarize(path.endpoints()[:, 0])[1]     # x is coordinate 0
 
     s1 = np.mean([stderr(500, s) for s in range(4)])
     s4 = np.mean([stderr(2000, s) for s in range(4)])
@@ -65,12 +60,11 @@ def test_default_test_functions():
 
 def test_evaluate_rejects_nonfinite_function():
     frame, st, gamma, sym, q0 = setup("hyperbolic-plane")
-    cfg = dv.SDEConfig(dt=1e-2, T=0.05, seed=0, paths=8)
-    path = dv.simulate_popp(frame, st, q0, cfg)
+    cfg = dv.SDEConfig(dt=1e-2, T=0.1, seed=0, paths=8)
     bad = ex.parse("1 / (x - x)")
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NonFinite):
-            mc.estimate_expectation(path, bad, frame.chart, cfg)
+            mc.generator_family_test(frame, st, gamma, sym, [("bad", bad)], q0, cfg)
 
 
 # -- generator comparison -------------------------------------------------------
