@@ -26,12 +26,18 @@ EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 
 
-def _emit(report, args):
-    if getattr(args, "output", None):
-        with open(args.output, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
+def _write_json(path, obj):
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2)
+        f.write("\n")
+
+
+def _emit(report, args, ok=True):
+    """Print the JSON report (and write it to -o); the exit code for ok."""
+    if args.output:
+        _write_json(args.output, report)
     print(json.dumps(report, indent=2))
+    return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
 def _read_spec(args):
@@ -64,7 +70,7 @@ def _structure_context(args):
     structure = mf.StructureField(frame)
     alg = bi.model_algebra_for(args.builtin) if args.builtin else None
     if alg is None:
-        alg = mf.nilpotentization(frame)
+        alg = mf.nilpotentization(frame, structure)
     sym = al.symmetry_algebra(alg)
     return frame, structure, alg, sym
 
@@ -83,32 +89,28 @@ def _q0(args, frame):
             raise MalformedSpec(
                 f"--q0 needs {frame.chart.dim} components, got {len(q)}")
         return q
-    b = frame.chart.bounds()
-    return [0.5 * (lo + hi) for lo, hi in b]
+    return [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
 
 
 def _config(args):
     return dv.SDEConfig(dt=args.dt, T=args.T, seed=args.seed, paths=args.paths)
 
 
-# -- subcommand handlers ------------------------------------------------------
+# -- command handlers, one per command variant ----------------------------------
 
-def cmd_algebra(args):
-    if args.action == "free":
-        _emit(al.free_nilpotent(args.generators, args.step).to_spec(), args)
-        return EXIT_OK
+def cmd_algebra_check(args):
     alg = _load_algebra(args)
-    al.validate(alg)
-    _emit({"dim": alg.dim, "growth": list(alg.growth), "step": alg.step,
-           "valid": True}, args)
-    return EXIT_OK
+    return _emit({"dim": alg.dim, "growth": list(alg.growth), "step": alg.step,
+                  "valid": True}, args)
+
+
+def cmd_algebra_free(args):
+    return _emit(al.free_nilpotent(args.generators, args.step).to_spec(), args)
 
 
 def cmd_symmetry(args):
-    alg = _load_algebra(args)
-    al.validate(alg)
-    sym = al.symmetry_algebra(alg)
-    _emit({
+    sym = al.symmetry_algebra(_load_algebra(args))
+    return _emit({
         "dimH": sym.dimH,
         "k1": sym.k1,
         "k0": sym.k0,
@@ -116,66 +118,54 @@ def cmd_symmetry(args):
         "ker_h": [[str(x) for x in v] for v in sym.kerH],
         "basis": [[[str(x) for x in row] for row in a] for a in sym.basis],
     }, args)
-    return EXIT_OK
 
 
 def cmd_normal_module(args):
-    alg = _load_algebra(args)
-    al.validate(alg)
-    ctx = _cohomology_for(alg)
+    ctx = _cohomology_for(_load_algebra(args))
     report = {"method": args.method,
               "dim_hom_plus": len(ctx.positive_monomials(2)),
               "dim_im_partial_plus": ctx.image_partial_plus().dim}
     if args.method == "morimoto":
         module = ctx.normal_module_morimoto()
-        report["dim_N"] = module.dim
-        report["feasible"] = True
     else:
         try:
             module = ctx.normal_module_popp()
-            report["dim_N"] = module.dim
-            report["feasible"] = True
         except IntersectionNonTrivial as e:
-            report["feasible"] = False
-            report["witness"] = e.witness.serialize()
-            _emit(report, args)
-            return EXIT_INFEASIBLE
+            report.update(feasible=False, witness=e.witness.serialize())
+            return _emit(report, args, ok=False)
+    report.update(dim_N=module.dim, feasible=True)
     if args.basis:
         report["basis"] = [e.serialize() for e in module.elements]
-    _emit(report, args)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 def cmd_obstruction(args):
     alg = _load_algebra(args)
-    al.validate(alg)
     ctx = _cohomology_for(alg)
-    k1 = alg.growth[0]
-    obs = {}
-    nonzero = False
-    for i in range(k1):
-        e = ctx.morimoto_popp_obstruction(i)
-        obs[str(i + 1)] = e.serialize()
-        nonzero = nonzero or not e.is_zero()
-    _emit({"obstruction": obs, "vanishes": not nonzero}, args)
-    return EXIT_OK
+    obs = [ctx.morimoto_popp_obstruction(i) for i in range(alg.growth[0])]
+    return _emit({
+        "obstruction": {str(i + 1): e.serialize() for i, e in enumerate(obs)},
+        "vanishes": all(e.is_zero() for e in obs),
+    }, args)
 
 
-def cmd_manifold(args):
+def cmd_manifold_check(args):
     frame = _load_frame(args)
     structure = mf.StructureField(frame)
     points = frame.chart.sample_points(60, seed=args.seed)
-    report = mf.adapted_growth(frame, points, tol=args.tol)
-    nil = mf.nilpotentization(frame, points, tol=max(args.tol, 1e-9))
-    _emit({
+    report = mf.adapted_growth(frame, structure, points, tol=args.tol)
+    # the nilpotent model exists only when the graded constants are constant
+    nil = (mf.nilpotentization(frame, structure, points,
+                               tol=max(args.tol, 1e-9)).to_spec()
+           if report.ok else None)
+    return _emit({
         "growth": list(report.growth),
         "graded_constant": report.graded_constant,
         "max_graded_variation": report.max_graded_variation,
         "structure_residual": structure.residual(points),
-        "nilpotentization": nil.to_spec(),
+        "nilpotentization": nil,
         "ok": report.ok,
-    }, args)
-    return EXIT_OK if report.ok else EXIT_INFEASIBLE
+    }, args, report.ok)
 
 
 def cmd_christoffel(args):
@@ -184,18 +174,17 @@ def cmd_christoffel(args):
     try:
         gamma = mf.solve_christoffel(frame, structure, sym, points, tol=args.tol)
     except Inconsistent as e:
-        _emit({"feasible": False, "error": str(e), "index": e.index}, args)
-        return EXIT_INFEASIBLE
+        return _emit({"feasible": False, "error": str(e), "index": e.index},
+                     args, ok=False)
     q0 = _q0(args, frame)
     values = gamma.at(np.array([q0]))[0]
     defect = mf.generator_defect(structure, sym, gamma, points)
-    _emit({
+    return _emit({
         "feasible": True,
         "q0": q0,
         "gamma": [[float(v) for v in row] for row in values],
         "max_defect": float(np.abs(defect).max()) if defect.size else 0.0,
     }, args)
-    return EXIT_OK
 
 
 def cmd_develop_condition(args):
@@ -206,37 +195,22 @@ def cmd_develop_condition(args):
     out = report.to_dict()
     out["dimH"] = sym.dimH
     out["dim_ker_h"] = len(sym.kerH)
-    _emit(out, args)
-    return EXIT_OK if report.feasible else EXIT_INFEASIBLE
+    return _emit(out, args, report.feasible)
 
 
 def cmd_prolong(args):
-    _emit(mf.prolong(_load_frame(args)).to_spec(), args)
-    return EXIT_OK
+    return _emit(mf.prolong(_load_frame(args)).to_spec(), args)
 
 
-def cmd_simulate(args):
-    config = _config(args)
-    if args.process == "carnot":
-        alg = _load_algebra(args)
-        path = dv.simulate_carnot_lift(alg, config)
-        names = [f"n{i + 1}" for i in range(alg.dim)]
-    else:
-        frame, structure, alg, sym = _structure_context(args)
-        q0 = _q0(args, frame)
-        if args.process == "develop":
-            gamma = mf.solve_christoffel(frame, structure, sym)
-            path = dv.develop_sde(frame, structure, gamma, q0, config)
-        else:
-            path = dv.simulate_popp(frame, structure, q0, config)
-        names = list(frame.chart.coords)
+def _emit_path(args, process, config, path, names):
+    """Endpoint statistics of a simulated path set; --csv writes the endpoints."""
     dv.check_finite(path)
     end = path.endpoints()
     if args.csv:
         with open(args.csv, "w", newline="") as f:
             path.write_endpoints_csv(f)
     report = {
-        "process": args.process,
+        "process": process,
         "paths": config.paths,
         "dt": config.dt,
         "T": config.T,
@@ -248,36 +222,61 @@ def cmd_simulate(args):
         report["left_chart_fraction"] = float(path.left_chart.mean())
     if path.frames is not None:
         report["ortho_defect"] = path.ortho_defect
-    _emit(report, args)
-    return EXIT_OK
+    return _emit(report, args)
 
 
-def cmd_verify(args):
-    if args.check == "levi-civita":
-        frame = _load_frame(args)
-        rep = mf.levi_civita_check(frame)
-        ok = rep.max_difference <= args.tol
-        _emit({"test": "levi-civita", "max_difference": rep.max_difference,
-               "pass": bool(ok)}, args)
-        return EXIT_OK if ok else EXIT_INFEASIBLE
-    if args.check == "suite":
-        return _run_suite(args)
-
+def _connection(args):
+    """Frame, structure functions, symmetries, start point and Christoffel field."""
     frame, structure, alg, sym = _structure_context(args)
     q0 = _q0(args, frame)
-    gamma = mf.solve_christoffel(frame, structure, sym)
+    return frame, structure, sym, q0, mf.solve_christoffel(frame, structure, sym)
+
+
+def cmd_simulate_develop(args):
     config = _config(args)
-    if args.check == "generator":
-        fs = mc.default_test_functions(frame.chart, squares=True)
-        report = mc.generator_family_test(frame, structure, gamma, sym, fs,
-                                          q0, config)
-    else:
-        report = mc.equivalence_test(frame, structure, gamma, q0, config)
-    _emit(report, args)
-    return EXIT_OK if report["pass"] else EXIT_INFEASIBLE
+    frame, structure, sym, q0, gamma = _connection(args)
+    path = dv.develop_sde(frame, structure, gamma, q0, config)
+    return _emit_path(args, "develop", config, path, frame.chart.coords)
 
 
-def _run_suite(args):
+def cmd_simulate_popp(args):
+    config = _config(args)
+    frame, structure, alg, sym = _structure_context(args)
+    path = dv.simulate_popp(frame, structure, _q0(args, frame), config)
+    return _emit_path(args, "popp", config, path, frame.chart.coords)
+
+
+def cmd_simulate_carnot(args):
+    config = _config(args)
+    alg = _load_algebra(args)
+    path = dv.simulate_carnot_lift(alg, config)
+    return _emit_path(args, "carnot", config, path,
+                      [f"n{i + 1}" for i in range(alg.dim)])
+
+
+def cmd_verify_levi_civita(args):
+    frame = _load_frame(args)
+    rep = mf.levi_civita_check(frame, mf.StructureField(frame))
+    ok = bool(rep.max_difference <= args.tol)
+    return _emit({"test": "levi-civita", "max_difference": rep.max_difference,
+                  "pass": ok}, args, ok)
+
+
+def cmd_verify_generator(args):
+    frame, structure, sym, q0, gamma = _connection(args)
+    config = _config(args)
+    fs = mc.default_test_functions(frame.chart, squares=True)
+    report = mc.generator_family_test(frame, structure, gamma, sym, fs, q0, config)
+    return _emit(report, args, report["pass"])
+
+
+def cmd_verify_equivalence(args):
+    frame, structure, sym, q0, gamma = _connection(args)
+    report = mc.equivalence_test(frame, structure, gamma, q0, _config(args))
+    return _emit(report, args, report["pass"])
+
+
+def cmd_verify_suite(args):
     """The full verification battery; --full uses full-scale path counts."""
     full = args.full
     rows = []
@@ -306,17 +305,14 @@ def _run_suite(args):
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
     all_ok = all(ok for _, ok, _ in rows)
     print(f"\n{sum(ok for _, ok, _ in rows)}/{len(rows)} passed")
-    if getattr(args, "output", None):
-        with open(args.output, "w") as f:
-            json.dump([{"name": n, "pass": ok, "detail": d}
-                       for n, ok, d in rows], f, indent=2)
-            f.write("\n")
+    if args.output:
+        _write_json(args.output, [{"name": n, "pass": ok, "detail": d}
+                                  for n, ok, d in rows])
     return EXIT_OK if all_ok else EXIT_INFEASIBLE
 
 
 def _suite_free23():
     alg = al.free_nilpotent(2, 3)
-    al.validate(alg)
     want = {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}
     got = {k: {i: int(v) for i, v in row.items()}
            for k, row in alg.brackets.items()}
@@ -353,11 +349,16 @@ def _suite_cohomology():
     return True, "4 algebras"
 
 
-def _suite_contact_christoffel():
+def _contact():
+    """The contact half-plane, its symmetries and its Christoffel field."""
     frame = bi.frame("contact-halfplane")
     structure = mf.StructureField(frame)
     sym = al.symmetry_algebra(bi.algebra("heisenberg3"))
-    gamma = mf.solve_christoffel(frame, structure, sym)
+    return frame, structure, sym, mf.solve_christoffel(frame, structure, sym)
+
+
+def _suite_contact_christoffel():
+    frame, structure, sym, gamma = _contact()
     pts = frame.chart.sample_points(100, seed=7)
     c = structure.at(pts)
     g = gamma.at(pts)
@@ -377,8 +378,9 @@ def _suite_goursat():
 
 
 def _suite_levi_civita():
-    worst = max(mf.levi_civita_check(bi.frame(n)).max_difference
-                for n in ("hyperbolic-plane", "sphere-patch"))
+    frames = [bi.frame(n) for n in ("hyperbolic-plane", "sphere-patch")]
+    worst = max(mf.levi_civita_check(f, mf.StructureField(f)).max_difference
+                for f in frames)
     return worst <= 1e-9, f"max diff {worst:.1e}"
 
 
@@ -406,10 +408,7 @@ def _suite_levy(paths):
 
 
 def _suite_generator(paths):
-    frame = bi.frame("contact-halfplane")
-    structure = mf.StructureField(frame)
-    sym = al.symmetry_algebra(bi.algebra("heisenberg3"))
-    gamma = mf.solve_christoffel(frame, structure, sym)
+    frame, structure, sym, gamma = _contact()
     fs = mc.default_test_functions(frame.chart, squares=True)
     cfg = dv.SDEConfig(dt=5e-4, T=0.01, seed=11, paths=paths)
     rep = mc.generator_family_test(frame, structure, gamma, sym, fs,
@@ -418,10 +417,7 @@ def _suite_generator(paths):
 
 
 def _suite_equivalence(paths):
-    frame = bi.frame("contact-halfplane")
-    structure = mf.StructureField(frame)
-    sym = al.symmetry_algebra(bi.algebra("heisenberg3"))
-    gamma = mf.solve_christoffel(frame, structure, sym)
+    frame, structure, sym, gamma = _contact()
     cfg = dv.SDEConfig(dt=2e-3, T=0.5, seed=13, paths=paths)
     q0 = [0.0, 1.0, 0.5]
     direct = dv.simulate_popp(frame, structure, q0, cfg)
@@ -436,22 +432,42 @@ def _suite_equivalence(paths):
 
 # -- argument parsing ---------------------------------------------------------
 
-def _add_input(p, kind="spec"):
-    p.add_argument("spec", nargs="?", help=f"{kind} JSON file")
-    p.add_argument("--builtin", help="built-in structure name")
+# Every option a command variant can declare; each variant declares only the
+# options its handler reads.
+_OPTIONS = {
+    "--generators": dict(type=int, default=2, help="number of generators"),
+    "--step": dict(type=int, default=3, help="nilpotency step"),
+    "--method": dict(choices=("popp", "morimoto"), default="popp"),
+    "--basis": dict(action="store_true", help="include a basis"),
+    "--tol": dict(type=float, default=1e-9, help="numerical tolerance"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--dt": dict(type=float, default=1e-3, help="time step"),
+    "--T": dict(type=float, default=1.0, help="horizon, a whole number of steps"),
+    "--paths": dict(type=int, default=10000, help="number of sample paths"),
+    "--q0": dict(help="comma-separated start point"),
+    "--csv": dict(help="write endpoint CSV to a file"),
+    "--full": dict(action="store_true", help="full-scale path counts"),
+}
+_SDE = ("--dt", "--T", "--paths", "--seed")
 
 
-def _add_common(p):
+def _leaf(sub, name, fn, help, kind=None, options=()):
+    """One command variant: its input (a kind of spec file, or none), its
+    options and -o."""
+    p = sub.add_parser(name, help=help)
+    if kind:
+        p.add_argument("spec", nargs="?", help=f"{kind} JSON file")
+        p.add_argument("--builtin", help=f"built-in {kind} name")
+    for option in options:
+        p.add_argument(option, **_OPTIONS[option])
     p.add_argument("-o", "--output", help="write the JSON report to a file")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(fn=fn)
 
 
-def _add_sim(p):
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--q0", help="comma-separated start point")
+def _group(sub, name, help):
+    """A command whose variants are named by a second word."""
+    return sub.add_parser(name, help=help).add_subparsers(
+        dest="variant", metavar="VARIANT", required=True)
 
 
 def build_parser():
@@ -461,75 +477,47 @@ def build_parser():
                     "simulation, verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("algebra", help="validate or generate algebra specs")
-    p.add_argument("action", choices=("check", "free"))
-    p.add_argument("spec", nargs="?")
-    p.add_argument("--builtin")
-    p.add_argument("--generators", type=int, default=2)
-    p.add_argument("--step", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(fn=cmd_algebra)
+    g = _group(sub, "algebra", "validate or generate algebra specs")
+    _leaf(g, "check", cmd_algebra_check, "validate an algebra spec", "algebra")
+    _leaf(g, "free", cmd_algebra_free, "the free nilpotent algebra spec",
+          options=("--generators", "--step"))
+    _leaf(sub, "symmetry", cmd_symmetry, "metric-preserving derivations",
+          "algebra")
+    _leaf(sub, "normal-module", cmd_normal_module,
+          "normal module of the curvature", "algebra", ("--method", "--basis"))
+    _leaf(sub, "obstruction", cmd_obstruction,
+          "difference obstruction between the two modules", "algebra")
 
-    p = sub.add_parser("symmetry", help="metric-preserving derivations")
-    _add_input(p, "algebra")
-    _add_common(p)
-    p.set_defaults(fn=cmd_symmetry)
+    g = _group(sub, "manifold", "check a chart structure")
+    _leaf(g, "check", cmd_manifold_check,
+          "growth, graded constants and nilpotentization", "manifold",
+          ("--tol", "--seed"))
+    _leaf(sub, "christoffel", cmd_christoffel,
+          "solve for the connection symbols", "manifold",
+          ("--tol", "--seed", "--q0"))
+    _leaf(sub, "develop-condition", cmd_develop_condition,
+          "feasibility of development", "manifold", ("--tol", "--seed"))
+    _leaf(sub, "prolong", cmd_prolong,
+          "prolong the first two frame fields", "manifold")
 
-    p = sub.add_parser("normal-module", help="normal module of the curvature")
-    _add_input(p, "algebra")
-    p.add_argument("--method", choices=("popp", "morimoto"), default="popp")
-    p.add_argument("--basis", action="store_true", help="include a basis")
-    _add_common(p)
-    p.set_defaults(fn=cmd_normal_module)
+    g = _group(sub, "simulate", "run a simulator")
+    _leaf(g, "develop", cmd_simulate_develop, "the developed diffusion",
+          "manifold", _SDE + ("--q0", "--csv"))
+    _leaf(g, "popp", cmd_simulate_popp, "the direct Popp diffusion",
+          "manifold", _SDE + ("--q0", "--csv"))
+    _leaf(g, "carnot", cmd_simulate_carnot, "the Carnot group lift",
+          "algebra", _SDE + ("--csv",))
 
-    p = sub.add_parser("obstruction",
-                       help="difference obstruction between the two modules")
-    _add_input(p, "algebra")
-    _add_common(p)
-    p.set_defaults(fn=cmd_obstruction)
-
-    p = sub.add_parser("manifold", help="check a chart structure")
-    p.add_argument("action", choices=("check",))
-    p.add_argument("spec", nargs="?")
-    p.add_argument("--builtin")
-    _add_common(p)
-    p.set_defaults(fn=cmd_manifold)
-
-    p = sub.add_parser("christoffel", help="solve for the connection symbols")
-    _add_input(p, "manifold")
-    p.add_argument("--q0")
-    _add_common(p)
-    p.set_defaults(fn=cmd_christoffel)
-
-    p = sub.add_parser("develop-condition", help="feasibility of development")
-    _add_input(p, "manifold")
-    _add_common(p)
-    p.set_defaults(fn=cmd_develop_condition)
-
-    p = sub.add_parser("prolong", help="prolong the first two frame fields")
-    _add_input(p, "manifold")
-    _add_common(p)
-    p.set_defaults(fn=cmd_prolong)
-
-    p = sub.add_parser("simulate", help="run a simulator")
-    p.add_argument("process", choices=("develop", "popp", "carnot"))
-    p.add_argument("spec", nargs="?")
-    p.add_argument("--builtin")
-    p.add_argument("--csv", help="write endpoint CSV to a file")
-    _add_common(p)
-    _add_sim(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("verify", help="statistical and exact verifications")
-    p.add_argument("check", choices=("generator", "equivalence",
-                                     "levi-civita", "suite"))
-    p.add_argument("spec", nargs="?")
-    p.add_argument("--builtin")
-    p.add_argument("--full", action="store_true",
-                   help="suite only: full-scale path counts")
-    _add_common(p)
-    _add_sim(p)
-    p.set_defaults(fn=cmd_verify)
+    g = _group(sub, "verify", "statistical and exact verifications")
+    _leaf(g, "generator", cmd_verify_generator,
+          "generator of the developed diffusion", "manifold", _SDE + ("--q0",))
+    _leaf(g, "equivalence", cmd_verify_equivalence,
+          "developed against direct Popp endpoints", "manifold",
+          _SDE + ("--q0",))
+    _leaf(g, "levi-civita", cmd_verify_levi_civita,
+          "Riemannian drift cross-check", "manifold", ("--tol",))
+    _leaf(g, "suite", cmd_verify_suite, "all eleven checks",
+          options=("--full",))
     return parser
 
 

@@ -116,7 +116,9 @@ class HomSubspace:
 class Cohomology:
     """All cohomological operations for one ambient algebra with its metric.
 
-    Caches monomial enumerations, Gram blocks and monomial differentials.
+    Caches monomial enumerations, Gram blocks, monomial differentials, im d+
+    and its orthocomplement (the Morimoto module); callers share the latter
+    two HomSubspaces and must not modify them.
     """
 
     def __init__(self, amb, metric):
@@ -129,6 +131,8 @@ class Cohomology:
         self._gram_n_dual = None
         self._blocks = {}
         self._mono_diff = {}
+        self._im = None
+        self._morimoto = None
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -353,14 +357,16 @@ class Cohomology:
 
     def image_partial_plus(self):
         """Basis of the differential's image of positive-degree hom(n, g)."""
-        monos = self.positive_monomials(2)
-        index = _column_index(monos)
-        rows = []
-        for m in self.positive_monomials(1):
-            d = self._monomial_differential(1, m)
-            if not d.is_zero():
-                rows.append(self._coords(d, monos, index))
-        return self._subspace(2, rows, monos)
+        if self._im is None:
+            monos = self.positive_monomials(2)
+            index = _column_index(monos)
+            rows = []
+            for m in self.positive_monomials(1):
+                d = self._monomial_differential(1, m)
+                if not d.is_zero():
+                    rows.append(self._coords(d, monos, index))
+            self._im = self._subspace(2, rows, monos)
+        return self._im
 
     def s_module(self):
         """The trace module S spanned by id ^ phi over covectors phi of (ker h)-perp."""
@@ -409,11 +415,13 @@ class Cohomology:
         return HomElement(2, out)
 
     def _check_h_invariant(self, rows, monos):
+        """Whether the span of rows is h-invariant; rows must be independent
+        (an echelon basis), since their rank is taken to be len(rows)."""
         index = _column_index(monos)
         acted = [self._coords(self.h_action(alpha, self._from_coords(2, r, monos)),
                               monos, index)
                  for alpha in range(self.amb.sym.dimH) for r in rows]
-        return rl.rank(rows + acted) == rl.rank(rows)
+        return rl.rank(rows + acted) == len(rows)
 
     def _complements(self, rows, im, monos):
         """Whether rows are independent and span a complement of im within hom_+."""
@@ -422,38 +430,40 @@ class Cohomology:
     def normal_module_popp(self):
         """Normal module orthogonal to the trace module S.
 
-        Returns (HomSubspace, feasible). Raises IntersectionNonTrivial with a
+        Returns the HomSubspace. Raises IntersectionNonTrivial with a
         witness when S meets the orthocomplement of the differential's image.
         """
         monos = self.positive_monomials(2)
         im = self.image_partial_plus()
         s = self.s_module()
-        operp = self._ortho_complement(im.matrix, monos)
+        operp = self.normal_module_morimoto().matrix
         inter = rl.span_intersection(s.matrix, operp)
         if inter:
             witness = self._from_coords(2, inter[0], monos)
             raise IntersectionNonTrivial(
                 "the trace module meets the orthocomplement of im d+", witness)
         tperp = self._ortho_complement(s.matrix + operp, monos)
-        nrows = self._ortho_complement(s.matrix + tperp, monos)
-        # exact verification: N + im d+ = hom_+, N is h-invariant
-        if (not self._complements(nrows, im, monos)
-                or not self._check_h_invariant(nrows, monos)):
+        module = self._subspace(2, self._ortho_complement(s.matrix + tperp, monos), monos)
+        # exact verification on the echelon basis: N + im d+ = hom_+, N is h-invariant
+        if (not self._complements(module.matrix, im, monos)
+                or not self._check_h_invariant(module.matrix, monos)):
             raise ClosureFailure("the Popp normal module is not an h-invariant complement")
-        return self._subspace(2, nrows, monos)
+        return module
 
     def normal_module_morimoto(self):
         """Morimoto's normal module: ker d* in positive degree.
 
         Equals the orthocomplement of im d+ within hom_+ because the metric
-        blocks are degree-homogeneous.
+        blocks are degree-homogeneous. The Popp module starts from it.
         """
-        monos = self.positive_monomials(2)
-        im = self.image_partial_plus()
-        rows = self._ortho_complement(im.matrix, monos)
-        if not self._complements(rows, im, monos):
-            raise ClosureFailure("the Morimoto normal module is not a complement of im d+")
-        return self._subspace(2, rows, monos)
+        if self._morimoto is None:
+            monos = self.positive_monomials(2)
+            im = self.image_partial_plus()
+            module = self._subspace(2, self._ortho_complement(im.matrix, monos), monos)
+            if not self._complements(module.matrix, im, monos):
+                raise ClosureFailure("the Morimoto normal module is not a complement of im d+")
+            self._morimoto = module
+        return self._morimoto
 
     def morimoto_popp_obstruction(self, i):
         """The arity-3 element d(sum_j e_j (x) e^j) ^ e^i for a generator index i.

@@ -337,7 +337,7 @@ def _rank_range(m):
     return int(r.min()), int(r.max())
 
 
-def adapted_growth(frame, points=None, tol=1e-9):
+def adapted_growth(frame, structure, points=None, tol=1e-9):
     """Verify filtration ranks and constancy of the graded structure functions.
 
     Raises RankDrop when the computed growth vector differs from the declared
@@ -363,14 +363,14 @@ def adapted_growth(frame, points=None, tol=1e-9):
         raise RankDrop(
             f"computed growth {growth} differs from declared {frame.growth}")
 
-    c = StructureField(frame).at(points)
+    c = structure.at(points)
     max_var = max([0.0] + [float(np.ptp(c[:, i, j, k])) for i, j, k in _graded(frame)])
     return GrowthReport(growth=growth, declared=frame.growth,
                         graded_constant=max_var <= tol,
                         max_graded_variation=max_var)
 
 
-def nilpotentization(frame, points=None, tol=1e-9, max_den=10 ** 6):
+def nilpotentization(frame, structure, points=None, tol=1e-9, max_den=10 ** 6):
     """Extract the graded constants and build the nilpotent model algebra.
 
     The graded structure functions must be constant (use adapted_growth
@@ -380,7 +380,7 @@ def nilpotentization(frame, points=None, tol=1e-9, max_den=10 ** 6):
 
     if points is None:
         points = frame.chart.sample_points(20, seed=2)
-    c = StructureField(frame).at(points)
+    c = structure.at(points)
     brackets = {}
     for i, j, k in _graded(frame):
         vals = c[:, i, j, k]
@@ -586,7 +586,7 @@ class LeviCivitaReport:
     drift_divergence: np.ndarray
 
 
-def levi_civita_check(frame, points=None, tol=1e-9):
+def levi_civita_check(frame, structure, points=None):
     """Compare the connection-drift and divergence-drift pipelines.
 
     Riemannian case (growth (n,)): the orthonormal-frame Christoffel symbols
@@ -597,7 +597,6 @@ def levi_civita_check(frame, points=None, tol=1e-9):
         raise ModelMismatch("the Riemannian cross-check needs growth (n,)")
     if points is None:
         points = frame.chart.sample_points(60, seed=5)
-    structure = StructureField(frame)
     c = structure.at(points)
     # G[p, i, j, k] = Gamma^k_{ij} with nabla_{X_i} X_j = Gamma^k_{ij} X_k
     g = 0.5 * (c - np.einsum("pbca->pabc", c) + np.einsum("pcab->pabc", c))

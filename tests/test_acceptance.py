@@ -28,7 +28,7 @@ def cohomology_for(alg):
 def context_for(name):
     frame = bi.frame(name)
     st = mf.StructureField(frame)
-    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame)
+    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame, st)
     sym = al.symmetry_algebra(alg, al.extend_metric(alg))
     q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
     return frame, st, alg, sym, q0
@@ -179,7 +179,8 @@ def test_goursat_obstructions():
 
 @pytest.mark.parametrize("name", ["hyperbolic-plane", "sphere-patch"])
 def test_levi_civita_cross_check(name):
-    rep = mf.levi_civita_check(bi.frame(name))
+    frame = bi.frame(name)
+    rep = mf.levi_civita_check(frame, mf.StructureField(frame))
     assert rep.max_difference <= 1e-9
 
 

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from cartandev import builtins as bi
-from cartandev.cli import main
+from cartandev.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -129,6 +132,21 @@ def test_normal_module_and_obstruction(capsys):
     assert code == 0 and rep["vanishes"] is True
 
 
+def test_manifold_check_varying_graded_constant_is_infeasible(capsys, tmp_path):
+    # [d_x, d_y + x^2 d_z] = 2x d_z: growth (2, 3) on x >= 1/2, but c_12^3 varies
+    spec = tmp_path / "frame.json"
+    spec.write_text(json.dumps({
+        "chart": {"coords": ["x", "y", "z"],
+                  "box": [[0.5, 2], [-1, 1], [-1, 1]]},
+        "growth": [2, 3],
+        "frame": [["1", "0", "0"], ["0", "1", "x^2"], ["0", "0", "1"]]}))
+    code, rep, _ = run_json(capsys, "manifold", "check", str(spec))
+    assert code == 1
+    assert rep["growth"] == [2, 3]
+    assert rep["graded_constant"] is False and rep["ok"] is False
+    assert rep["nilpotentization"] is None
+
+
 def test_manifold_check_builtin(capsys):
     code, rep, _ = run_json(capsys, "manifold", "check", "--builtin",
                             "contact-halfplane")
@@ -225,3 +243,109 @@ def test_output_file_matches_stdout(capsys, tmp_path, argv):
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "symmetry", "--builtin", "nonesuch")
     assert code == 2
+
+
+# -- option sets: each command variant declares only the options it reads ---------
+
+
+def leaf_parsers(parser, words=()):
+    """(command words, parser) for every command variant of the CLI."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+        return
+    for name, p in subs[0].choices.items():
+        yield from leaf_parsers(p, words + (name,))
+
+
+INPUT = {"spec", "--builtin"}
+SDE = {"--dt", "--T", "--paths", "--seed"}
+LEAF_OPTIONS = {
+    "algebra check": INPUT,
+    "algebra free": {"--generators", "--step"},
+    "symmetry": INPUT,
+    "normal-module": INPUT | {"--method", "--basis"},
+    "obstruction": INPUT,
+    "manifold check": INPUT | {"--tol", "--seed"},
+    "christoffel": INPUT | {"--tol", "--seed", "--q0"},
+    "develop-condition": INPUT | {"--tol", "--seed"},
+    "prolong": INPUT,
+    "simulate develop": INPUT | SDE | {"--q0", "--csv"},
+    "simulate popp": INPUT | SDE | {"--q0", "--csv"},
+    "simulate carnot": INPUT | SDE | {"--csv"},
+    "verify generator": INPUT | SDE | {"--q0"},
+    "verify equivalence": INPUT | SDE | {"--q0"},
+    "verify levi-civita": INPUT | {"--tol"},
+    "verify suite": {"--full"},
+}
+
+
+# Options the flat per-command parsers used to accept without any handler
+# reading them; each is now rejected as malformed input.
+DROPPED = [
+    ("algebra check", "--generators"), ("algebra check", "--step"),
+    ("algebra check", "--tol"), ("algebra check", "--seed"),
+    ("algebra free", "spec"), ("algebra free", "--builtin"),
+    ("algebra free", "--tol"), ("algebra free", "--seed"),
+    ("symmetry", "--tol"), ("symmetry", "--seed"),
+    ("normal-module", "--tol"), ("normal-module", "--seed"),
+    ("obstruction", "--tol"), ("obstruction", "--seed"),
+    ("prolong", "--tol"), ("prolong", "--seed"),
+    ("simulate develop", "--tol"), ("simulate popp", "--tol"),
+    ("simulate carnot", "--tol"), ("simulate carnot", "--q0"),
+    ("verify generator", "--tol"), ("verify generator", "--full"),
+    ("verify equivalence", "--tol"), ("verify equivalence", "--full"),
+    ("verify levi-civita", "--full"), ("verify levi-civita", "--seed"),
+    ("verify levi-civita", "--dt"), ("verify levi-civita", "--T"),
+    ("verify levi-civita", "--paths"), ("verify levi-civita", "--q0"),
+    ("verify suite", "spec"), ("verify suite", "--builtin"),
+    ("verify suite", "--tol"), ("verify suite", "--seed"),
+    ("verify suite", "--dt"), ("verify suite", "--T"),
+    ("verify suite", "--paths"), ("verify suite", "--q0"),
+]
+
+
+def test_each_command_variant_declares_exactly_its_options():
+    got = {}
+    for words, p in leaf_parsers(build_parser()):
+        got[words] = {a.option_strings[-1] if a.option_strings else a.dest
+                      for a in p._actions if a.dest != "help"}
+    assert got == {w: opts | {"--output"} for w, opts in LEAF_OPTIONS.items()}
+    assert sum(map(len, got.values())) == 84
+    assert len(set(DROPPED)) == 38
+    assert not [(w, o) for w, o in DROPPED if o in got[w]]
+
+
+VALUES = {"spec": ["spec.json"], "--full": ["--full"],
+          "--builtin": ["--builtin", "heisenberg3"],
+          "--generators": ["--generators", "2"], "--step": ["--step", "3"],
+          "--tol": ["--tol", "1e-6"], "--seed": ["--seed", "1"],
+          "--dt": ["--dt", "0.01"], "--T": ["--T", "0.1"],
+          "--paths": ["--paths", "10"], "--q0": ["--q0", "0,0,0"]}
+
+
+@pytest.mark.parametrize("words,option", DROPPED,
+                         ids=[f"{w}:{o}" for w, o in DROPPED])
+def test_unread_option_is_rejected(capsys, words, option):
+    argv = words.split()
+    build_parser().parse_args(argv)        # the variant alone parses
+    with pytest.raises(SystemExit) as e:
+        main(argv + VALUES[option])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command-line interface", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("cartandev ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 13
+    parser = build_parser()
+    for argv in commands:
+        assert callable(parser.parse_args(argv).fn), argv

@@ -99,7 +99,7 @@ def test_left_invariant_field_matches_group_law(name):
 def run_curve(name, u, dt=1e-3, T=1.0, h0=None, gamma=None):
     frame = bi.frame(name)
     st = mf.StructureField(frame)
-    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame)
+    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame, st)
     metric = al.extend_metric(alg)
     sym = al.symmetry_algebra(alg, metric)
     if gamma is None:

@@ -162,7 +162,8 @@ def test_goursat_structure_function():
 
 
 def test_adapted_growth_accepts_heisenberg():
-    rep = mf.adapted_growth(bi.frame("heisenberg3"))
+    frame = bi.frame("heisenberg3")
+    rep = mf.adapted_growth(frame, mf.StructureField(frame))
     assert rep.ok and rep.growth == (2, 3)
 
 
@@ -175,7 +176,7 @@ def test_adapted_growth_detects_wrong_declaration():
         fields=((one, zero, zero), (zero, one, zero), (zero, zero, one)),
         growth=(2, 3))
     with pytest.raises(RankDrop):
-        mf.adapted_growth(frame)
+        mf.adapted_growth(frame, mf.StructureField(frame))
 
 
 def test_adapted_growth_rejects_a_rank_that_varies():
@@ -188,11 +189,12 @@ def test_adapted_growth_rejects_a_rank_that_varies():
         growth=(2, 3))
     pts = np.array([[0.0, 0.1, 0.2], [0.0, -0.4, 0.7], [0.5, -0.3, 0.4]])
     with pytest.raises(RankDrop, match="varies"):
-        mf.adapted_growth(frame, pts)
+        mf.adapted_growth(frame, mf.StructureField(frame), pts)
 
 
 def test_nilpotentization_of_heisenberg_frame():
-    alg = mf.nilpotentization(bi.frame("heisenberg3"))
+    frame = bi.frame("heisenberg3")
+    alg = mf.nilpotentization(frame, mf.StructureField(frame))
     spec = alg.to_spec()
     assert tuple(spec["growth"]) == (2, 3)
     assert spec["brackets"] == {"1,2": {"3": 1}}
@@ -261,7 +263,7 @@ def operator_functions(chart):
 def test_second_order_matches_the_tree_built_generator(name):
     frame = bi.frame(name)
     st = mf.StructureField(frame)
-    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame)
+    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame, st)
     sym = al.symmetry_algebra(alg, al.extend_metric(alg))
     try:
         gamma = mf.solve_christoffel(frame, st, sym)
@@ -364,18 +366,21 @@ def test_zero_christoffel_defect_is_minus_divergence():
 @pytest.mark.parametrize("name", ["hyperbolic-plane", "sphere-patch",
                                   "flat-plane"])
 def test_levi_civita_drifts_agree(name):
-    rep = mf.levi_civita_check(bi.frame(name))
+    frame = bi.frame(name)
+    rep = mf.levi_civita_check(frame, mf.StructureField(frame))
     assert rep.max_difference < 1e-9
 
 
 def test_levi_civita_hyperbolic_drift_value():
-    rep = mf.levi_civita_check(bi.frame("hyperbolic-plane"))
+    frame = bi.frame("hyperbolic-plane")
+    rep = mf.levi_civita_check(frame, mf.StructureField(frame))
     assert np.allclose(rep.drift_divergence, [0.0, -1.0])
 
 
 def test_levi_civita_rejects_nonriemannian():
+    frame = bi.frame("heisenberg3")
     with pytest.raises(ModelMismatch):
-        mf.levi_civita_check(bi.frame("heisenberg3"))
+        mf.levi_civita_check(frame, mf.StructureField(frame))
 
 
 # -- prolongation and the Levy form -------------------------------------------------
@@ -385,7 +390,7 @@ def test_prolong_flat_plane_gives_heisenberg_model():
     pr = mf.prolong(bi.frame("flat-plane"))
     assert pr.growth == (2, 3)
     assert pr.chart.coords[-1] == "t1"
-    assert mf.nilpotentization(pr).to_spec()["brackets"] == {"1,2": {"3": 1}}
+    assert mf.nilpotentization(pr, mf.StructureField(pr)).to_spec()["brackets"] == {"1,2": {"3": 1}}
 
 
 def test_prolong_twice_gives_goursat_growth():

@@ -15,7 +15,7 @@ from cartandev.errors import MalformedSpec, NonFinite
 def setup(name):
     frame = bi.frame(name)
     st = mf.StructureField(frame)
-    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame)
+    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame, st)
     sym = al.symmetry_algebra(alg, al.extend_metric(alg))
     gamma = mf.solve_christoffel(frame, st, sym)
     q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
