@@ -241,8 +241,8 @@ def cmd_simulate_develop(args):
 
 def cmd_simulate_popp(args):
     config = _config(args)
-    frame, structure, alg, sym = _structure_context(args)
-    path = dv.simulate_popp(frame, structure, _q0(args, frame), config)
+    frame = _load_frame(args)
+    path = dv.simulate_popp(frame, mf.StructureField(frame), _q0(args, frame), config)
     return _emit_path(args, "popp", config, path, frame.chart.coords)
 
 

@@ -1,9 +1,9 @@
 """Lie algebra cohomology machinery for the ambient algebra g = n + h.
 
 Implements the Chevalley-Eilenberg differential on hom(^k n, g), its
-Gram-adjoint, and the two normal-module constructions (orthogonal to the
-trace module, and Morimoto's ker of the adjoint), all in exact rational
-arithmetic.
+Gram-adjoint, and the two normal-module constructions, all in exact rational
+arithmetic: Morimoto's N_Morimoto = ker d* = (im d+)^perp, and the Popp
+module N = S^perp meet (S + N_Morimoto), orthogonal to the trace module S.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class HomSubspace:
 class Cohomology:
     """All cohomological operations for one ambient algebra with its metric.
 
-    Caches monomial enumerations, Gram blocks, monomial differentials, im d+
+    Caches monomial enumerations, Gram matrices, monomial differentials, im d+
     and its orthocomplement (the Morimoto module); callers share the latter
     two HomSubspaces and must not modify them.
     """
@@ -129,7 +129,7 @@ class Cohomology:
         self._monomials = {}
         self._gram_g = None
         self._gram_n_dual = None
-        self._blocks = {}
+        self._grams = {}
         self._mono_diff = {}
         self._im = None
         self._morimoto = None
@@ -225,22 +225,6 @@ class Cohomology:
         alayer = self.amb.nil.degree[a] if a < self.n else 0
         return (alayer, tuple(sorted(self.amb.nil.degree[j] for j in js)))
 
-    def _gram_blocks(self, arity):
-        """Per-block Gram inverses for the monomial basis of one arity."""
-        if arity in self._blocks:
-            return self._blocks[arity]
-        groups = {}
-        for m in self.monomials(arity):
-            groups.setdefault(self._block_key(m), []).append(m)
-        blocks = {}
-        for key, ms in groups.items():
-            gram = [[self.inner(HomElement(arity, {m1: ONE}),
-                                HomElement(arity, {m2: ONE})) for m2 in ms]
-                    for m1 in ms]
-            blocks[key] = (ms, rl.invert(gram))
-        self._blocks[arity] = blocks
-        return blocks
-
     # -- differential and adjoint -------------------------------------------
 
     def identity_hom(self):
@@ -295,21 +279,9 @@ class Cohomology:
     def codifferential(self, beta):
         """Gram-adjoint of the differential: <d a, b> = <a, d* b> exactly."""
         k = beta.arity - 1
-        y = {}
-        for m in self.monomials(k):
-            v = self.inner(self._monomial_differential(k, m), beta)
-            if v != 0:
-                y[m] = v
-        out = {}
-        for key, (ms, graminv) in self._gram_blocks(k).items():
-            yv = [y.get(m, ZERO) for m in ms]
-            if all(v == 0 for v in yv):
-                continue
-            xv = rl.matvec(graminv, yv)
-            for m, v in zip(ms, xv):
-                if v != 0:
-                    out[m] = v
-        return HomElement(k, out)
+        monos = self.monomials(k)
+        y = [self.inner(self._monomial_differential(k, m), beta) for m in monos]
+        return self._from_coords(k, rl.solve(self._gram_restricted(monos), y), monos)
 
     # -- subspaces of positive-degree hom(^2 n, g) ---------------------------
 
@@ -333,20 +305,22 @@ class Cohomology:
         return HomSubspace(arity=arity, elements=elems, matrix=basis, monomials=monos)
 
     def _gram_restricted(self, monos):
-        """Gram matrix of monos; entries across _block_key blocks are zero."""
-        key = ("restr", tuple(monos))
-        if key not in self._blocks:
+        """Gram matrix of monos, all of one arity; entries across _block_key
+        blocks are zero."""
+        key = tuple(monos)
+        if key not in self._grams:
+            arity = len(monos[0][1])
             groups = {}
             for i, m in enumerate(monos):
                 groups.setdefault(self._block_key(m), []).append(i)
             gram = [[ZERO] * len(monos) for _ in monos]
             for ids in groups.values():
                 for i in ids:
-                    x = HomElement(2, {monos[i]: ONE})
+                    x = HomElement(arity, {monos[i]: ONE})
                     for j in ids:
-                        gram[i][j] = self.inner(x, HomElement(2, {monos[j]: ONE}))
-            self._blocks[key] = gram
-        return self._blocks[key]
+                        gram[i][j] = self.inner(x, HomElement(arity, {monos[j]: ONE}))
+            self._grams[key] = gram
+        return self._grams[key]
 
     def _ortho_complement(self, rows, monos):
         """Orthocomplement of a row span within the span of monos."""
@@ -391,28 +365,21 @@ class Cohomology:
 
     def h_action(self, alpha, elem):
         """Induced symmetry action on hom(^2 n, g):
-        (A.f)(v, w) = A f(v, w) - f(Av, w) - f(v, Aw)."""
+        (A.f)(v, w) = A f(v, w) - f(Av, w) - f(v, Aw). As e^i o A = sum_p A[i][p] e^p,
+        a coefficient c of e_a (x) e^i ^ e^j goes to [e_{n+alpha}, e_a] at (i, j),
+        to -A[i][p] c at (p, j) and to -A[j][p] c at (i, p)."""
         amb = self.amb
         mat = amb.sym.basis[alpha]
         ea = self.n + alpha
-        out = {}
-        for p in range(self.n):
-            for q in range(p + 1, self.n):
-                val = {}
-                for a, c in self.evaluate(elem, (p, q)).items():
-                    for b, w in amb.bracket_basis(ea, a).items():
-                        val[b] = val.get(b, ZERO) + c * w
-                for r in range(self.n):
-                    if mat[r][p] != 0:
-                        for a, c in self.evaluate(elem, (r, q)).items():
-                            val[a] = val.get(a, ZERO) - mat[r][p] * c
-                    if mat[r][q] != 0:
-                        for a, c in self.evaluate(elem, (p, r)).items():
-                            val[a] = val.get(a, ZERO) - mat[r][q] * c
-                for a, c in val.items():
-                    if c != 0:
-                        out[(a, (p, q))] = c
-        return HomElement(2, out)
+        terms = []
+        for (a, (i, j)), c in elem.coeffs.items():
+            terms.extend((b, (i, j), c * w) for b, w in amb.bracket_basis(ea, a).items())
+            for p in range(self.n):
+                if mat[i][p]:
+                    terms.append((a, (p, j), -mat[i][p] * c))
+                if mat[j][p]:
+                    terms.append((a, (i, p), -mat[j][p] * c))
+        return hom_element(2, terms)
 
     def _check_h_invariant(self, rows, monos):
         """Whether the span of rows is h-invariant; rows must be independent
@@ -428,22 +395,30 @@ class Cohomology:
         return len(rows) + im.dim == len(monos) == rl.rank(rows + im.matrix)
 
     def normal_module_popp(self):
-        """Normal module orthogonal to the trace module S.
+        """Normal module orthogonal to the trace module S:
+        N = S^perp meet (S + N_Morimoto).
 
-        Returns the HomSubspace. Raises IntersectionNonTrivial with a
-        witness when S meets the orthocomplement of the differential's image.
+        Its elements are the combinations of the rows of S and of the
+        Morimoto module O that are Gram-orthogonal to S, the kernel of a
+        |S| x (|S| + |O|) system; with S = 0 it is O. Returns the
+        HomSubspace. Raises IntersectionNonTrivial with a witness when S meets
+        O, the orthocomplement of the differential's image.
         """
         monos = self.positive_monomials(2)
         im = self.image_partial_plus()
-        s = self.s_module()
+        s = self.s_module().matrix
         operp = self.normal_module_morimoto().matrix
-        inter = rl.span_intersection(s.matrix, operp)
-        if inter:
-            witness = self._from_coords(2, inter[0], monos)
+        sg = rl.matmul(s, self._gram_restricted(monos))
+        # combinations of S orthogonal to im d+: an |im| x |S| kernel
+        meet = rl.nullspace(rl.matmul(im.matrix, rl.transpose(sg)))
+        if meet:
+            witness = self._from_coords(2, rl.row_basis(rl.matmul(meet, s))[0], monos)
             raise IntersectionNonTrivial(
                 "the trace module meets the orthocomplement of im d+", witness)
-        tperp = self._ortho_complement(s.matrix + operp, monos)
-        module = self._subspace(2, self._ortho_complement(s.matrix + tperp, monos), monos)
+        both = s + operp
+        rows = (rl.matmul(rl.nullspace(rl.transpose(rl.matmul(both, rl.transpose(sg)))), both)
+                if s else operp)
+        module = self._subspace(2, rows, monos)
         # exact verification on the echelon basis: N + im d+ = hom_+, N is h-invariant
         if (not self._complements(module.matrix, im, monos)
                 or not self._check_h_invariant(module.matrix, monos)):
@@ -476,29 +451,3 @@ class Cohomology:
         for (a, js), c in d.coeffs.items():
             terms.append((a, js + (i,), c))
         return hom_element(3, terms)
-
-    def report(self):
-        """JSON-friendly summary used by the CLI."""
-        monos = self.positive_monomials(2)
-        im = self.image_partial_plus()
-        try:
-            npopp = self.normal_module_popp()
-            feasible = True
-            witness = None
-            dim_n = npopp.dim
-        except IntersectionNonTrivial as e:
-            feasible = False
-            witness = e.witness.serialize()
-            dim_n = None
-        obstruction = [not self.morimoto_popp_obstruction(i).is_zero()
-                       for i in range(self.amb.sym.k1)]
-        out = {
-            "dim_hom_plus": len(monos),
-            "dim_im_partial_plus": im.dim,
-            "dim_N": dim_n,
-            "feasible": feasible,
-            "obstruction_nonzero": obstruction,
-        }
-        if witness is not None:
-            out["witness"] = witness
-        return out

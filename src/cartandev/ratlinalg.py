@@ -111,10 +111,6 @@ def matmul(a, b):
     return out
 
 
-def matvec(a, v):
-    return [sum((x * y for x, y in zip(row, v) if x != 0), ZERO) for row in a]
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 

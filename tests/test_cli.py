@@ -132,14 +132,16 @@ def test_normal_module_and_obstruction(capsys):
     assert code == 0 and rep["vanishes"] is True
 
 
+# [d_x, d_y + x^2 d_z] = 2x d_z: growth (2, 3) on x >= 1/2, but c_12^3 varies
+VARYING_FRAME = {
+    "chart": {"coords": ["x", "y", "z"], "box": [[0.5, 2], [-1, 1], [-1, 1]]},
+    "growth": [2, 3],
+    "frame": [["1", "0", "0"], ["0", "1", "x^2"], ["0", "0", "1"]]}
+
+
 def test_manifold_check_varying_graded_constant_is_infeasible(capsys, tmp_path):
-    # [d_x, d_y + x^2 d_z] = 2x d_z: growth (2, 3) on x >= 1/2, but c_12^3 varies
     spec = tmp_path / "frame.json"
-    spec.write_text(json.dumps({
-        "chart": {"coords": ["x", "y", "z"],
-                  "box": [[0.5, 2], [-1, 1], [-1, 1]]},
-        "growth": [2, 3],
-        "frame": [["1", "0", "0"], ["0", "1", "x^2"], ["0", "0", "1"]]}))
+    spec.write_text(json.dumps(VARYING_FRAME))
     code, rep, _ = run_json(capsys, "manifold", "check", str(spec))
     assert code == 1
     assert rep["growth"] == [2, 3]
@@ -202,6 +204,17 @@ def test_simulate_popp_q0(capsys):
                             "--dt", "0.005", "--q0", "0.1,0.2,0.0")
     assert code == 0
     assert abs(rep["endpoint_mean"]["x"] - 0.1) < 0.2
+
+
+def test_simulate_popp_needs_no_nilpotent_model(capsys, tmp_path):
+    # the Popp diffusion reads only the frame: a frame with no constant
+    # nilpotentization still simulates
+    spec = tmp_path / "frame.json"
+    spec.write_text(json.dumps(VARYING_FRAME))
+    code, rep, _ = run_json(capsys, "simulate", "popp", str(spec), "--paths", "10",
+                            "--T", "0.01", "--dt", "0.005")
+    assert code == 0
+    assert rep["process"] == "popp"
 
 
 def test_simulate_bad_q0(capsys):

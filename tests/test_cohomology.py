@@ -103,10 +103,13 @@ SKEWED_FREE23_SPEC = {
 }
 
 
-@pytest.mark.parametrize("alg", [builtin_algebra("heisenberg3"), builtin_algebra("free23"),
-                                 builtin_algebra("engel"), al.free_nilpotent(3, 2),
-                                 al.build_algebra(SKEWED_FREE23_SPEC)],
-                         ids=["heisenberg3", "free23", "engel", "free32", "skewed-free23"])
+SMALL_ALGEBRAS = pytest.mark.parametrize(
+    "alg", [builtin_algebra("heisenberg3"), builtin_algebra("free23"), builtin_algebra("engel"),
+            al.free_nilpotent(3, 2), al.build_algebra(SKEWED_FREE23_SPEC)],
+    ids=["heisenberg3", "free23", "engel", "free32", "skewed-free23"])
+
+
+@SMALL_ALGEBRAS
 def test_gram_restricted_equals_pairwise_inner(alg):
     # the block-wise Gram skips pairs across blocks; a nonzero there would fail here
     co = cohomology_of(alg)
@@ -161,13 +164,12 @@ def test_free23_obstruction_values():
     "name,dims",
     [("heisenberg3", (11, 5, 6)), ("free23", (53, 13, 40))],
 )
-def test_report_dimensions(name, dims):
+def test_module_dimensions(name, dims):
     co = make_cohomology(name)
-    rep = co.report()
-    assert rep["dim_hom_plus"] == dims[0]
-    assert rep["dim_im_partial_plus"] == dims[1]
-    assert rep["dim_N"] == dims[2]
-    assert rep["feasible"] is True
+    assert len(co.positive_monomials(2)) == dims[0]
+    assert co.image_partial_plus().dim == dims[1]
+    # feasible: the Popp module raises IntersectionNonTrivial otherwise
+    assert co.normal_module_popp().dim == dims[2]
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "free23"])
@@ -190,6 +192,79 @@ def test_morimoto_normal_module_complements_image(name):
     monos = co.positive_monomials(2)
     assert n.dim + im.dim == len(monos)
     assert not rl.span_intersection(n.matrix, im.matrix)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "free23"])
+def test_morimoto_module_is_the_kernel_of_the_codifferential(name):
+    co = make_cohomology(name)
+    for e in co.normal_module_morimoto().elements:
+        assert co.codifferential(e).is_zero()
+    # im d+ meets ker d* trivially, so the check above is not vacuous
+    assert not co.codifferential(co.image_partial_plus().elements[0]).is_zero()
+
+
+def reference_popp(co):
+    """N = (S + (S + O)^perp)^perp by two orthocomplements over hom_+, O the
+    Morimoto module: the reference for normal_module_popp."""
+    monos = co.positive_monomials(2)
+    s = co.s_module().matrix
+    operp = co.normal_module_morimoto().matrix
+    tperp = co._ortho_complement(s + operp, monos)
+    return rl.row_basis(co._ortho_complement(s + tperp, monos))
+
+
+def reference_h_action(co, alpha, elem):
+    """(A.f)(e_p, e_q) = [e_{n+alpha}, f(e_p, e_q)] - f(A e_p, e_q) - f(e_p, A e_q)
+    evaluated pair by pair: the reference for h_action."""
+    amb = co.amb
+    mat = amb.sym.basis[alpha]
+    ea = co.n + alpha
+    out = {}
+    for p in range(co.n):
+        for q in range(p + 1, co.n):
+            val = {}
+            for a, c in co.evaluate(elem, (p, q)).items():
+                for b, w in amb.bracket_basis(ea, a).items():
+                    val[b] = val.get(b, 0) + c * w
+            for r in range(co.n):
+                for a, c in co.evaluate(elem, (r, q)).items():
+                    val[a] = val.get(a, 0) - mat[r][p] * c
+                for a, c in co.evaluate(elem, (p, r)).items():
+                    val[a] = val.get(a, 0) - mat[r][q] * c
+            out.update(((a, (p, q)), c) for a, c in val.items())
+    return ch.HomElement(2, out)
+
+
+@SMALL_ALGEBRAS
+def test_popp_module_equals_the_two_orthocomplements(alg):
+    co = cohomology_of(alg)
+    assert co.normal_module_popp().matrix == reference_popp(co)
+
+
+@SMALL_ALGEBRAS
+def test_h_action_equals_the_pairwise_evaluation(alg):
+    co = cohomology_of(alg)
+    monos = co.positive_monomials(2)
+    elems = ([ch.HomElement(2, {m: Fraction(1)}) for m in monos]
+             + co.normal_module_morimoto().elements + co.normal_module_popp().elements)
+    for alpha in range(co.amb.sym.dimH):
+        for e in elems:
+            assert co.h_action(alpha, e) == reference_h_action(co, alpha, e)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "free23"])
+def test_popp_witness_is_the_first_row_of_the_intersection(name, monkeypatch):
+    # a trace module that meets the Morimoto module O in one line
+    co = make_cohomology(name)
+    monos = co.positive_monomials(2)
+    operp = co.normal_module_morimoto().matrix
+    s = co._subspace(2, co.s_module().matrix[:1] + [operp[3]], monos)
+    monkeypatch.setattr(co, "s_module", lambda: s)
+    with pytest.raises(IntersectionNonTrivial) as raised:
+        co.normal_module_popp()
+    expected = rl.span_intersection(s.matrix, operp)
+    assert len(expected) == 1
+    assert raised.value.witness == co._from_coords(2, expected[0], monos)
 
 
 def test_free25_morimoto_module_is_a_complement():

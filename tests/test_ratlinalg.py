@@ -54,7 +54,7 @@ def test_nullspace_is_the_kernel():
     assert len(ker) == len(A[0]) - rl.rank(A)
     assert rl.rank(ker) == len(ker)
     for x in ker:
-        assert rl.matvec(A, x) == [0, 0, 0]
+        assert rl.matmul([x], rl.transpose(A))[0] == [0, 0, 0]
 
 
 def test_nullspace_depends_only_on_the_row_space():
@@ -71,7 +71,7 @@ def test_invert():
 
 def test_solve():
     x = rl.solve(A, F([[3, 0, 3]])[0])
-    assert rl.matvec(A, x) == F([[3, 0, 3]])[0]
+    assert rl.matmul([x], rl.transpose(A))[0] == F([[3, 0, 3]])[0]
     # inconsistent: the third equation must be the sum of the first two
     assert rl.solve(A, F([[1, 1, 1]])[0]) is None
 
