@@ -2,7 +2,8 @@
 
 Each simulator is a flow (the right-hand side of its Stratonovich or
 ordinary system) stepped by one time loop, ``_integrate``: Stratonovich-Heun
-with polar projection of h~ for the three SDEs, classical RK4 for model
+for the three SDEs, the developed one moving its frame h~ by Cayley transforms
+of so(k1) increments, and classical RK4 with polar projection of h~ for model
 curves. All simulators are vectorized over paths; randomness comes from a
 counter-based Philox stream keyed by (seed, step), with path p consuming
 row p of each step's draw, so a batch of P paths reproduces the first P
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -46,9 +48,9 @@ class SDEConfig:
     T: float = 1.0
     seed: int = 0
     paths: int = 1
-    # constants for reports: every SDE simulator is Heun with polar projection
+    # constants for reports: Heun for every SDE, Cayley moves of the frame h~
     scheme: ClassVar[str] = "heun"
-    projection: ClassVar[str] = "polar"
+    projection: ClassVar[str] = "cayley"
 
     def __post_init__(self):
         _step_count(self.dt, self.T)
@@ -64,7 +66,8 @@ class Path:
 
     points has shape (len(times), paths, d); frames, when present, has shape
     (len(times), paths, k1, k1). left_chart marks paths that exited the
-    chart's sampling box at some step (reported, not fatal).
+    chart's sampling box at some step (reported, not fatal). ortho_defect is
+    max |h~^T h~ - I| over the final frames.
     """
 
     times: np.ndarray
@@ -114,11 +117,15 @@ def increments(seed, step, paths, width, dt):
 # The time stepper
 # ---------------------------------------------------------------------------
 
-def _heun(flow, state, dw):
-    """Stratonovich-Heun step; flow(*state, dw) returns the increment tuple."""
+def _heun(flow, state, dw, moves=None):
+    """Stratonovich-Heun step; flow(*state, dw) returns the increment tuple.
+
+    moves[i](x, k) applies increment k to state component i (x + k by default).
+    """
+    moves = moves or (operator.add,) * len(state)
     k1 = flow(*state, dw)
-    k2 = flow(*(x + k for x, k in zip(state, k1)), dw)
-    return tuple(x + 0.5 * (a + b) for x, a, b in zip(state, k1, k2))
+    k2 = flow(*(m(x, k) for m, x, k in zip(moves, state, k1)), dw)
+    return tuple(m(x, 0.5 * (a + b)) for m, x, a, b in zip(moves, state, k1, k2))
 
 
 def _rk4(flow, state, t, dt):
@@ -131,13 +138,13 @@ def _rk4(flow, state, t, dt):
                  for x, a, b, c, d in zip(state, k1, k2, k3, k4))
 
 
-def _integrate(advance, state, steps, dt, record, chart=None, project=False):
+def _integrate(advance, state, steps, dt, record, chart=None):
     """Step state <- advance(s, state) for s < steps and return the Path.
 
-    state is (points,) or (points, frames). After each step the frames h~
-    are polar-projected when project is set and their orthogonality defect
-    is tracked; with a chart the points are wrapped and paths that leave its
-    box are marked. record is "full" (every step) or "endpoints".
+    state is (points,) or (points, frames); advance keeps the frames
+    orthogonal and the orthogonality defect of the final frames is reported.
+    With a chart the points are wrapped after each step and paths that leave
+    its box are marked. record is "full" (every step) or "endpoints".
     """
     if record not in ("full", "endpoints"):
         raise MalformedSpec(f"record must be 'full' or 'endpoints', got {record!r}")
@@ -151,23 +158,19 @@ def _integrate(advance, state, steps, dt, record, chart=None, project=False):
         box = np.array(chart.bounds())
         bounded = [i for i, c in enumerate(chart.coords) if c not in chart.periodic]
         lo, hi = box[bounded, 0], box[bounded, 1]
-    defect = 0.0
     for s in range(steps):
         state = advance(s, state)
-        if project:
-            state = (state[0], polar_project(state[1]))
         if chart is not None:
             state = (chart.wrap(state[0]),) + state[1:]
             q = state[0][:, bounded]
             left |= ((q < lo) | (q > hi)).any(axis=1)
-        if len(state) > 1:
-            defect = max(defect, ortho_defect(state[1]))
         if full or s + 1 == steps:
             for o, x in zip(out, state):
                 o[s + 1 if full else 1] = x
     times = (np.arange(steps + 1.0) if full else np.array([0.0, steps])) * dt
     return Path(times=times, points=out[0], frames=out[1] if len(out) > 1 else None,
-                left_chart=left, ortho_defect=defect)
+                left_chart=left,
+                ortho_defect=ortho_defect(state[1]) if len(state) > 1 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +192,8 @@ class CarnotGroup:
                        for k, v in row.items()]
 
     def bracket(self, x, y):
-        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        # column-major: out[..., k], like each column of the lift's state, is contiguous
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), order="F")
         for i, j, k, v in self._terms:
             out[..., k] += v * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
         return out
@@ -227,7 +231,7 @@ class CarnotGroup:
         """Pad a horizontal k1-vector (or batch) with zeros to full dimension."""
         w = np.asarray(w, dtype=float)
         k1 = self.alg.growth[0]
-        out = np.zeros(w.shape[:-1] + (self.alg.dim,))
+        out = np.zeros(w.shape[:-1] + (self.alg.dim,), order="F")
         out[..., :k1] = w
         return out
 
@@ -244,7 +248,7 @@ def simulate_carnot_lift(alg, config, record="endpoints"):
         dw = group.embed(increments(config.seed, s, config.paths, k1, config.dt))
         return _heun(flow, state, dw)
 
-    return _integrate(advance, (np.zeros((config.paths, alg.dim)),),
+    return _integrate(advance, (np.zeros((config.paths, alg.dim), order="F"),),
                       config.steps, config.dt, record)
 
 
@@ -257,6 +261,23 @@ def polar_project(h):
     for _ in range(3):
         h = 0.5 * (h + np.linalg.inv(np.swapaxes(h, -1, -2)))
     return h
+
+
+def cayley_move(h, a):
+    """h cay(A), cay(A) = (I - A/2)^-1 (I + A/2), for batches of frames and so(k) A.
+
+    For k = 2, A = sigma J and cay(A) is the rotation with cosine
+    (1 - sigma^2/4)/(1 + sigma^2/4) and sine sigma/(1 + sigma^2/4): no solve.
+    """
+    if h.shape[-1] != 2:
+        eye = np.eye(h.shape[-1])
+        return h @ np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a)
+    sigma = a[:, 1, 0]
+    quarter = 0.25 * sigma * sigma
+    c = ((1.0 - quarter) / (1.0 + quarter))[:, None]
+    s = (sigma / (1.0 + quarter))[:, None]
+    h0, h1 = h[:, :, 0], h[:, :, 1]
+    return np.stack((h0 * c + h1 * s, h1 * c - h0 * s), axis=-1)
 
 
 def ortho_defect(h):
@@ -276,30 +297,24 @@ class _DevelopSystem:
     def __init__(self, frame, structure, gamma):
         self.structure = structure
         self.gamma = gamma
-        sym = gamma.sym
         self.k1 = frame.k1
-        if sym.dimH:
-            self.blocks = np.array(
-                [[[float(v) for v in row] for row in a] for a in sym.layer1_blocks()])
-        else:
-            self.blocks = np.zeros((0, self.k1, self.k1))
+        # A_alpha flattened row-major, one row per generator: (dimH, k1*k1)
+        blocks = gamma.sym.layer1_blocks()
+        self.blocks = np.array([[float(v) for row in a for v in row]
+                                for a in blocks]).reshape(len(blocks), self.k1 ** 2)
 
     def flow(self, q, h, u):
-        """Increments (dq, dh) for control increment u of shape (P, k1).
+        """Increments (dq, A) for control increment u of shape (P, k1).
 
         dq = (u^T h~ X)(q): move along sum_i (h~^T u)_i X_i;
-        dh~ = sum_alpha (u^T h~ Gamma^alpha(q)) h~ A_alpha.
+        A = sum_alpha (u^T h~ Gamma^alpha(q)) A_alpha in so(k1), so that
+        dh~ = h~ A.
         """
         v = np.einsum("pji,pj->pi", h, u)                 # h~^T u
         x, div = self.structure.horizontal(q)
         dq = np.einsum("pdi,pi->pd", x, v)
-        if len(self.blocks):
-            gam = self.gamma.at(q, div)                   # (P, dimH, k1)
-            s = np.einsum("pai,pi->pa", gam, v)           # scalar per generator
-            dh = np.einsum("pa,pjk,akl->pjl", s, h, self.blocks)
-        else:
-            dh = np.zeros_like(h)
-        return dq, dh
+        s = np.einsum("pai,pi->pa", self.gamma.at(q, div), v)   # one per generator
+        return dq, (s @ self.blocks).reshape(len(q), self.k1, self.k1)
 
 
 def _prepare_h0(h0, k1, paths):
@@ -314,17 +329,20 @@ def _prepare_h0(h0, k1, paths):
 
 
 def develop_sde(frame, structure, gamma, q0, config, record="endpoints"):
-    """Stochastic development: Stratonovich-Heun for the (q, h~) system."""
+    """Stochastic development: Stratonovich-Heun for the (q, h~) system.
+
+    h~ moves in the Lie group: predictor h~ cay(A_1), step h~ cay((A_1 + A_2)/2).
+    """
     sys = _DevelopSystem(frame, structure, gamma)
     k1 = frame.k1
 
     def advance(s, state):
-        return _heun(sys.flow, state, increments(config.seed, s, config.paths, k1, config.dt))
+        dw = increments(config.seed, s, config.paths, k1, config.dt)
+        return _heun(sys.flow, state, dw, (operator.add, cayley_move))
 
     state = (np.tile(np.asarray(q0, dtype=float), (config.paths, 1)),
              np.tile(np.eye(k1), (config.paths, 1, 1)))
-    return _integrate(advance, state, config.steps, config.dt, record,
-                      chart=frame.chart, project=bool(sys.blocks.size))
+    return _integrate(advance, state, config.steps, config.dt, record, chart=frame.chart)
 
 
 def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full"):
@@ -342,14 +360,15 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
     control = ex.Compiled(u)
 
     def flow(q, h, t):
-        return sys.flow(q, h, np.array([[float(c) for c in control({"t": t})]]))
+        dq, a = sys.flow(q, h, np.array([[float(c) for c in control({"t": t})]]))
+        return dq, h @ a
 
     def advance(s, state):
-        return _rk4(flow, state, s * dt, dt)
+        q, h = _rk4(flow, state, s * dt, dt)
+        return q, polar_project(h)
 
     state = (np.asarray(q0, dtype=float)[None, :].copy(), _prepare_h0(h0, k1, 1))
-    return _integrate(advance, state, steps, dt, record,
-                      chart=frame.chart, project=bool(sys.blocks.size))
+    return _integrate(advance, state, steps, dt, record, chart=frame.chart)
 
 
 def simulate_popp(frame, structure, q0, config, record="endpoints"):

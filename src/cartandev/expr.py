@@ -106,82 +106,52 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True, repr=False)
-class Add(Expr):
+class _Binary(Expr):
+    """A node op(left, right); each subclass sets op, its symbol and diff."""
+
     left: Expr
     right: Expr
 
     def __call__(self, env):
-        return self.left(env) + self.right(env)
+        return self.op(self.left(env), self.right(env))
+
+    def _collect(self, out):
+        self.left._collect(out)
+        self.right._collect(out)
+
+    def __str__(self):
+        return f"({self.left} {self.symbol} {self.right})"
+
+
+class Add(_Binary):
+    op, symbol = operator.add, "+"
 
     def diff(self, var):
         return add(self.left.diff(var), self.right.diff(var))
 
-    def _collect(self, out):
-        self.left._collect(out)
-        self.right._collect(out)
 
-    def __str__(self):
-        return f"({self.left} + {self.right})"
-
-
-@dataclass(frozen=True, repr=False)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-    def __call__(self, env):
-        return self.left(env) - self.right(env)
+class Sub(_Binary):
+    op, symbol = operator.sub, "-"
 
     def diff(self, var):
         return sub(self.left.diff(var), self.right.diff(var))
 
-    def _collect(self, out):
-        self.left._collect(out)
-        self.right._collect(out)
 
-    def __str__(self):
-        return f"({self.left} - {self.right})"
-
-
-@dataclass(frozen=True, repr=False)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-    def __call__(self, env):
-        return self.left(env) * self.right(env)
+class Mul(_Binary):
+    op, symbol = operator.mul, "*"
 
     def diff(self, var):
         return add(mul(self.left.diff(var), self.right),
                    mul(self.left, self.right.diff(var)))
 
-    def _collect(self, out):
-        self.left._collect(out)
-        self.right._collect(out)
 
-    def __str__(self):
-        return f"({self.left} * {self.right})"
-
-
-@dataclass(frozen=True, repr=False)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-    def __call__(self, env):
-        return self.left(env) / self.right(env)
+class Div(_Binary):
+    op, symbol = operator.truediv, "/"
 
     def diff(self, var):
         num = sub(mul(self.left.diff(var), self.right),
                   mul(self.left, self.right.diff(var)))
         return div(num, Pow(self.right, 2))
-
-    def _collect(self, out):
-        self.left._collect(out)
-        self.right._collect(out)
-
-    def __str__(self):
-        return f"({self.left} / {self.right})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -295,10 +265,6 @@ def pow_(a, k):
 
 # -- shared-subexpression evaluation -------------------------------------------
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-           Div: operator.truediv}
-
-
 class Compiled:
     """Several Expr roots lowered to one op list without repeated subtrees.
 
@@ -331,8 +297,7 @@ class Compiled:
             key = (operator.pow, self._lower(e.base, slots),
                    self._lower(Const(e.exponent), slots))
         else:
-            key = (_BINARY[type(e)], self._lower(e.left, slots),
-                   self._lower(e.right, slots))
+            key = (e.op, self._lower(e.left, slots), self._lower(e.right, slots))
         slot = slots.get(key)
         if slot is None:
             slot = slots[key] = len(self.values)
@@ -376,12 +341,8 @@ def _tokenize(text):
                 break
             at = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup          # "number", "name" or "op"
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens

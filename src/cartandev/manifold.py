@@ -17,6 +17,7 @@ nilpotentization, model comparison and the Levy form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -237,8 +238,8 @@ class StructureField:
     """Pointwise structure functions c_ij^k with [X_i, X_j] = sum_k c_ij^k X_k.
 
     Every evaluation goes through compiled trees. The horizontal fields and
-    the Popp drift sum_l c_li^l are compiled once, from the closed form of
-    _popp_divergence, into one shared-subexpression evaluation
+    the Popp drift sum_l c_li^l are compiled once, on first use, from the
+    closed form of _popp_divergence, into one shared-subexpression evaluation
     (``horizontal``). The full c_ij^k (``at``) evaluate the frame and the
     symbolic brackets in one field_values call and expand the brackets in
     the frame by a batched linear solve at each point.
@@ -251,9 +252,13 @@ class StructureField:
         self._brackets = tuple(
             lie_bracket(frame.fields[i], frame.fields[j], frame.chart)
             for i, j in self._pairs)
-        div, det = _popp_divergence(frame)
-        self._horizontal = ex.Compiled(
-            [c for field in frame.fields[:frame.k1] for c in field] + div + [det])
+
+    @functools.cached_property
+    def _horizontal(self):
+        # built on first use: checks that only call at / residual never need it
+        div, det = _popp_divergence(self.frame)
+        return ex.Compiled(
+            [c for field in self.frame.fields[:self.frame.k1] for c in field] + div + [det])
 
     def horizontal(self, points):
         """X_1..X_k1 and the Popp drift at points: shapes (P, d, k1), (P, k1).

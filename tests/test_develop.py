@@ -200,11 +200,11 @@ def test_sde_lift_independence():
             dw = dv.increments(config.seed, s, config.paths, k1, config.dt)
             if h0 is not base_h0:
                 dw = dw @ r.T
-            dq1, dh1 = sys.flow(q, h, dw)
-            dq2, dh2 = sys.flow(q + dq1, h + dh1, dw)
+            # Lie-group Heun: h~ moves by Cayley transforms of so(2) increments
+            dq1, a1 = sys.flow(q, h, dw)
+            dq2, a2 = sys.flow(q + dq1, dv.cayley_move(h, a1), dw)
             q = q + 0.5 * (dq1 + dq2)
-            h = h + 0.5 * (dh1 + dh2)
-            h = dv.polar_project(h)
+            h = dv.cayley_move(h, 0.5 * (a1 + a2))
             q = frame.chart.wrap(q)
         return q
 
@@ -258,6 +258,47 @@ def test_sde_zero_gamma_keeps_frames_constant():
     assert np.allclose(path.frames, np.eye(2), atol=1e-13)
 
 
+def _skew(rng, paths, k, scale):
+    a = rng.normal(scale=scale, size=(paths, k, k))
+    return a - np.swapaxes(a, 1, 2)
+
+
+def test_cayley_closed_form_matches_solve():
+    # for k1 = 2 the rotation formula is cay(A) = (I - A/2)^-1 (I + A/2)
+    rng = np.random.default_rng(8)
+    eye = np.eye(2)
+    for scale in (0.03, 1.0, 10.0):
+        a = _skew(rng, 500, 2, scale)
+        h = dv.cayley_move(np.tile(eye, (500, 1, 1)), _skew(rng, 500, 2, 1.0))
+        want = h @ np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a)
+        assert np.abs(dv.cayley_move(h, a) - want).max() <= 1e-15
+
+
+def test_cayley_keeps_so3_frames_orthogonal():
+    # the k1 > 2 branch: 10^3 steps of random so(3) increments stay in O(3)
+    rng = np.random.default_rng(9)
+    h = np.tile(np.eye(3), (64, 1, 1))
+    for _ in range(1000):
+        h = dv.cayley_move(h, _skew(rng, 64, 3, 0.1))
+    assert dv.ortho_defect(h) <= 1e-13
+    assert np.abs(h - np.eye(3)).max() > 0.5        # the frames did move
+
+
+def test_sde_step_makes_no_linear_solve(monkeypatch):
+    # k1 = 2: the frame moves by closed-form rotations, with no inverse or solve
+    frame, st, gamma, q0 = sde_setup("contact-halfplane")
+    config = dv.SDEConfig(dt=1e-3, T=0.05, seed=6, paths=32)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called in an SDE step")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    path = dv.develop_sde(frame, st, gamma, q0, config, record="full")
+    assert path.ortho_defect < 1e-13
+    assert np.abs(path.frames[-1] - np.eye(2)).max() > 1e-3
+
+
 def test_carnot_lift_runs_and_records():
     alg = bi.algebra("heisenberg3")
     config = dv.SDEConfig(dt=1e-3, T=0.1, seed=3, paths=100)
@@ -265,6 +306,51 @@ def test_carnot_lift_runs_and_records():
     assert path.points.shape == (config.steps + 1, 100, 3)
     assert np.allclose(path.points[0], 0.0)
     dv.check_finite(path)
+
+
+def _c_order_lift(alg, config):
+    """Reference Heun lift on C-ordered arrays, the group law written out."""
+    terms = dv.CarnotGroup(alg)._terms
+    k1 = alg.growth[0]
+
+    def b(x, y):
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        for i, j, k, v in terms:
+            out[..., k] += v * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
+        return out
+
+    def field(x, e):
+        xe = b(x, e)
+        out = e + xe / 2.0
+        return out + b(x, xe) / 12.0 if alg.step >= 3 else out
+
+    x = np.zeros((config.paths, alg.dim))
+    for s in range(config.steps):
+        dw = np.zeros((config.paths, alg.dim))
+        dw[:, :k1] = dv.increments(config.seed, s, config.paths, k1, config.dt)
+        a = field(x, dw)
+        x = x + 0.5 * (a + field(x + a, dw))
+    return x
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "free23", "free24"])
+def test_carnot_lift_column_major_is_bitwise_c_order(name):
+    # the lift keeps its state column-major; the endpoints, sign bits
+    # included, are those of the same arithmetic on C-ordered arrays
+    alg = bi.algebra(name)
+    config = dv.SDEConfig(dt=1e-2, T=0.3, seed=12, paths=40)
+    ends = dv.simulate_carnot_lift(alg, config).endpoints()
+    ref = _c_order_lift(alg, config)
+    assert ref.flags.c_contiguous
+    assert np.ascontiguousarray(ends).tobytes() == ref.tobytes()
+
+    g = dv.CarnotGroup(alg)
+    rng = np.random.default_rng(13)
+    x, y = rng.normal(size=(2, 25, alg.dim))
+    f = g.bracket(np.asfortranarray(x), np.asfortranarray(y))
+    c = g.bracket(np.ascontiguousarray(x), np.ascontiguousarray(y))
+    assert f.flags.f_contiguous and g.embed(x[:, :alg.growth[0]]).flags.f_contiguous
+    assert np.ascontiguousarray(f).tobytes() == np.ascontiguousarray(c).tobytes()
 
 
 def _simulators():

@@ -97,6 +97,22 @@ def test_structure_residual_small(name):
     assert np.allclose(c, -np.swapaxes(c, 1, 2))
 
 
+def test_popp_divergence_is_built_on_first_use(monkeypatch):
+    # at / residual (all that `manifold check` needs) never build the drift
+    built = []
+    original = mf._popp_divergence
+    monkeypatch.setattr(mf, "_popp_divergence", lambda f: built.append(f) or original(f))
+    frame = bi.frame("goursat-halfplane")
+    st = mf.StructureField(frame)
+    pts = frame.chart.sample_points(10, seed=3)
+    st.at(pts)
+    st.residual(pts)
+    assert built == []
+    st.divergence(pts)
+    st.horizontal(pts)
+    assert built == [frame]
+
+
 @pytest.mark.parametrize("name", bi.FRAME_NAMES)
 def test_compiled_geometry_matches_solve(name):
     frame = bi.frame(name)
