@@ -7,7 +7,6 @@ format is 1-based.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -102,9 +101,6 @@ class GradedLieAlgebra(_SparseBrackets):
             if entry:
                 br[f"{i + 1},{j + 1}"] = entry
         return {"dim": self.dim, "growth": list(self.growth), "brackets": br}
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_spec(), **kw)
 
 
 def _degrees_from_growth(growth):
@@ -303,28 +299,6 @@ def free_nilpotent(generators, step):
     return validate(alg)
 
 
-def free_layer_dims_oracle(generators, step):
-    """Layer dimensions by the necklace (Witt) formula, as an independent check."""
-    def mobius(n):
-        result, p, m = 1, 2, n
-        while p * p <= m:
-            if m % p == 0:
-                m //= p
-                if m % p == 0:
-                    return 0
-                result = -result
-            p += 1
-        if m > 1:
-            result = -result
-        return result
-
-    dims = []
-    for d in range(1, step + 1):
-        s = sum(mobius(e) * generators ** (d // e) for e in range(1, d + 1) if d % e == 0)
-        dims.append(s // d)
-    return tuple(dims)
-
-
 # ---------------------------------------------------------------------------
 # Extended metric
 # ---------------------------------------------------------------------------
@@ -412,10 +386,6 @@ class SymmetryAlgebra:
     def k0(self):
         return self.k1 - len(self.kerH)
 
-    def layer1_blocks(self):
-        return tuple(tuple(tuple(row[:self.k1]) for row in a[:self.k1])
-                     for a in self.basis)
-
 
 def symmetry_algebra(alg, metric=None):
     """Solve for all grading-preserving skew derivations of the algebra.
@@ -496,22 +466,6 @@ def symmetry_algebra(alg, metric=None):
     return SymmetryAlgebra(basis=tuple(basis),
                            kerH=tuple(tuple(v) for v in rl.row_basis(kerH)),
                            k1=k1)
-
-
-def check_metric_preservation(sym, metric):
-    """Every symmetry generator must satisfy A^T G + G A = 0."""
-    g = metric.gram()
-    for a in sym.basis:
-        at = rl.transpose([list(r) for r in a])
-        lhs = rl.matmul(at, g)
-        rhs = rl.matmul(g, [list(r) for r in a])
-        for i in range(len(g)):
-            for j in range(len(g)):
-                if lhs[i][j] + rhs[i][j] != 0:
-                    raise ClosureFailure(
-                        f"symmetry generator fails to preserve the extended "
-                        f"metric at entry ({i+1},{j+1})")
-    return True
 
 
 # ---------------------------------------------------------------------------

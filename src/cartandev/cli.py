@@ -178,7 +178,7 @@ def cmd_christoffel(args):
                      args, ok=False)
     q0 = _q0(args, frame)
     values = gamma.at(np.array([q0]))[0]
-    defect = mf.generator_defect(structure, sym, gamma, points)
+    defect = mf.generator_defect(gamma, points)
     return _emit({
         "feasible": True,
         "q0": q0,
@@ -364,7 +364,7 @@ def _suite_contact_christoffel():
     g = gamma.at(pts)
     err = max(float(np.abs(g[:, 0, 0] - c[:, 0, 1, 0]).max()),
               float(np.abs(g[:, 0, 1] - c[:, 0, 1, 1]).max()))
-    defect = float(np.abs(mf.generator_defect(structure, sym, gamma, pts)).max())
+    defect = float(np.abs(mf.generator_defect(gamma, pts)).max())
     return err <= 1e-9 and defect <= 1e-9, f"err {err:.1e}, defect {defect:.1e}"
 
 
@@ -388,7 +388,7 @@ def _suite_lift():
     frame = bi.frame("heisenberg3")
     structure = mf.StructureField(frame)
     sym = al.symmetry_algebra(bi.algebra("heisenberg3"))
-    gamma = mf.ChristoffelField.zero(sym, 2)
+    gamma = mf.ChristoffelField(structure, sym)
     r = np.array([[0.0, -1.0], [1.0, 0.0]])
     p1 = dv.develop_curve(frame, structure, gamma, ["cos(t)", "sin(t)"],
                           [0, 0, 0], 1e-3, 1.0, record="endpoints")

@@ -1,7 +1,7 @@
 """Lie algebra cohomology machinery for the ambient algebra g = n + h.
 
-Implements the Chevalley-Eilenberg differential on hom(^k n, g), its
-Gram-adjoint, and the two normal-module constructions, all in exact rational
+Implements the Chevalley-Eilenberg differential on hom(^k n, g), its Gram
+form, and the two normal-module constructions, all in exact rational
 arithmetic: Morimoto's N_Morimoto = ker d* = (im d+)^perp, and the Popp
 module N = S^perp meet (S + N_Morimoto), orthogonal to the trace module S.
 """
@@ -225,7 +225,7 @@ class Cohomology:
         alayer = self.amb.nil.degree[a] if a < self.n else 0
         return (alayer, tuple(sorted(self.amb.nil.degree[j] for j in js)))
 
-    # -- differential and adjoint -------------------------------------------
+    # -- the differential ---------------------------------------------------
 
     def identity_hom(self):
         """The identity of n as an arity-1 element: sum_j e_j (x) e^j."""
@@ -275,13 +275,6 @@ class Cohomology:
         if key not in self._mono_diff:
             self._mono_diff[key] = self.differential(HomElement(arity, {m: ONE}))
         return self._mono_diff[key]
-
-    def codifferential(self, beta):
-        """Gram-adjoint of the differential: <d a, b> = <a, d* b> exactly."""
-        k = beta.arity - 1
-        monos = self.monomials(k)
-        y = [self.inner(self._monomial_differential(k, m), beta) for m in monos]
-        return self._from_coords(k, rl.solve(self._gram_restricted(monos), y), monos)
 
     # -- subspaces of positive-degree hom(^2 n, g) ---------------------------
 

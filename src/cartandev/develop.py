@@ -54,6 +54,8 @@ class SDEConfig:
 
     def __post_init__(self):
         _step_count(self.dt, self.T)
+        if self.paths < 1:
+            raise MalformedSpec(f"need at least one path, got paths={self.paths}")
 
     @property
     def steps(self):
@@ -78,21 +80,6 @@ class Path:
 
     def endpoints(self):
         return self.points[-1]
-
-    def write_csv(self, f, path_index=0):
-        """One path as CSV rows t,q1,...,qd[,h11,...,hkk]."""
-        w = csv.writer(f)
-        d = self.points.shape[2]
-        header = ["t"] + [f"q{i + 1}" for i in range(d)]
-        if self.frames is not None:
-            k = self.frames.shape[2]
-            header += [f"h{i + 1}{j + 1}" for i in range(k) for j in range(k)]
-        w.writerow(header)
-        for s, t in enumerate(self.times):
-            row = [f"{t:.10g}"] + [f"{v:.12g}" for v in self.points[s, path_index]]
-            if self.frames is not None:
-                row += [f"{v:.12g}" for v in self.frames[s, path_index].ravel()]
-            w.writerow(row)
 
     def write_endpoints_csv(self, f):
         """Summary CSV: one row per path's endpoint."""
@@ -298,10 +285,6 @@ class _DevelopSystem:
         self.structure = structure
         self.gamma = gamma
         self.k1 = frame.k1
-        # A_alpha flattened row-major, one row per generator: (dimH, k1*k1)
-        blocks = gamma.sym.layer1_blocks()
-        self.blocks = np.array([[float(v) for row in a for v in row]
-                                for a in blocks]).reshape(len(blocks), self.k1 ** 2)
 
     def flow(self, q, h, u):
         """Increments (dq, A) for control increment u of shape (P, k1).
@@ -314,7 +297,7 @@ class _DevelopSystem:
         x, div = self.structure.horizontal(q)
         dq = np.einsum("pdi,pi->pd", x, v)
         s = np.einsum("pai,pi->pa", self.gamma.at(q, div), v)   # one per generator
-        return dq, (s @ self.blocks).reshape(len(q), self.k1, self.k1)
+        return dq, (s @ self.gamma.blocks).reshape(len(q), self.k1, self.k1)
 
 
 def _prepare_h0(h0, k1, paths):

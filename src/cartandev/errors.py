@@ -69,19 +69,19 @@ class ModelMismatch(CartandevError):
 
 
 class Inconsistent(CartandevError):
-    """The Christoffel linear system has no solution at a point.
+    """The Popp divergence does not annihilate ker h: no connection develops.
 
     This is the necessity direction of the development theorem surfacing
-    numerically; carries the violating direction index.
+    numerically. witness is (direction, point, value): a rational basis
+    direction of ker h over X_1..X_k1, a sample point and the divergence
+    contracted with the direction there; index is the 1-based frame index
+    of the direction's largest entry.
     """
 
-    def __init__(self, message, index=None):
+    def __init__(self, message, index=None, witness=None):
         super().__init__(message)
         self.index = index
-
-
-class KernelNotOneDimensional(CartandevError):
-    """The Levy-form kernel has unexpected dimension."""
+        self.witness = witness
 
 
 class StepTooLarge(CartandevError):

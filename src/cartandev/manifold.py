@@ -12,7 +12,12 @@ drift div_i = sum_l c_li^l, is compiled once per StructureField (the drift
 in the closed form d_a X_i^a - X_i(det X)/det X). The full structure
 functions c_ij^k come from a batched linear solve of the evaluated brackets
 in the evaluated frame and serve the one-off checks: growth,
-nilpotentization, model comparison and the Levy form.
+nilpotentization and model comparison.
+
+The connection is affine in the drift, Gamma = div P^T + offset
+(ChristoffelField). Development is feasible exactly when div annihilates
+ker h; solve_christoffel alone decides this, and either sets P = pinv(m) or
+raises Inconsistent with a witness direction of ker h.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
-from .errors import (Inconsistent, KernelNotOneDimensional, MalformedSpec,
-                     ModelMismatch, RankDrop, SingularFrame, UnknownIdentifier)
+from .errors import (Inconsistent, MalformedSpec, ModelMismatch, RankDrop,
+                     SingularFrame, UnknownIdentifier)
 
 TAU = 2.0 * math.pi
 
@@ -458,31 +463,18 @@ def check_model(frame, structure, alg, points, tol=1e-9):
 
 
 def develop_condition(frame, structure, alg, sym, points=None, tol=1e-9):
-    """Feasibility of development: directions in ker h must be divergence-free.
+    """Feasibility of development: check_model, then solve_christoffel.
 
-    For each rational basis direction v of ker h the contraction
-    sum_i v_i sum_l c_li^l must vanish at every sample point.
+    An infeasible report carries the Inconsistent witness.
     """
     if points is None:
         points = frame.chart.sample_points(60, seed=3)
     check_model(frame, structure, alg, points, tol=tol)
-    if not sym.kerH:
-        return DevelopReport(feasible=True)
-    div = structure.divergence(points)          # (P, k1)
-    worst = 0.0
-    for v in sym.kerH:
-        vv = np.array([float(x) for x in v])
-        contr = div @ vv
-        bad = int(np.abs(contr).argmax())
-        worst = max(worst, float(np.abs(contr[bad])))
-        if abs(contr[bad]) > tol:
-            return DevelopReport(
-                feasible=False,
-                witness_direction=tuple(float(x) for x in v),
-                witness_point=tuple(float(x) for x in np.atleast_2d(points)[bad]),
-                witness_value=float(contr[bad]),
-                max_violation=worst)
-    return DevelopReport(feasible=True, max_violation=worst)
+    try:
+        gamma = solve_christoffel(frame, structure, sym, points, tol=tol)
+    except Inconsistent as e:
+        return DevelopReport(False, *e.witness, max_violation=abs(e.witness[2]))
+    return DevelopReport(feasible=True, max_violation=gamma.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +482,25 @@ def develop_condition(frame, structure, alg, sym, points=None, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 class ChristoffelField:
-    """Gamma^alpha_i (alpha over symmetry generators, i <= k1) as functions.
+    """Gamma^alpha_i (alpha over symmetry generators, i <= k1): div P^T + offset.
 
-    Built as the minimum-norm solution of
-        sum_{alpha, j<=k1} Gamma^alpha_j (A_alpha)^j_i = sum_l c_li^l(q)
-    at each point; components with frame index > k1 are identically zero.
+    blocks: the layer-1 blocks A_alpha, row-major, one row per generator;
+    m[i, alpha*k1+j] = (A_alpha)^j_i: the same numbers as the matrix of the
+    divergence system Gamma m^T = div. P = 0 (the default) is the zero
+    connection. Components with frame index > k1 are identically zero.
     """
 
-    def __init__(self, sym, k1, structure=None, pinv=None, constant=None):
-        self.sym = sym
-        self.k1 = k1
-        self.structure = structure
-        self._pinv = pinv
-        self._constant = constant
+    residual = None    # largest |div.v| over ker h, set by solve_christoffel
 
-    @classmethod
-    def zero(cls, sym, k1):
-        return cls(sym, k1, constant=np.zeros((max(sym.dimH, 0), k1)))
+    def __init__(self, structure, sym, p=None, offset=0.0):
+        self.structure = structure
+        self.sym = sym
+        self.k1 = k1 = structure.frame.k1
+        self.blocks = np.array([[float(a[j][i]) for j in range(k1) for i in range(k1)]
+                                for a in sym.basis]).reshape(sym.dimH, k1 * k1)
+        self.m = self.blocks.reshape(sym.dimH, k1, k1).transpose(2, 0, 1).reshape(k1, -1)
+        self.p = np.zeros((sym.dimH * k1, k1)) if p is None else p
+        self.offset = offset
 
     def at(self, points, div=None):
         """Gamma values of shape (P, dimH, k1).
@@ -514,70 +508,54 @@ class ChristoffelField:
         div, when given, is the Popp drift at points (StructureField.horizontal
         of the same frame), so a caller that has it is spared its evaluation.
         """
-        points = np.atleast_2d(points)
-        p = len(points)
-        if self._constant is not None:
-            return np.broadcast_to(self._constant, (p,) + self._constant.shape)
         if div is None:
             div = self.structure.divergence(points)  # (P, k1)
-        flat = div @ self._pinv.T                    # (P, dimH*k1)
-        return flat.reshape(p, self.sym.dimH, self.k1)
+        return (div @ self.p.T).reshape(len(div), self.sym.dimH, self.k1) + self.offset
 
     def perturbed(self, delta):
-        """A new field with a constant offset added (negative-control tool)."""
-        parent = self
-
-        class _Perturbed(ChristoffelField):
-            def at(self, points, div=None):
-                return parent.at(points, div) + np.asarray(delta, dtype=float)
-
-        return _Perturbed(self.sym, self.k1)
-
-
-def christoffel_matrix(sym, k1):
-    """Constant matrix M[i, alpha*k1+j] = (A_alpha)^j_i of the linear system."""
-    m = np.zeros((k1, sym.dimH * k1))
-    for alpha, a in enumerate(sym.basis):
-        for j in range(k1):
-            for i in range(k1):
-                m[i, alpha * k1 + j] = float(a[j][i])
-    return m
+        """The same field with a constant offset added (negative-control tool)."""
+        return ChristoffelField(self.structure, self.sym, self.p,
+                                self.offset + np.asarray(delta, dtype=float))
 
 
 def solve_christoffel(frame, structure, sym, points=None, tol=1e-9):
-    """Minimum-norm Christoffel symbols; Inconsistent if no exact solution."""
+    """Minimum-norm Christoffel symbols, P = pinv(m), or Inconsistent with a witness.
+
+    Gamma m^T = div is solvable exactly when div is orthogonal to
+    ker m^T = ker h: div.v = 0 at every point for each rational basis
+    direction v of ker h. The field carries residual, the largest |div.v|.
+    """
     if points is None:
         points = frame.chart.sample_points(60, seed=4)
-    k1 = frame.k1
-    m = christoffel_matrix(sym, k1)
-    pinv = np.linalg.pinv(m) if sym.dimH else np.zeros((0, k1))
+    points = np.atleast_2d(points)
     div = structure.divergence(points)
-    resid = div @ (m @ pinv).T - div if sym.dimH else -div
-    if np.abs(resid).max() > tol:
-        p, i = np.unravel_index(np.abs(resid).argmax(), resid.shape)
-        raise Inconsistent(
-            f"no Christoffel symbols solve the divergence system at frame "
-            f"index {i + 1} (residual {abs(resid[p, i]):.2e})",
-            index=int(i) + 1)
-    return ChristoffelField(sym, k1, structure=structure, pinv=pinv)
+    residual = 0.0
+    for v in sym.kerH:
+        vv = np.array([float(x) for x in v])
+        contr = div @ vv
+        bad = int(np.abs(contr).argmax())
+        residual = max(residual, float(abs(contr[bad])))
+        if abs(contr[bad]) > tol:
+            index = int(np.abs(vv).argmax()) + 1
+            raise Inconsistent(
+                f"no Christoffel symbols solve the divergence system at frame "
+                f"index {index} (residual {abs(contr[bad]):.2e})", index=index,
+                witness=(tuple(vv.tolist()), tuple(points[bad].tolist()),
+                         float(contr[bad])))
+    gamma = ChristoffelField(structure, sym)
+    gamma.p = np.linalg.pinv(gamma.m)
+    gamma.residual = residual
+    return gamma
 
 
-def generator_defect(structure, sym, gamma, points):
+def generator_defect(gamma, points):
     """defect_i(q) = sum_{alpha,j} Gamma^alpha_j (A_alpha)^j_i - sum_l c_li^l.
 
     The operator built from Gamma differs from the Popp sub-Laplacian by
     sum_i defect_i X_i: its second_order drift is div + defect.
     """
-    points = np.atleast_2d(points)
-    k1 = structure.frame.k1
-    div = structure.divergence(points)
-    if sym.dimH:
-        m = christoffel_matrix(sym, k1)
-        g = gamma.at(points).reshape(len(points), -1)
-        lhs = g @ m.T
-    else:
-        lhs = np.zeros_like(div)
-    return lhs - div
+    div = gamma.structure.divergence(points)
+    return gamma.at(points, div).reshape(len(div), -1) @ gamma.m.T - div
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +592,7 @@ def levi_civita_check(frame, structure, points=None):
 
 
 # ---------------------------------------------------------------------------
-# Prolongation and the Levy form
+# Prolongation
 # ---------------------------------------------------------------------------
 
 def prolong(frame, angle=None, points=None):
@@ -673,31 +651,3 @@ def prolong(frame, angle=None, points=None):
     return FrameField(chart=new_chart, fields=tuple(fields),
                       growth=tuple(growth))
 
-
-def levy_kernel(frame, structure, q, tol=1e-8):
-    """Kernel direction of the Levy form on D^{-2} at q (Goursat growth).
-
-    The form L(v, w) is the layer-3 component of [V, W] for V, W in the
-    second filtration subspace; for growth (2, 3, 4, ...) it is a skew
-    3x3 scalar form. Returns the kernel vector over (X_1, X_2, X_3) and
-    checks that it lies inside the distribution.
-    """
-    if len(frame.growth) < 3 or frame.growth[0] != 2 or frame.growth[1] != 3:
-        raise ModelMismatch("the Levy form needs growth of type (2, 3, ...)")
-    if frame.growth[2] - frame.growth[1] != 1:
-        raise ModelMismatch("the Levy form here needs a one-dimensional "
-                            "third layer (Goursat type)")
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    c = structure.at(q)[0]
-    k3 = frame.growth[1]                 # index of the single layer-3 slot
-    form = c[:3, :3, k3]
-    u, s, vt = np.linalg.svd(form)
-    kernel_dim = int(np.sum(s <= tol * max(1.0, s.max())))
-    if kernel_dim != 1:
-        raise KernelNotOneDimensional(
-            f"Levy form kernel has dimension {kernel_dim} at {q[0].tolist()}")
-    v = vt[-1]
-    if abs(v[2]) > 1e-6 * np.linalg.norm(v):
-        raise KernelNotOneDimensional(
-            "Levy form kernel does not lie inside the distribution")
-    return v

@@ -18,8 +18,10 @@ def _evaluate(f, chart, points):
 
 
 def summarize(samples):
-    """Sample mean and its standard error, (mean, stderr), of finite samples."""
+    """Sample mean and its standard error, (mean, stderr), of >= 2 finite samples."""
     samples = np.asarray(samples, dtype=float)
+    if len(samples) < 2:
+        raise MalformedSpec(f"a standard error needs two or more samples, got {len(samples)}")
     if not np.all(np.isfinite(samples)):
         raise NonFinite("non-finite Monte Carlo samples")
     return (float(samples.mean()),
@@ -50,7 +52,8 @@ def generator_family_test(frame, structure, gamma, sym, fs, q0, config):
     is evaluated on the same endpoints. A function passes when its t-run
     discrepancy is within 3 stderr/t plus twice an empirical O(t) bias
     allowance extrapolated from the two runs; bias_shrinks reports whether
-    the bias estimate shrinks with t.
+    the bias estimate shrinks with t. sym is not read: gamma carries its
+    symmetry algebra.
     """
     chart = frame.chart
     q0v = np.asarray(q0, dtype=float)
@@ -59,7 +62,7 @@ def generator_family_test(frame, structure, gamma, sym, fs, q0, config):
     endpoints = [(cfg, dv.develop_sde(frame, structure, gamma, q0v, cfg).endpoints())
                  for cfg in configs]
     q = q0v[None]
-    drift = structure.divergence(q) + mf.generator_defect(structure, sym, gamma, q)
+    drift = structure.divergence(q) + mf.generator_defect(gamma, q)
     reports = []
     for label, f in fs:
         f0 = float(_evaluate(f, chart, q)[0])

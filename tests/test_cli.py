@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -242,6 +243,22 @@ def test_verify_equivalence_small(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "equivalence", "--builtin", "contact-halfplane", "--paths", "1",
+     "--T", "0.01"),
+    ("verify", "equivalence", "--builtin", "contact-halfplane", "--paths", "0",
+     "--T", "0.01"),
+    ("verify", "equivalence", "--builtin", "contact-halfplane", "--paths", "-3",
+     "--T", "0.01"),
+    ("simulate", "popp", "--builtin", "heisenberg3", "--paths", "0", "--T", "0.05"),
+], ids=["equivalence-1", "equivalence-0", "equivalence-neg", "popp-0"])
+def test_too_few_paths_is_malformed_input(capsys, argv):
+    # one sample has no standard error, and zero paths have no mean
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("symmetry", "--builtin", "heisenberg3"),
     ("algebra", "free", "--generators", "2", "--step", "3"),
     ("prolong", "--builtin", "flat-plane"),
@@ -362,3 +379,12 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         assert callable(parser.parse_args(argv).fn), argv
+
+
+def test_readme_library_example_runs(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library example", 1)[1].split("```python", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    z, verdict = capsys.readouterr().out.split()
+    assert math.isfinite(float(z))
+    assert verdict == "True"

@@ -5,10 +5,12 @@ import pytest
 
 from cartandev import algebra as al
 from cartandev import builtins as bi
+from cartandev import develop as dv
 from cartandev import expr as ex
 from cartandev import manifold as mf
-from cartandev.errors import (Inconsistent, MalformedSpec, ModelMismatch,
-                              RankDrop, SingularFrame, UnknownIdentifier)
+from cartandev.errors import (CartandevError, Inconsistent, MalformedSpec,
+                              ModelMismatch, RankDrop, SingularFrame,
+                              UnknownIdentifier)
 
 
 def symmetry_for(name):
@@ -248,7 +250,7 @@ def test_popp_heisenberg_squares():
     assert np.allclose(mf.second_order(frame, ex.parse("z"), pts, div), 0.0)
 
 
-def tree_generator_value(frame, st, sym, gamma, f, pts):
+def tree_generator_value(frame, st, gamma, f, pts):
     """The generator of gamma as the Popp operator plus the defect terms.
 
     The reference form: one tree evaluation of X_i f and X_i(X_i f) per field,
@@ -258,7 +260,7 @@ def tree_generator_value(frame, st, sym, gamma, f, pts):
     env = chart.env(pts)
     p = len(pts)
     div = st.divergence(pts)
-    defect = mf.generator_defect(st, sym, gamma, pts)
+    defect = mf.generator_defect(gamma, pts)
     base, extra = np.zeros(p), 0.0
     for i, field in enumerate(frame.fields[:frame.k1]):
         xf = mf.apply_field(field, f, chart)
@@ -284,14 +286,14 @@ def test_second_order_matches_the_tree_built_generator(name):
     try:
         gamma = mf.solve_christoffel(frame, st, sym)
     except Inconsistent:
-        gamma = mf.ChristoffelField.zero(sym, frame.k1)
+        gamma = mf.ChristoffelField(st, sym)
     delta = np.random.default_rng(8).normal(size=(sym.dimH, frame.k1))
     pts = frame.chart.sample_points(10, seed=8)
     for g in (gamma, gamma.perturbed(delta)):
-        drift = st.divergence(pts) + mf.generator_defect(st, sym, g, pts)
+        drift = st.divergence(pts) + mf.generator_defect(g, pts)
         for f in operator_functions(frame.chart):
             got = mf.second_order(frame, f, pts, drift)
-            want = tree_generator_value(frame, st, sym, g, f, pts)
+            want = tree_generator_value(frame, st, g, f, pts)
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
@@ -302,11 +304,15 @@ def test_second_order_defect_of_a_perturbed_connection():
     _, sym = symmetry_for("contact-halfplane")
     gamma = mf.solve_christoffel(frame, st, sym)
     delta = np.array([[0.3, -0.7]])
-    shift = mf.christoffel_matrix(sym, frame.k1) @ delta.ravel()
+    # the system matrix M[i, alpha*k1+j] = (A_alpha)^j_i, from the symmetry basis
+    k1 = frame.k1
+    m = np.array([[float(a[j][i]) for a in sym.basis for j in range(k1)]
+                  for i in range(k1)])
+    shift = m @ delta.ravel()
     pts = frame.chart.sample_points(15, seed=10)
     env = frame.chart.env(pts)
     div = st.divergence(pts)
-    drift = div + mf.generator_defect(st, sym, gamma.perturbed(delta), pts)
+    drift = div + mf.generator_defect(gamma.perturbed(delta), pts)
     for f in operator_functions(frame.chart):
         want = mf.second_order(frame, f, pts, div)
         for i, field in enumerate(frame.fields[:frame.k1]):
@@ -354,7 +360,7 @@ def test_christoffel_contact_identities():
     assert np.abs(c[:, 0, 1, 0] + np.sin(env["t1"])).max() < 1e-12
     assert np.abs(g[:, 0, 1] - c[:, 0, 1, 1]).max() < 1e-12
     assert np.abs(c[:, 0, 1, 1]).max() < 1e-12
-    assert np.abs(mf.generator_defect(st, sym, gamma, pts)).max() < 1e-12
+    assert np.abs(mf.generator_defect(gamma, pts)).max() < 1e-12
 
 
 def test_christoffel_goursat_inconsistent():
@@ -371,9 +377,83 @@ def test_zero_christoffel_defect_is_minus_divergence():
     st = mf.StructureField(frame)
     _, sym = symmetry_for("contact-halfplane")
     pts = frame.chart.sample_points(15, seed=9)
-    gamma = mf.ChristoffelField.zero(sym, frame.k1)
-    defect = mf.generator_defect(st, sym, gamma, pts)
+    gamma = mf.ChristoffelField(st, sym)
+    defect = mf.generator_defect(gamma, pts)
     assert np.allclose(defect, -st.divergence(pts))
+
+
+def model_and_symmetries(name, frame, st):
+    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame, st)
+    return alg, al.symmetry_algebra(alg, al.extend_metric(alg))
+
+
+@pytest.mark.parametrize("name", bi.FRAME_NAMES)
+def test_develop_condition_is_the_christoffel_solvability(name):
+    frame = bi.frame(name)
+    st = mf.StructureField(frame)
+    alg, sym = model_and_symmetries(name, frame, st)
+    pts = frame.chart.sample_points(60, seed=3)
+    rep = mf.develop_condition(frame, st, alg, sym, pts)
+    try:
+        mf.solve_christoffel(frame, st, sym, pts)
+        solved = True
+    except Inconsistent:
+        solved = False
+    assert rep.feasible == solved
+
+
+@pytest.mark.parametrize("name", ["goursat-halfplane", "engel-halfplane"])
+def test_inconsistent_witness_is_the_report_witness(name):
+    frame = bi.frame(name)
+    st = mf.StructureField(frame)
+    alg, sym = model_and_symmetries(name, frame, st)
+    pts = frame.chart.sample_points(60, seed=3)
+    rep = mf.develop_condition(frame, st, alg, sym, pts)
+    with pytest.raises(Inconsistent) as info:
+        mf.solve_christoffel(frame, st, sym, pts)
+    assert info.value.witness == (rep.witness_direction, rep.witness_point,
+                                  rep.witness_value)
+    assert abs(rep.witness_value) == rep.max_violation
+
+
+def conformal_free32_spec():
+    """e^{0.3a} X_i on the free(3,2) model frame, layer 2 scaled by e^{0.6a}.
+
+    X_i = d_i + (1/2) sum_{j<i} x_j d_{y_ji} - (1/2) sum_{j>i} x_j d_{y_ij}
+    gives [X_i, X_j] = d_{y_ij}; the rescaling keeps the graded constants.
+    """
+    coords = ["a", "b", "c", "u", "v", "w"]          # u = y_ab, v = y_ac, w = y_bc
+    s1, s2 = "exp(0.3*a)", "exp(0.6*a)"
+    model = [["1", "0", "0", "-b/2", "-c/2", "0"],
+             ["0", "1", "0", "a/2", "0", "-c/2"],
+             ["0", "0", "1", "0", "a/2", "b/2"]]
+    frame = [[f"{s1}*({t})" if t != "0" else "0" for t in row] for row in model]
+    for k in range(3):
+        frame.append([s2 if j == 3 + k else "0" for j in range(6)])
+    return {"chart": {"coords": coords, "box": [[-1, 1]] * 6},
+            "growth": [3, 6], "frame": frame}
+
+
+def test_k1_three_connection():
+    frame = mf.build_frame(conformal_free32_spec())
+    st = mf.StructureField(frame)
+    alg = al.free_nilpotent(3, 2)
+    sym = al.symmetry_algebra(alg, al.extend_metric(alg))
+    assert sym.dimH == 3
+    pts = frame.chart.sample_points(60, seed=12)
+    assert mf.develop_condition(frame, st, alg, sym, pts).feasible
+    gamma = mf.solve_christoffel(frame, st, sym, pts)
+    # blocks and m hold the layer-1 symmetry blocks in their two layouts
+    k1 = frame.k1
+    blocks = np.array([np.array(a, dtype=float)[:k1, :k1].ravel() for a in sym.basis])
+    m = np.array([[float(a[j][i]) for a in sym.basis for j in range(k1)]
+                  for i in range(k1)])
+    assert np.array_equal(gamma.blocks, blocks) and np.array_equal(gamma.m, m)
+    assert np.abs(mf.generator_defect(gamma, pts)).max() <= 1e-12
+    config = dv.SDEConfig(dt=1e-3, T=0.05, seed=12, paths=200)
+    path = dv.develop_sde(frame, st, gamma, [0.0] * 6, config)
+    assert config.steps == 50
+    assert path.ortho_defect <= 1e-12
 
 
 # -- Riemannian cross-check --------------------------------------------------------
@@ -402,6 +482,39 @@ def test_levi_civita_rejects_nonriemannian():
 # -- prolongation and the Levy form -------------------------------------------------
 
 
+class KernelNotOneDimensional(CartandevError):
+    """The Levy-form kernel has unexpected dimension."""
+
+
+def levy_kernel(frame, structure, q, tol=1e-8):
+    """Kernel direction of the Levy form on D^{-2} at q (Goursat growth).
+
+    The form L(v, w) is the layer-3 component of [V, W] for V, W in the
+    second filtration subspace; for growth (2, 3, 4, ...) it is a skew
+    3x3 scalar form. Returns the kernel vector over (X_1, X_2, X_3) and
+    checks that it lies inside the distribution.
+    """
+    if len(frame.growth) < 3 or frame.growth[0] != 2 or frame.growth[1] != 3:
+        raise ModelMismatch("the Levy form needs growth of type (2, 3, ...)")
+    if frame.growth[2] - frame.growth[1] != 1:
+        raise ModelMismatch("the Levy form here needs a one-dimensional "
+                            "third layer (Goursat type)")
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    c = structure.at(q)[0]
+    k3 = frame.growth[1]                 # index of the single layer-3 slot
+    form = c[:3, :3, k3]
+    u, s, vt = np.linalg.svd(form)
+    kernel_dim = int(np.sum(s <= tol * max(1.0, s.max())))
+    if kernel_dim != 1:
+        raise KernelNotOneDimensional(
+            f"Levy form kernel has dimension {kernel_dim} at {q[0].tolist()}")
+    v = vt[-1]
+    if abs(v[2]) > 1e-6 * np.linalg.norm(v):
+        raise KernelNotOneDimensional(
+            "Levy form kernel does not lie inside the distribution")
+    return v
+
+
 def test_prolong_flat_plane_gives_heisenberg_model():
     pr = mf.prolong(bi.frame("flat-plane"))
     assert pr.growth == (2, 3)
@@ -419,7 +532,7 @@ def test_levy_kernel_in_distribution():
     frame = bi.frame("goursat-halfplane")
     st = mf.StructureField(frame)
     q = frame.chart.sample_points(1, seed=10)[0]
-    v = mf.levy_kernel(frame, st, q)
+    v = levy_kernel(frame, st, q)
     v = v / np.linalg.norm(v)
     # kernel is spanned by the first horizontal direction
     assert abs(abs(v[0]) - 1.0) < 1e-9
@@ -429,7 +542,7 @@ def test_levy_kernel_in_distribution():
 def test_levy_kernel_needs_goursat_growth():
     frame = bi.frame("heisenberg3")
     with pytest.raises(ModelMismatch):
-        mf.levy_kernel(frame, mf.StructureField(frame), [0.0, 0.0, 0.0])
+        levy_kernel(frame, mf.StructureField(frame), [0.0, 0.0, 0.0])
 
 
 # -- serialization --------------------------------------------------------------------
