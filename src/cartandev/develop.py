@@ -131,32 +131,36 @@ def _integrate(advance, state, steps, dt, record, chart=None):
     state is (points,) or (points, frames); advance keeps the frames
     orthogonal and the orthogonality defect of the final frames is reported.
     With a chart the points are wrapped after each step and paths that leave
-    its box are marked. record is "full" (every step) or "endpoints".
+    its box are marked. record is "full" (every step), "endpoints" (steps 0
+    and steps) or the step indices to keep.
     """
-    if record not in ("full", "endpoints"):
-        raise MalformedSpec(f"record must be 'full' or 'endpoints', got {record!r}")
-    full = record == "full"
-    out = [np.empty((steps + 1 if full else 2,) + x.shape) for x in state]
-    for o, x in zip(out, state):
-        o[0] = x
+    named = {"full": range(steps + 1), "endpoints": (0, steps)}
+    keep = named.get(record) if isinstance(record, str) else sorted(set(record))
+    if keep is None or not keep or not all(
+            isinstance(s, (int, np.integer)) and 0 <= s <= steps for s in keep):
+        raise MalformedSpec(
+            f"record must be 'full', 'endpoints' or step indices in [0, {steps}], got {record!r}")
+    out = [np.empty((len(keep),) + x.shape) for x in state]
     left = None
     if chart is not None:
         left = np.zeros(len(state[0]), dtype=bool)
         box = np.array(chart.bounds())
         bounded = [i for i, c in enumerate(chart.coords) if c not in chart.periodic]
         lo, hi = box[bounded, 0], box[bounded, 1]
-    for s in range(steps):
-        state = advance(s, state)
-        if chart is not None:
-            state = (chart.wrap(state[0]),) + state[1:]
-            q = state[0][:, bounded]
-            left |= ((q < lo) | (q > hi)).any(axis=1)
-        if full or s + 1 == steps:
+    row = 0                                 # keep is sorted: the next row to fill
+    for s in range(steps + 1):
+        if s:
+            state = advance(s - 1, state)
+            if chart is not None:
+                state = (chart.wrap(state[0]),) + state[1:]
+                q = state[0][:, bounded]
+                left |= ((q < lo) | (q > hi)).any(axis=1)
+        if row < len(keep) and keep[row] == s:
             for o, x in zip(out, state):
-                o[s + 1 if full else 1] = x
-    times = (np.arange(steps + 1.0) if full else np.array([0.0, steps])) * dt
-    return Path(times=times, points=out[0], frames=out[1] if len(out) > 1 else None,
-                left_chart=left,
+                o[row] = x
+            row += 1
+    return Path(times=np.array(keep, dtype=float) * dt, points=out[0],
+                frames=out[1] if len(out) > 1 else None, left_chart=left,
                 ortho_defect=ortho_defect(state[1]) if len(state) > 1 else 0.0)
 
 
@@ -165,7 +169,13 @@ def _integrate(advance, state, steps, dt, record, chart=None):
 # ---------------------------------------------------------------------------
 
 class CarnotGroup:
-    """Exponential coordinates of the first kind with the truncated group law."""
+    """Exponential coordinates of the first kind with the truncated group law.
+
+    Brackets run through plans built once: a plan keeps, in order, the
+    products of the sparse terms whose factors are not structurally zero
+    for a known zero pattern of y. Skipping a product with a zero factor, or
+    a multiplication by v = 1, leaves every bit of a finite result as it is.
+    """
 
     def __init__(self, alg):
         if alg.step > MAX_STEP:
@@ -177,13 +187,36 @@ class CarnotGroup:
         self._terms = [(i, j, k, float(v))
                        for (i, j), row in alg.brackets.items()
                        for k, v in row.items()]
+        k1 = alg.growth[0]
+        self._full = self._plan(())
+        self._horizontal = self._plan(range(k1, alg.dim))   # [x, e], e horizontal
+        self._vertical = self._plan(range(k1))              # [x, [x, e]]
 
-    def bracket(self, x, y):
+    def _plan(self, zero):
+        """Entries (k, v, pos, neg): [x, y]_k += v x_i y_j for pos = (i, j),
+        -= v x_j y_i for neg = (j, i); a product is None where y is zero."""
+        return [(k, v, (i, j) if j not in zero else None,
+                 (j, i) if i not in zero else None)
+                for i, j, k, v in self._terms if i not in zero or j not in zero]
+
+    def _bracket(self, plan, x, y):
         # column-major: out[..., k], like each column of the lift's state, is contiguous
         out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), order="F")
-        for i, j, k, v in self._terms:
-            out[..., k] += v * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
+        for k, v, pos, neg in plan:
+            a, b = pos or neg
+            w = x[..., a] * y[..., b]
+            if pos and neg:
+                w -= x[..., neg[0]] * y[..., neg[1]]
+            if v != 1.0:
+                w *= v
+            if pos:
+                out[..., k] += w
+            else:
+                out[..., k] -= w
         return out
+
+    def bracket(self, x, y):
+        return self._bracket(self._full, x, y)
 
     def bch(self, x, y):
         """Truncated group product in the Lie algebra coordinates."""
@@ -202,16 +235,23 @@ class CarnotGroup:
         return out
 
     def left_invariant_field(self, x, e):
-        """V(x, e): the left-invariant extension of e in these coordinates.
+        """V(x, e): the left-invariant extension of a horizontal e in these coordinates.
 
         V(x, e) = e + [x, e]/2 + [x, [x, e]]/12; the step-4 term of the
-        differential of left translation vanishes in this direction.
+        differential of left translation vanishes in this direction. e is
+        zero beyond its first k1 columns (as embed pads it), so [x, e] has
+        degree >= 2 and [x, [x, e]] degree >= 3: the first k1 columns of V
+        are e itself.
         """
-        b = self.bracket
-        xe = b(x, e)
-        out = np.asarray(e, dtype=float) + xe / 2.0
-        if self.alg.step >= 3:
-            out = out + b(x, xe) / 12.0
+        k1 = self.alg.growth[0]
+        e = np.asarray(e, dtype=float)
+        out = self._bracket(self._horizontal, x, e)          # [x, e], then V
+        xxe = self._bracket(self._vertical, x, out) if self.alg.step >= 3 else None
+        out[..., :k1] = e[..., :k1]
+        out[..., k1:] /= 2.0
+        if xxe is not None:
+            k2 = self.alg.growth[1]
+            out[..., k2:] += xxe[..., k2:] / 12.0
         return out
 
     def embed(self, w):

@@ -565,7 +565,6 @@ def generator_defect(gamma, points):
 @dataclass
 class LeviCivitaReport:
     max_difference: float
-    drift_connection: np.ndarray
     drift_divergence: np.ndarray
 
 
@@ -586,9 +585,7 @@ def levi_civita_check(frame, structure, points=None):
     drift1 = np.einsum("pjij->pi", g)
     drift2 = structure.divergence(points)
     diff = float(np.abs(drift1 - drift2).max())
-    return LeviCivitaReport(max_difference=diff,
-                            drift_connection=drift1,
-                            drift_divergence=drift2)
+    return LeviCivitaReport(max_difference=diff, drift_divergence=drift2)
 
 
 # ---------------------------------------------------------------------------

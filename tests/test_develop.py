@@ -333,11 +333,20 @@ def _c_order_lift(alg, config):
     return x
 
 
-@pytest.mark.parametrize("name", ["heisenberg3", "free23", "free24"])
+# beyond the builtins: k1 = 3, and a bracket coefficient other than 1
+LIFT_ALGEBRAS = {
+    "free33": lambda: al.free_nilpotent(3, 3),
+    "heisenberg3-2e3": lambda: al.build_algebra(
+        {"dim": 3, "growth": [2, 3], "brackets": {"1,2": {"3": "2"}}}),
+}
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "free23", "free24",
+                                  "free33", "heisenberg3-2e3"])
 def test_carnot_lift_column_major_is_bitwise_c_order(name):
     # the lift keeps its state column-major; the endpoints, sign bits
     # included, are those of the same arithmetic on C-ordered arrays
-    alg = bi.algebra(name)
+    alg = LIFT_ALGEBRAS[name]() if name in LIFT_ALGEBRAS else bi.algebra(name)
     config = dv.SDEConfig(dt=1e-2, T=0.3, seed=12, paths=40)
     ends = dv.simulate_carnot_lift(alg, config).endpoints()
     ref = _c_order_lift(alg, config)
@@ -383,6 +392,25 @@ def test_recording_full_and_endpoints_agree(name):
         assert full.ortho_defect == ends.ortho_defect
     with pytest.raises(MalformedSpec):
         simulate(config, "last")
+
+
+@pytest.mark.parametrize("name", ["develop", "popp"])
+def test_recording_step_indices_are_rows_of_full(name):
+    simulate = _simulators()[name]
+    config = dv.SDEConfig(dt=1e-2, T=0.3, seed=5, paths=4)
+    full = simulate(config, "full")
+    for keep in ((0, 15, 30), (30, 7), (12,)):
+        rows = sorted(keep)
+        part = simulate(config, keep)
+        assert np.array_equal(part.times, full.times[rows])
+        assert np.array_equal(part.points, full.points[rows])
+        if full.frames is not None:
+            assert np.array_equal(part.frames, full.frames[rows])
+        assert np.array_equal(part.left_chart, full.left_chart)
+        assert part.ortho_defect == full.ortho_defect
+    for bad in ((), (0, 31), (-1,), (1.5,)):
+        with pytest.raises(MalformedSpec):
+            simulate(config, bad)
 
 
 @pytest.mark.parametrize("dt,T", [(3e-3, 0.01), (0.1, 0.04), (1e-2, 0.0), (0.0, 1.0)])

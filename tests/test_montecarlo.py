@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo estimators and statistical comparisons."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,58 @@ def test_generator_family_test_structure():
     assert [r["f"] for r in rep["functions"]] == \
         ["x", "y", "z", "x^2", "y^2", "z^2"]
     assert all(r["pass"] for r in rep["functions"])
+
+
+def _two_run_report(frame, st, gamma, fs, q0, config):
+    """The generator report from separate develop_sde runs at t and t/2."""
+    chart = frame.chart
+    q0v = np.asarray(q0, dtype=float)
+    configs = [dv.SDEConfig(dt=config.dt, T=t, seed=config.seed, paths=config.paths)
+               for t in (config.T, config.T / 2.0)]
+    endpoints = [(cfg, dv.develop_sde(frame, st, gamma, q0v, cfg).endpoints())
+                 for cfg in configs]
+    q = q0v[None]
+    drift = st.divergence(q) + mf.generator_defect(gamma, q)
+    reports = []
+    for label, f in fs:
+        f0 = float(mc._evaluate(f, chart, q)[0])
+        symbolic = 0.5 * float(mf.second_order(frame, f, q, drift)[0])
+        runs = {}
+        for cfg, end in endpoints:
+            mean, stderr = mc.summarize(mc._evaluate(f, chart, end))
+            runs[cfg.T] = {"mc_value": (mean - f0) / cfg.T, "stderr": stderr / cfg.T}
+        t1, t2 = config.T, config.T / 2.0
+        gap1 = runs[t1]["mc_value"] - symbolic
+        gap2 = runs[t2]["mc_value"] - symbolic
+        bias1 = abs(gap2 - gap1) + 3.0 * (runs[t1]["stderr"] + runs[t2]["stderr"])
+        tol1 = 3.0 * runs[t1]["stderr"] + 2.0 * bias1
+        reports.append({
+            "f": label,
+            "mc_value": float(runs[t1]["mc_value"]),
+            "mc_value_half_t": float(runs[t2]["mc_value"]),
+            "symbolic_value": symbolic,
+            "stderr": float(runs[t1]["stderr"]),
+            "tolerance": float(tol1),
+            "bias_shrinks": bool(abs(gap2) <= abs(gap1)
+                                 + 3.0 * (runs[t1]["stderr"] + runs[t2]["stderr"])),
+            "pass": bool(abs(gap1) <= tol1),
+        })
+    return {"test": "generator-family", "t": config.T, "dt": config.dt,
+            "paths": config.paths, "functions": reports,
+            "pass": bool(all(r["pass"] for r in reports))}
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+def test_generator_report_is_that_of_two_runs(offset):
+    # one run recorded at t/2 and t gives the report of separate runs to
+    # t/2 and t, key for key and bit for bit (repr of a float is exact)
+    frame, st, gamma, sym, q0 = setup("contact-halfplane")
+    gamma = gamma.perturbed(offset)
+    cfg = dv.SDEConfig(dt=1e-3, T=0.02, seed=21, paths=3000)
+    fam = mc.default_test_functions(frame.chart, squares=True, products=True)
+    rep = mc.generator_family_test(frame, st, gamma, sym, fam, q0, cfg)
+    oracle = _two_run_report(frame, st, gamma, fam, q0, cfg)
+    assert json.dumps(rep) == json.dumps(oracle)
 
 
 def test_generator_family_test_rejects_odd_step_count():
