@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
+import time
 
 import numpy as np
 
 from . import algebra as al
 from . import builtins as bi
-from . import cohomology as co
+from . import checks as ck
 from . import develop as dv
 from . import manifold as mf
 from . import montecarlo as mc
@@ -28,7 +30,7 @@ EXIT_INPUT = 2
 
 def _write_json(path, obj):
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2)
+        json.dump(obj, f, indent=2, default=str)
         f.write("\n")
 
 
@@ -62,24 +64,6 @@ def _load_frame(args):
     if args.builtin:
         return bi.frame(args.builtin)
     return mf.build_frame(_read_spec(args))
-
-
-def _structure_context(args):
-    """Frame, structure functions, model algebra, and its symmetries."""
-    frame = _load_frame(args)
-    structure = mf.StructureField(frame)
-    alg = bi.model_algebra_for(args.builtin) if args.builtin else None
-    if alg is None:
-        alg = mf.nilpotentization(frame, structure)
-    sym = al.symmetry_algebra(alg)
-    return frame, structure, alg, sym
-
-
-def _cohomology_for(alg):
-    metric = al.extend_metric(alg)
-    sym = al.symmetry_algebra(alg)
-    amb = al.ambient(alg, sym)
-    return co.Cohomology(amb, metric)
 
 
 def _q0(args, frame):
@@ -121,7 +105,7 @@ def cmd_symmetry(args):
 
 
 def cmd_normal_module(args):
-    ctx = _cohomology_for(_load_algebra(args))
+    ctx = ck.cohomology_for(_load_algebra(args))
     report = {"method": args.method,
               "dim_hom_plus": len(ctx.positive_monomials(2)),
               "dim_im_partial_plus": ctx.image_partial_plus().dim}
@@ -140,13 +124,9 @@ def cmd_normal_module(args):
 
 
 def cmd_obstruction(args):
-    alg = _load_algebra(args)
-    ctx = _cohomology_for(alg)
-    obs = [ctx.morimoto_popp_obstruction(i) for i in range(alg.growth[0])]
-    return _emit({
-        "obstruction": {str(i + 1): e.serialize() for i, e in enumerate(obs)},
-        "vanishes": all(e.is_zero() for e in obs),
-    }, args)
+    obs = ck.obstructions(_load_algebra(args))
+    return _emit({"obstruction": {str(i + 1): e for i, e in enumerate(obs)},
+                  "vanishes": not any(obs)}, args)
 
 
 def cmd_manifold_check(args):
@@ -169,7 +149,7 @@ def cmd_manifold_check(args):
 
 
 def cmd_christoffel(args):
-    frame, structure, alg, sym = _structure_context(args)
+    frame, structure, alg, sym = ck.context(args.builtin or _load_frame(args))
     points = frame.chart.sample_points(60, seed=args.seed)
     try:
         gamma = mf.solve_christoffel(frame, structure, sym, points, tol=args.tol)
@@ -188,7 +168,7 @@ def cmd_christoffel(args):
 
 
 def cmd_develop_condition(args):
-    frame, structure, alg, sym = _structure_context(args)
+    frame, structure, alg, sym = ck.context(args.builtin or _load_frame(args))
     points = frame.chart.sample_points(60, seed=args.seed)
     report = mf.develop_condition(frame, structure, alg, sym, points,
                                   tol=args.tol)
@@ -225,17 +205,10 @@ def _emit_path(args, process, config, path, names):
     return _emit(report, args)
 
 
-def _connection(args):
-    """Frame, structure functions, symmetries, start point and Christoffel field."""
-    frame, structure, alg, sym = _structure_context(args)
-    q0 = _q0(args, frame)
-    return frame, structure, sym, q0, mf.solve_christoffel(frame, structure, sym)
-
-
 def cmd_simulate_develop(args):
     config = _config(args)
-    frame, structure, sym, q0, gamma = _connection(args)
-    path = dv.develop_sde(frame, structure, gamma, q0, config)
+    frame, structure, _, gamma = ck.connection(args.builtin or _load_frame(args))
+    path = dv.develop_sde(frame, structure, gamma, _q0(args, frame), config)
     return _emit_path(args, "develop", config, path, frame.chart.coords)
 
 
@@ -255,179 +228,93 @@ def cmd_simulate_carnot(args):
 
 
 def cmd_verify_levi_civita(args):
-    frame = _load_frame(args)
-    rep = mf.levi_civita_check(frame, mf.StructureField(frame))
-    ok = bool(rep.max_difference <= args.tol)
-    return _emit({"test": "levi-civita", "max_difference": rep.max_difference,
-                  "pass": ok}, args, ok)
+    worst = ck.levi_civita([_load_frame(args)])
+    ok = bool(worst <= args.tol)
+    return _emit({"test": "levi-civita", "max_difference": worst, "pass": ok}, args, ok)
 
 
 def cmd_verify_generator(args):
-    frame, structure, sym, q0, gamma = _connection(args)
-    config = _config(args)
+    frame, structure, sym, gamma = ck.connection(args.builtin or _load_frame(args))
+    q0, config = _q0(args, frame), _config(args)
     fs = mc.default_test_functions(frame.chart, squares=True)
     report = mc.generator_family_test(frame, structure, gamma, sym, fs, q0, config)
     return _emit(report, args, report["pass"])
 
 
 def cmd_verify_equivalence(args):
-    frame, structure, sym, q0, gamma = _connection(args)
-    report = mc.equivalence_test(frame, structure, gamma, q0, _config(args))
+    frame, structure, _, gamma = ck.connection(args.builtin or _load_frame(args))
+    report = mc.equivalence_test(frame, structure, gamma, _q0(args, frame), _config(args))
     return _emit(report, args, report["pass"])
 
 
-def cmd_verify_suite(args):
-    """The full verification battery; --full uses full-scale path counts."""
-    full = args.full
-    rows = []
-
-    def run(name, fn):
-        try:
-            ok, detail = fn()
-        except CartandevError as e:
-            ok, detail = False, str(e)
-        rows.append((name, ok, detail))
-
-    run("free23 paper table", _suite_free23)
-    run("obstruction", _suite_obstruction)
-    run("symmetry dims", _suite_symmetry)
-    run("d^2=0 and normal modules", _suite_cohomology)
-    run("contact christoffel", _suite_contact_christoffel)
-    run("goursat counterexample", _suite_goursat)
-    run("levi-civita", _suite_levi_civita)
-    run("lift independence", _suite_lift)
-    run("levy area", lambda: _suite_levy(200000 if full else 20000))
-    run("generator", lambda: _suite_generator(1000000 if full else 100000))
-    run("equivalence", lambda: _suite_equivalence(100000 if full else 20000))
-
-    width = max(len(r[0]) for r in rows)
-    for name, ok, detail in rows:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
-    all_ok = all(ok for _, ok, _ in rows)
-    print(f"\n{sum(ok for _, ok, _ in rows)}/{len(rows)} passed")
-    if args.output:
-        _write_json(args.output, [{"name": n, "pass": ok, "detail": d}
-                                  for n, ok, d in rows])
-    return EXIT_OK if all_ok else EXIT_INFEASIBLE
-
-
-def _suite_free23():
-    alg = al.free_nilpotent(2, 3)
-    want = {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}
-    got = {k: {i: int(v) for i, v in row.items()}
-           for k, row in alg.brackets.items()}
-    return got == want, f"brackets {got}"
-
-
-def _suite_obstruction():
-    ctx = _cohomology_for(al.free_nilpotent(2, 3))
-    ob = ctx.morimoto_popp_obstruction(0).serialize()
-    ctx3 = _cohomology_for(bi.algebra("heisenberg3"))
-    ob3 = ctx3.morimoto_popp_obstruction(0)
-    ok = ob == {"5:1,2,3": "1"} and ob3.is_zero()
-    return ok, f"(2,3,5): {ob}"
-
-
-def _suite_symmetry():
-    dims = {name: al.symmetry_algebra(bi.algebra(name)).dimH
-            for name in ("heisenberg3", "free23", "engel")}
-    ok = dims == {"heisenberg3": 1, "free23": 1, "engel": 0}
-    return ok, str(dims)
-
-
-def _suite_cohomology():
-    from fractions import Fraction
-    for name in ("heisenberg3", "free23", "engel", "free24"):
-        ctx = _cohomology_for(bi.algebra(name))
-        for m in ctx.monomials(1):
-            dd = ctx.differential(ctx.differential(
-                co.HomElement(1, {m: Fraction(1)})))
-            if not dd.is_zero():
-                return False, f"d^2 != 0 on {name}"
-        ctx.normal_module_popp()
-        ctx.normal_module_morimoto()
-    return True, "4 algebras"
-
-
-def _contact():
-    """The contact half-plane, its symmetries and its Christoffel field."""
-    frame = bi.frame("contact-halfplane")
-    structure = mf.StructureField(frame)
-    sym = al.symmetry_algebra(bi.algebra("heisenberg3"))
-    return frame, structure, sym, mf.solve_christoffel(frame, structure, sym)
-
-
-def _suite_contact_christoffel():
-    frame, structure, sym, gamma = _contact()
-    pts = frame.chart.sample_points(100, seed=7)
-    c = structure.at(pts)
-    g = gamma.at(pts)
-    err = max(float(np.abs(g[:, 0, 0] - c[:, 0, 1, 0]).max()),
-              float(np.abs(g[:, 0, 1] - c[:, 0, 1, 1]).max()))
-    defect = float(np.abs(mf.generator_defect(gamma, pts)).max())
-    return err <= 1e-9 and defect <= 1e-9, f"err {err:.1e}, defect {defect:.1e}"
-
-
-def _suite_goursat():
-    frame = bi.frame("goursat-halfplane")
-    structure = mf.StructureField(frame)
-    alg = bi.algebra("engel")
-    sym = al.symmetry_algebra(alg)
-    rep = mf.develop_condition(frame, structure, alg, sym)
-    return not rep.feasible, f"witness value {rep.witness_value}"
-
-
-def _suite_levi_civita():
-    frames = [bi.frame(n) for n in ("hyperbolic-plane", "sphere-patch")]
-    worst = max(mf.levi_civita_check(f, mf.StructureField(f)).max_difference
-                for f in frames)
-    return worst <= 1e-9, f"max diff {worst:.1e}"
-
-
-def _suite_lift():
-    frame = bi.frame("heisenberg3")
-    structure = mf.StructureField(frame)
-    sym = al.symmetry_algebra(bi.algebra("heisenberg3"))
-    gamma = mf.ChristoffelField(structure, sym)
-    r = np.array([[0.0, -1.0], [1.0, 0.0]])
-    p1 = dv.develop_curve(frame, structure, gamma, ["cos(t)", "sin(t)"],
-                          [0, 0, 0], 1e-3, 1.0, record="endpoints")
-    p2 = dv.develop_curve(frame, structure, gamma, ["-sin(t)", "cos(t)"],
-                          [0, 0, 0], 1e-3, 1.0, h0=r, record="endpoints")
-    err = float(np.abs(p1.endpoints() - p2.endpoints()).max())
-    return err <= 1e-6, f"err {err:.1e}"
-
-
-def _suite_levy(paths):
-    alg = bi.algebra("heisenberg3")
-    cfg = dv.SDEConfig(dt=1e-3, T=1.0, seed=42, paths=paths)
-    end = dv.simulate_carnot_lift(alg, cfg).endpoints()
-    v = float(end[:, 2].var())
-    lo, hi = (0.24, 0.26) if paths >= 200000 else (0.22, 0.28)
-    return lo <= v <= hi, f"Var(z) = {v:.4f}"
-
-
-def _suite_generator(paths):
-    frame, structure, sym, gamma = _contact()
-    fs = mc.default_test_functions(frame.chart, squares=True)
-    cfg = dv.SDEConfig(dt=5e-4, T=0.01, seed=11, paths=paths)
-    rep = mc.generator_family_test(frame, structure, gamma, sym, fs,
-                                   [0.0, 1.0, 0.5], cfg)
-    return rep["pass"], f"{len(rep['functions'])} functions"
-
-
-def _suite_equivalence(paths):
-    frame, structure, sym, gamma = _contact()
-    cfg = dv.SDEConfig(dt=2e-3, T=0.5, seed=13, paths=paths)
+def _suite(full):
+    """The eleven checks: (name, measurement at the quick or --full config,
+    bound); a bound is (op, value), or a dict of them by statistic key."""
+    levy = dv.SDEConfig(dt=1e-3, T=1.0, seed=42, paths=200000 if full else 20000)
+    gen = dv.SDEConfig(dt=5e-4, T=0.01, seed=11, paths=1000000 if full else 100000)
+    eqv = dv.SDEConfig(dt=2e-3, T=0.5, seed=13, paths=100000 if full else 20000)
     q0 = [0.0, 1.0, 0.5]
-    direct = dv.simulate_popp(frame, structure, q0, cfg)
-    rep = mc.equivalence_test(frame, structure, gamma, q0, cfg, direct=direct)
-    bad = mc.equivalence_test(frame, structure,
-                              gamma.perturbed(np.array([[0.5, 0.0]])),
-                              q0, cfg, direct=direct)
-    ok = rep["pass"] and not bad["pass"]
-    return ok, (f"max|z| {rep['max_abs_z']:.2f}, "
-                f"perturbed {bad['max_abs_z']:.2f}")
+    return [
+        ("free23 paper table", lambda: {str(k): v for k, v in ck.free23_brackets().items()},
+         ("==", {"(0, 1)": {2: 1}, "(0, 2)": {3: 1}, "(1, 2)": {4: 1}})),
+        ("obstruction", lambda: {
+            name: ck.obstructions(bi.algebra(name))[0] for name in ("free23", "heisenberg3")},
+         ("==", {"free23": {"5:1,2,3": "1"}, "heisenberg3": {}})),
+        ("symmetry dims", ck.symmetry_dims, ("==", {"heisenberg3": 1, "free23": 1, "engel": 0})),
+        ("d^2=0 and normal modules", lambda: {
+            name: ck.differential_complex(bi.algebra(name))
+            for name in ("heisenberg3", "free23", "engel", "free24")},
+         ("==", {"heisenberg3": 0, "free23": 0, "engel": 0, "free24": 0})),
+        ("contact christoffel", lambda: ck.contact_christoffel(7),
+         {"err": ("<=", 1e-9), "defect": ("<=", 1e-9)}),
+        ("goursat counterexample", lambda: ck.goursat(60, 3), {"feasible": ("==", False)}),
+        ("levi-civita", lambda: ck.levi_civita(
+            [bi.frame(name) for name in ("hyperbolic-plane", "sphere-patch")]), ("<=", 1e-9)),
+        ("lift independence", lambda: ck.lift_independence(
+            "heisenberg3", [0.0, 0.0, 0.0], [[0.0, -1.0], [1.0, 0.0]], ["-sin(t)", "cos(t)"],
+            "endpoints"), ("<=", 1e-6)),
+        ("levy area", lambda: ck.levy_area_variance(levy),
+         ("in", (0.24, 0.26) if levy.paths >= 200000 else (0.22, 0.28))),
+        # the largest |MC - symbolic| / tolerance over the test functions
+        ("generator", lambda: max(abs(f["mc_value"] - f["symbolic_value"]) / f["tolerance"]
+                                  for f in ck.generator(q0, gen)["functions"]), ("<=", 1.0)),
+        ("equivalence", lambda: dict(zip(("solved", "perturbed"), (
+            r["max_abs_z"] for r in ck.equivalence(q0, eqv, [[0.5, 0.0]])))),
+         {"solved": ("<=", 3.0), "perturbed": (">", 3.0)}),
+    ]
+
+
+_OPS = {"==": operator.eq, "<=": operator.le, ">": operator.gt,
+        "in": lambda x, b: b[0] <= x <= b[1]}
+
+
+def _holds(statistic, bound):
+    if isinstance(bound, dict):
+        return all(_holds(statistic[key], b) for key, b in bound.items())
+    return bool(_OPS[bound[0]](statistic, bound[1]))
+
+
+def cmd_verify_suite(args):
+    """Each row: name, pass, statistic, bound and seconds; an error fails its row."""
+    suite, rows = _suite(args.full), []
+    width = max(len(name) for name, _, _ in suite)
+    for name, measure, bound in suite:
+        start = time.perf_counter()
+        try:
+            statistic = measure()
+            ok = _holds(statistic, bound)
+        except CartandevError as e:
+            statistic, ok = f"error: {e}", False
+        rows.append({"name": name, "pass": ok, "statistic": statistic, "bound": bound,
+                     "seconds": time.perf_counter() - start})
+        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  "
+              f"{json.dumps(statistic, default=str)}  bound {json.dumps(bound)}  "
+              f"{rows[-1]['seconds']:.2f} s")
+    passed = sum(r["pass"] for r in rows)
+    print(f"\n{passed}/{len(rows)} passed")
+    if args.output:
+        _write_json(args.output, rows)
+    return EXIT_OK if passed == len(rows) else EXIT_INFEASIBLE
 
 
 # -- argument parsing ---------------------------------------------------------

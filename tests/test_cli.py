@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import ast
 import csv
+import functools
 import json
 import math
 import shlex
@@ -10,7 +12,11 @@ from pathlib import Path
 import pytest
 
 from cartandev import builtins as bi
+from cartandev import checks as ck
+from cartandev import cli
+from cartandev import develop as dv
 from cartandev.cli import build_parser, main
+from cartandev.errors import CartandevError
 
 
 def run(capsys, *argv):
@@ -273,6 +279,78 @@ def test_output_file_matches_stdout(capsys, tmp_path, argv):
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "symmetry", "--builtin", "nonesuch")
     assert code == 2
+
+
+# -- verify suite: one loop over a table of checks ----------------------------------
+
+
+def test_suite_driver_reports_every_row(capsys, monkeypatch, tmp_path):
+    def raises():
+        raise CartandevError("stand-in error")
+
+    monkeypatch.setattr(cli, "_suite", lambda full: [
+        ("fails", lambda: 2.0, ("<=", 1.0)),
+        ("raises", raises, ("<=", 1.0)),
+        ("passes", lambda: {"z": 0.5}, {"z": ("in", (0.0, 1.0))})])
+    out = tmp_path / "suite.json"
+    code, stdout, _ = run(capsys, "verify", "suite", "-o", str(out))
+    assert code == 1
+    assert [line.split()[:2] for line in stdout.splitlines()[:3]] == [
+        ["fails", "FAIL"], ["raises", "FAIL"], ["passes", "PASS"]]
+    assert "stand-in error" in stdout and "1/3 passed" in stdout
+    rows = json.loads(out.read_text())
+    assert [r["pass"] for r in rows] == [False, False, True]
+    assert all(set(r) == {"name", "pass", "statistic", "bound", "seconds"} for r in rows)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["quick", "full"])
+def test_suite_configs_and_bounds_are_pinned(capsys, monkeypatch, full):
+    calls = []
+
+    def record(name, *args):
+        calls.append((name, args))
+        raise CartandevError("not run")
+
+    q0 = [0.0, 1.0, 0.5]
+    levy, gen, eqv = (200000, 1000000, 100000) if full else (20000, 100000, 20000)
+    expected = [
+        ("free23_brackets", ()),
+        ("obstructions", (bi.algebra("free23"),)),
+        ("symmetry_dims", ()),
+        ("differential_complex", (bi.algebra("heisenberg3"),)),
+        ("contact_christoffel", (7,)),
+        ("goursat", (60, 3)),
+        ("levi_civita", ([bi.frame("hyperbolic-plane"), bi.frame("sphere-patch")],)),
+        ("lift_independence", ("heisenberg3", [0.0, 0.0, 0.0], [[0.0, -1.0], [1.0, 0.0]],
+                               ["-sin(t)", "cos(t)"], "endpoints")),
+        ("levy_area_variance", (dv.SDEConfig(dt=1e-3, T=1.0, seed=42, paths=levy),)),
+        ("generator", (q0, dv.SDEConfig(dt=5e-4, T=0.01, seed=11, paths=gen))),
+        ("equivalence", (q0, dv.SDEConfig(dt=2e-3, T=0.5, seed=13, paths=eqv),
+                         [[0.5, 0.0]])),
+    ]
+    for name, _ in expected:
+        monkeypatch.setattr(ck, name, functools.partial(record, name))
+    assert main(["verify", "suite"] + ["--full"] * full) == 1
+    assert calls == expected
+    assert [bound for _, _, bound in cli._suite(full)] == [
+        ("==", {"(0, 1)": {2: 1}, "(0, 2)": {3: 1}, "(1, 2)": {4: 1}}),
+        ("==", {"free23": {"5:1,2,3": "1"}, "heisenberg3": {}}),
+        ("==", {"heisenberg3": 1, "free23": 1, "engel": 0}),
+        ("==", {"heisenberg3": 0, "free23": 0, "engel": 0, "free24": 0}),
+        {"err": ("<=", 1e-9), "defect": ("<=", 1e-9)},
+        {"feasible": ("==", False)},
+        ("<=", 1e-9),
+        ("<=", 1e-6),
+        ("in", (0.24, 0.26) if full else (0.22, 0.28)),
+        ("<=", 1.0),
+        {"solved": ("<=", 3.0), "perturbed": (">", 3.0)},
+    ]
+
+
+def test_src_has_no_assert_statement():
+    # verdicts and exact certificates must still hold under python -O
+    for p in (Path(__file__).resolve().parents[1] / "src" / "cartandev").glob("*.py"):
+        assert not any(isinstance(n, ast.Assert) for n in ast.walk(ast.parse(p.read_text()))), p
 
 
 # -- option sets: each command variant declares only the options it reads ---------

@@ -8,6 +8,7 @@ from cartandev import algebra as al
 from cartandev import cohomology as ch
 from cartandev import ratlinalg as rl
 from cartandev.builtins import algebra as builtin_algebra
+from cartandev.checks import cohomology_for
 from cartandev.errors import ClosureFailure, DimensionMismatch, IntersectionNonTrivial
 
 
@@ -20,14 +21,7 @@ def codifferential(co, beta):
 
 
 def make_cohomology(name):
-    return cohomology_of(builtin_algebra(name))
-
-
-def cohomology_of(alg):
-    metric = al.extend_metric(alg)
-    sym = al.symmetry_algebra(alg, metric)
-    amb = al.ambient(alg, sym)
-    return ch.Cohomology(amb, metric)
+    return cohomology_for(builtin_algebra(name))
 
 
 # -- basic wedge bookkeeping -------------------------------------------------
@@ -120,7 +114,7 @@ SMALL_ALGEBRAS = pytest.mark.parametrize(
 @SMALL_ALGEBRAS
 def test_gram_restricted_equals_pairwise_inner(alg):
     # the block-wise Gram skips pairs across blocks; a nonzero there would fail here
-    co = cohomology_of(alg)
+    co = cohomology_for(alg)
     monos = co.positive_monomials(2)
     units = [ch.HomElement(2, {m: Fraction(1)}) for m in monos]
     assert co._gram_restricted(monos) == [[co.inner(x, y) for y in units] for x in units]
@@ -245,13 +239,13 @@ def reference_h_action(co, alpha, elem):
 
 @SMALL_ALGEBRAS
 def test_popp_module_equals_the_two_orthocomplements(alg):
-    co = cohomology_of(alg)
+    co = cohomology_for(alg)
     assert co.normal_module_popp().matrix == reference_popp(co)
 
 
 @SMALL_ALGEBRAS
 def test_h_action_equals_the_pairwise_evaluation(alg):
-    co = cohomology_of(alg)
+    co = cohomology_for(alg)
     monos = co.positive_monomials(2)
     elems = ([ch.HomElement(2, {m: Fraction(1)}) for m in monos]
              + co.normal_module_morimoto().elements + co.normal_module_popp().elements)
@@ -279,7 +273,7 @@ def test_free25_morimoto_module_is_a_complement():
     # 1247 positive monomials counted from the degrees, and a rank 85 of the
     # degree-one differentials in floating point and mod 1000003; the module
     # raises ClosureFailure unless it complements im d+
-    co = cohomology_of(al.free_nilpotent(2, 5))
+    co = cohomology_for(al.free_nilpotent(2, 5))
     n = co.normal_module_morimoto()
     assert (len(n.monomials), co.image_partial_plus().dim, n.dim) == (1247, 85, 1162)
 

@@ -7,6 +7,7 @@ import pytest
 
 from cartandev import algebra as al
 from cartandev import builtins as bi
+from cartandev import checks as ck
 from cartandev import develop as dv
 from cartandev import manifold as mf
 from cartandev.errors import MalformedSpec, SingularFrame, StepTooLarge
@@ -96,14 +97,8 @@ def test_left_invariant_field_matches_group_law(name):
 # -- deterministic development ------------------------------------------------------
 
 
-def run_curve(name, u, dt=1e-3, T=1.0, h0=None, gamma=None):
-    frame = bi.frame(name)
-    st = mf.StructureField(frame)
-    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame, st)
-    metric = al.extend_metric(alg)
-    sym = al.symmetry_algebra(alg, metric)
-    if gamma is None:
-        gamma = mf.solve_christoffel(frame, st, sym)
+def run_curve(name, u, dt=1e-3, T=1.0, h0=None):
+    frame, st, sym, gamma = ck.connection(name)
     q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
     return frame, dv.develop_curve(frame, st, gamma, u, q0, dt, T, h0=h0)
 
@@ -143,10 +138,7 @@ def test_curve_rk4_order():
 
 def test_curve_flat_connection_keeps_frame_constant():
     # with zero Christoffel symbols the transported frame never moves
-    frame = bi.frame("contact-halfplane")
-    st = mf.StructureField(frame)
-    alg = bi.model_algebra_for("contact-halfplane")
-    sym = al.symmetry_algebra(alg, al.extend_metric(alg))
+    frame, st, _, sym = ck.context("contact-halfplane")
     gamma = mf.ChristoffelField(st, sym)
     q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
     path = dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)"], q0,
@@ -158,11 +150,7 @@ def test_curve_flat_connection_keeps_frame_constant():
 
 
 def sde_setup(name):
-    frame = bi.frame(name)
-    st = mf.StructureField(frame)
-    alg = bi.model_algebra_for(name)
-    sym = al.symmetry_algebra(alg, al.extend_metric(alg))
-    gamma = mf.solve_christoffel(frame, st, sym)
+    frame, st, sym, gamma = ck.connection(name)
     q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
     return frame, st, gamma, q0
 
@@ -247,10 +235,7 @@ def test_sde_orthogonality_defect_small():
 
 
 def test_sde_zero_gamma_keeps_frames_constant():
-    frame = bi.frame("heisenberg3")
-    st = mf.StructureField(frame)
-    alg = bi.model_algebra_for("heisenberg3")
-    sym = al.symmetry_algebra(alg, al.extend_metric(alg))
+    frame, st, _, sym = ck.context("heisenberg3")
     gamma = mf.ChristoffelField(st, sym)
     config = dv.SDEConfig(dt=1e-3, T=0.1, seed=2, paths=8)
     path = dv.develop_sde(frame, st, gamma, [0.0, 0.0, 0.0], config,

@@ -5,18 +5,13 @@ import pytest
 
 from cartandev import algebra as al
 from cartandev import builtins as bi
+from cartandev import checks as ck
 from cartandev import develop as dv
 from cartandev import expr as ex
 from cartandev import manifold as mf
 from cartandev.errors import (CartandevError, Inconsistent, MalformedSpec,
                               ModelMismatch, RankDrop, SingularFrame,
                               UnknownIdentifier)
-
-
-def symmetry_for(name):
-    alg = bi.model_algebra_for(name)
-    metric = al.extend_metric(alg)
-    return alg, al.symmetry_algebra(alg, metric)
 
 
 # -- charts -------------------------------------------------------------------
@@ -279,10 +274,7 @@ def operator_functions(chart):
 
 @pytest.mark.parametrize("name", bi.FRAME_NAMES)
 def test_second_order_matches_the_tree_built_generator(name):
-    frame = bi.frame(name)
-    st = mf.StructureField(frame)
-    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame, st)
-    sym = al.symmetry_algebra(alg, al.extend_metric(alg))
+    frame, st, alg, sym = ck.context(name)
     try:
         gamma = mf.solve_christoffel(frame, st, sym)
     except Inconsistent:
@@ -299,10 +291,7 @@ def test_second_order_matches_the_tree_built_generator(name):
 
 def test_second_order_defect_of_a_perturbed_connection():
     # a constant offset delta of Gamma adds sum_i (M delta)_i X_i f
-    frame = bi.frame("contact-halfplane")
-    st = mf.StructureField(frame)
-    _, sym = symmetry_for("contact-halfplane")
-    gamma = mf.solve_christoffel(frame, st, sym)
+    frame, st, sym, gamma = ck.connection("contact-halfplane")
     delta = np.array([[0.3, -0.7]])
     # the system matrix M[i, alpha*k1+j] = (A_alpha)^j_i, from the symmetry basis
     k1 = frame.k1
@@ -325,17 +314,13 @@ def test_second_order_defect_of_a_perturbed_connection():
 
 
 def test_develop_condition_contact_feasible():
-    frame = bi.frame("contact-halfplane")
-    st = mf.StructureField(frame)
-    alg, sym = symmetry_for("contact-halfplane")
+    frame, st, alg, sym = ck.context("contact-halfplane")
     rep = mf.develop_condition(frame, st, alg, sym)
     assert rep.feasible and rep.max_violation < 1e-9
 
 
 def test_develop_condition_goursat_infeasible():
-    frame = bi.frame("goursat-halfplane")
-    st = mf.StructureField(frame)
-    alg, sym = symmetry_for("goursat-halfplane")
+    frame, st, alg, sym = ck.context("goursat-halfplane")
     rep = mf.develop_condition(frame, st, alg, sym)
     assert not rep.feasible
     assert rep.witness_direction == (0.0, 1.0)
@@ -347,9 +332,7 @@ def test_develop_condition_goursat_infeasible():
 def test_christoffel_contact_identities():
     # Gamma^1_1 = c^1_{12} = -sin(t1) and Gamma^1_2 = c^2_{12} = 0, with
     # a vanishing generator defect
-    frame = bi.frame("contact-halfplane")
-    st = mf.StructureField(frame)
-    _, sym = symmetry_for("contact-halfplane")
+    frame, st, _, sym = ck.context("contact-halfplane")
     pts = frame.chart.sample_points(40, seed=8)
     gamma = mf.solve_christoffel(frame, st, sym, pts)
     g = gamma.at(pts)
@@ -364,34 +347,23 @@ def test_christoffel_contact_identities():
 
 
 def test_christoffel_goursat_inconsistent():
-    frame = bi.frame("goursat-halfplane")
-    st = mf.StructureField(frame)
-    _, sym = symmetry_for("goursat-halfplane")
+    frame, st, _, sym = ck.context("goursat-halfplane")
     with pytest.raises(Inconsistent) as info:
         mf.solve_christoffel(frame, st, sym)
     assert info.value.index == 2
 
 
 def test_zero_christoffel_defect_is_minus_divergence():
-    frame = bi.frame("contact-halfplane")
-    st = mf.StructureField(frame)
-    _, sym = symmetry_for("contact-halfplane")
+    frame, st, _, sym = ck.context("contact-halfplane")
     pts = frame.chart.sample_points(15, seed=9)
     gamma = mf.ChristoffelField(st, sym)
     defect = mf.generator_defect(gamma, pts)
     assert np.allclose(defect, -st.divergence(pts))
 
 
-def model_and_symmetries(name, frame, st):
-    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame, st)
-    return alg, al.symmetry_algebra(alg, al.extend_metric(alg))
-
-
 @pytest.mark.parametrize("name", bi.FRAME_NAMES)
 def test_develop_condition_is_the_christoffel_solvability(name):
-    frame = bi.frame(name)
-    st = mf.StructureField(frame)
-    alg, sym = model_and_symmetries(name, frame, st)
+    frame, st, alg, sym = ck.context(name)
     pts = frame.chart.sample_points(60, seed=3)
     rep = mf.develop_condition(frame, st, alg, sym, pts)
     try:
@@ -404,9 +376,7 @@ def test_develop_condition_is_the_christoffel_solvability(name):
 
 @pytest.mark.parametrize("name", ["goursat-halfplane", "engel-halfplane"])
 def test_inconsistent_witness_is_the_report_witness(name):
-    frame = bi.frame(name)
-    st = mf.StructureField(frame)
-    alg, sym = model_and_symmetries(name, frame, st)
+    frame, st, alg, sym = ck.context(name)
     pts = frame.chart.sample_points(60, seed=3)
     rep = mf.develop_condition(frame, st, alg, sym, pts)
     with pytest.raises(Inconsistent) as info:

@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cartandev import algebra as al
-from cartandev import builtins as bi
+from cartandev import checks as ck
 from cartandev import develop as dv
 from cartandev import expr as ex
 from cartandev import manifold as mf
@@ -15,11 +14,7 @@ from cartandev.errors import MalformedSpec, NonFinite
 
 
 def setup(name):
-    frame = bi.frame(name)
-    st = mf.StructureField(frame)
-    alg = bi.model_algebra_for(name) or mf.nilpotentization(frame, st)
-    sym = al.symmetry_algebra(alg, al.extend_metric(alg))
-    gamma = mf.solve_christoffel(frame, st, sym)
+    frame, st, sym, gamma = ck.connection(name)
     q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
     return frame, st, gamma, sym, q0
 
