@@ -22,11 +22,20 @@ ENGEL_SPEC = {
 }
 
 
+# the nilpotent model each modelled built-in structure develops over
+_MODEL_SPECS = {
+    "heisenberg3": HEISENBERG3_SPEC,
+    "contact-halfplane": HEISENBERG3_SPEC,
+    "engel-halfplane": ENGEL_SPEC,
+    "goursat-halfplane": ENGEL_SPEC,
+}
+
+
 def algebra(name):
-    """A built-in graded Lie algebra by name."""
-    if name in ("heisenberg3", "contact-halfplane"):
-        return al.build_algebra(HEISENBERG3_SPEC)
-    if name in ("engel", "engel-halfplane", "goursat-halfplane"):
+    """A built-in graded Lie algebra by name, or the model of a built-in structure."""
+    if name in _MODEL_SPECS:
+        return al.build_algebra(_MODEL_SPECS[name])
+    if name == "engel":
         return al.build_algebra(ENGEL_SPEC)
     if name == "free23":
         return al.free_nilpotent(2, 3)
@@ -99,13 +108,8 @@ def frame(name):
 FRAME_NAMES = ("heisenberg3", "contact-halfplane", "engel-halfplane",
                "goursat-halfplane", "hyperbolic-plane", "sphere-patch",
                "flat-plane")
-ALGEBRA_NAMES = ("heisenberg3", "engel", "free23", "free24")
 
 
 def model_algebra_for(name):
     """The nilpotent model a built-in structure develops over, or None."""
-    if name == "heisenberg3" or name == "contact-halfplane":
-        return al.build_algebra(HEISENBERG3_SPEC)
-    if name in ("engel-halfplane", "goursat-halfplane"):
-        return al.build_algebra(ENGEL_SPEC)
-    return None
+    return algebra(name) if name in _MODEL_SPECS else None

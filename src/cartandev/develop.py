@@ -115,12 +115,15 @@ def _heun(flow, state, dw, moves=None):
     return tuple(m(x, 0.5 * (a + b)) for m, x, a, b in zip(moves, state, k1, k2))
 
 
-def _rk4(flow, state, t, dt):
-    """Classical RK4 step; flow(*state, t) returns the derivative tuple."""
-    k1 = flow(*state, t)
-    k2 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k1)), t + 0.5 * dt)
-    k3 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k2)), t + 0.5 * dt)
-    k4 = flow(*(x + dt * k for x, k in zip(state, k3)), t + dt)
+def _rk4(flow, state, u, dt):
+    """Classical RK4 step; flow(*state, c) returns the derivative tuple.
+
+    u holds the control at the step's start, midpoint and end.
+    """
+    k1 = flow(*state, u[0])
+    k2 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k1)), u[1])
+    k3 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k2)), u[1])
+    k4 = flow(*(x + dt * k for x, k in zip(state, k3)), u[2])
     return tuple(x + dt * (a + 2 * b + 2 * c + d) / 6.0
                  for x, a, b, c, d in zip(state, k1, k2, k3, k4))
 
@@ -368,11 +371,34 @@ def develop_sde(frame, structure, gamma, q0, config, record="endpoints"):
     return _integrate(advance, state, config.steps, config.dt, record, chart=frame.chart)
 
 
+def _control_table(u, steps, dt):
+    """u at the RK4 times of every step, shape (steps, 3, 1, k1).
+
+    Row s holds u at s*dt, s*dt + 0.5*dt and s*dt + dt, the same float
+    expressions a step forms ((s+1)*dt can differ from s*dt + dt in the last
+    bit). Raises NonFinite at the first time where u is not finite.
+    """
+    start = np.arange(steps) * dt
+    times = np.stack((start, start + 0.5 * dt, start + dt), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = ex.Compiled(u)({"t": times})
+    table = np.empty((steps, 3, 1, len(u)))
+    for i, v in enumerate(vals):
+        table[:, :, 0, i] = v
+    bad = ~np.isfinite(table).all(axis=(2, 3))
+    if bad.any():
+        raise NonFinite(f"control not finite at t={float(times[bad][0])!r}")
+    return table
+
+
 def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full"):
     """Deterministic development of a model curve with control u(t).
 
     u is a sequence of k1 expressions in the single variable t; integration
     is classical RK4 on the coupled (q, h~) system with polar projection.
+    The control is evaluated once per curve, at every RK4 time, before the
+    first step; the one path's chart geometry is evaluated on scalars
+    (Chart.env), with the bits of a batch row.
     """
     sys = _DevelopSystem(frame, structure, gamma)
     k1 = frame.k1
@@ -380,14 +406,14 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
     if len(u) != k1:
         raise MalformedSpec(f"need {k1} control components, got {len(u)}")
     steps = _step_count(dt, T)
-    control = ex.Compiled(u)
+    control = _control_table(u, steps, dt)
 
-    def flow(q, h, t):
-        dq, a = sys.flow(q, h, np.array([[float(c) for c in control({"t": t})]]))
+    def flow(q, h, c):
+        dq, a = sys.flow(q, h, c)
         return dq, h @ a
 
     def advance(s, state):
-        q, h = _rk4(flow, state, s * dt, dt)
+        q, h = _rk4(flow, state, control[s], dt)
         return q, polar_project(h)
 
     state = (np.asarray(q0, dtype=float)[None, :].copy(), _prepare_h0(h0, k1, 1))

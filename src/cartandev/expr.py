@@ -11,7 +11,9 @@ Grammar (loosest to tightest binding):
 Names are either coordinate variables or the functions sin, cos, exp.
 Expressions support exact symbolic differentiation and vectorized
 evaluation on numpy arrays, one tree at a time or, through ``Compiled``,
-several trees at once with every shared subtree evaluated once.
+several trees at once with every shared subtree evaluated once. Every
+operation is an IEEE operator or a numpy ufunc, so an env of np.float64
+scalars gives bit for bit the values an env of arrays gives at each point.
 """
 
 from __future__ import annotations
@@ -160,7 +162,9 @@ class Pow(Expr):
     exponent: int     # non-negative integer only
 
     def __call__(self, env):
-        return self.base(env) ** self.exponent
+        # the ufunc, not **: on a numpy scalar ** is scalar-math pow, whose
+        # last bits can differ from those of the same power of an array
+        return np.power(self.base(env), self.exponent)
 
     def diff(self, var):
         if self.exponent == 0:
@@ -294,7 +298,7 @@ class Compiled:
         elif isinstance(e, Call):
             key = (_FUNCS[e.func], self._lower(e.arg, slots), None)
         elif isinstance(e, Pow):
-            key = (operator.pow, self._lower(e.base, slots),
+            key = (np.power, self._lower(e.base, slots),
                    self._lower(Const(e.exponent), slots))
         else:
             key = (e.op, self._lower(e.left, slots), self._lower(e.right, slots))

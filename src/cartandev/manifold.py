@@ -68,8 +68,17 @@ class Chart:
                      for c in self.coords)
 
     def env(self, points):
-        """Map coordinate names to the columns of a (P, d) point array."""
+        """Map coordinate names to the columns of a (P, d) point array.
+
+        One point maps each name to an np.float64 scalar instead: an
+        expression costs far less on scalars than on 1-row arrays and, since
+        every operation is an IEEE operator or a ufunc, gives the same bits.
+        A Python float would not do: x/0.0 would raise ZeroDivisionError
+        where the array gives inf or nan.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if len(points) == 1:
+            return dict(zip(self.coords, points[0]))
         return {name: points[:, i] for i, name in enumerate(self.coords)}
 
     def wrap(self, points):
@@ -164,12 +173,25 @@ class FrameField:
         }
 
 
-def _columns(vals, p, d, m):
-    """(P, d, m) array from m*d field-major values: column j, row a = vals[j*d + a]."""
-    out = np.empty((p, d, m))
-    for j in range(m):
-        for a in range(d):
-            out[:, a, j] = vals[j * d + a]
+def _components(fields):
+    """Components of m fields in (P, d, m) order: row a, then column j."""
+    return [field[a] for a in range(len(fields[0])) for field in fields]
+
+
+def _evaluate(compiled, chart, points):
+    """The outputs of compiled at points as one (outputs, P) array.
+
+    One point's outputs are scalars (Chart.env) and are packed by one call;
+    a batch's are written one contiguous row each.
+    """
+    env = chart.env(points)
+    p = next(iter(env.values())).size        # a column, or one point's scalar
+    vals = compiled(env)
+    if p == 1:
+        return np.array(vals, dtype=float)[:, None]
+    out = np.empty((len(vals), p))
+    for i, v in enumerate(vals):
+        out[i] = v
     return out
 
 
@@ -179,9 +201,8 @@ def field_values(fields, chart, points):
     Every component of every field is lowered into one Compiled call, so a
     subtree shared between components is evaluated once.
     """
-    env = chart.env(points)
-    vals = ex.Compiled([comp for field in fields for comp in field])(env)
-    return _columns(vals, len(next(iter(env.values()))), chart.dim, len(fields))
+    vals = _evaluate(ex.Compiled(_components(fields)), chart, points)
+    return vals.T.reshape(-1, chart.dim, len(fields))
 
 
 def build_frame(spec):
@@ -262,28 +283,25 @@ class StructureField:
     def _horizontal(self):
         # built on first use: checks that only call at / residual never need it
         div, det = _popp_divergence(self.frame)
-        return ex.Compiled(
-            [c for field in self.frame.fields[:self.frame.k1] for c in field] + div + [det])
+        return ex.Compiled(_components(self.frame.fields[:self.frame.k1]) + div + [det])
 
     def horizontal(self, points):
         """X_1..X_k1 and the Popp drift at points: shapes (P, d, k1), (P, k1).
 
-        Raises SingularFrame where det X vanishes or the drift is not finite.
+        One compiled call gives every output, one point's on scalars with
+        the bits of a batch row; they are packed into one array and the
+        determinant and the drift are checked once each. Raises
+        SingularFrame where det X vanishes or the drift is not finite.
         """
-        d, k1 = self.frame.chart.dim, self.frame.k1
-        env = self.frame.chart.env(points)
-        p = len(next(iter(env.values())))
+        chart, k1 = self.frame.chart, self.frame.k1
+        dk = chart.dim * k1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = self._horizontal(env)
-        x = _columns(vals, p, d, k1)
-        div = np.empty((p, k1))
-        for i in range(k1):
-            div[:, i] = vals[k1 * d + i]
-        if not np.all(vals[-1] != 0):
+            vals = _evaluate(self._horizontal, chart, points)
+        if not vals[-1].all():
             raise SingularFrame("frame matrix singular at a sample point")
-        if not np.isfinite(div).all():
+        if not np.isfinite(vals[dk:-1]).all():
             raise SingularFrame("Popp drift not finite at a sample point")
-        return x, div
+        return vals[:dk].T.reshape(-1, chart.dim, k1), np.ascontiguousarray(vals[dk:-1].T)
 
     def _solve(self, points):
         """Frame matrix X, bracket columns B (one per i < j) and X^-1 B at points."""
@@ -424,12 +442,11 @@ def second_order(frame, f, points, drift):
     chart, k1 = frame.chart, frame.k1
     first = [apply_field(x, f, chart) for x in frame.fields[:k1]]
     second = [apply_field(x, xf, chart) for x, xf in zip(frame.fields, first)]
-    vals = ex.Compiled(first + second)(chart.env(points))
-    p = len(drift)
-    out = np.zeros(p)
+    vals = _evaluate(ex.Compiled(first + second), chart, points)
+    out = np.zeros(len(drift))
     for i in range(k1):
-        out += np.broadcast_to(vals[k1 + i], (p,))
-        out += drift[:, i] * np.broadcast_to(vals[i], (p,))
+        out += vals[k1 + i]
+        out += drift[:, i] * vals[i]
     return out
 
 

@@ -9,8 +9,9 @@ from cartandev import algebra as al
 from cartandev import builtins as bi
 from cartandev import checks as ck
 from cartandev import develop as dv
+from cartandev import expr as ex
 from cartandev import manifold as mf
-from cartandev.errors import MalformedSpec, SingularFrame, StepTooLarge
+from cartandev.errors import MalformedSpec, NonFinite, SingularFrame, StepTooLarge
 
 
 def heisenberg():
@@ -146,6 +147,74 @@ def test_curve_flat_connection_keeps_frame_constant():
     assert np.allclose(path.frames[-1], np.eye(2), atol=1e-14)
 
 
+class RowGeometry:
+    """StructureField.horizontal of one point as row 0 of a two-row batch."""
+
+    def __init__(self, structure):
+        self.structure = structure
+
+    def horizontal(self, q):
+        x, div = self.structure.horizontal(np.concatenate([q, q]))
+        return x[:1], div[:1]
+
+
+def per_stage_curve(frame, st, gamma, u, q0, dt, T):
+    """The RK4 curve loop with the control evaluated at every stage, on a
+    Python float t, and the geometry on arrays: the oracle for develop_curve."""
+    sys = dv._DevelopSystem(frame, RowGeometry(st), gamma)
+    control = ex.Compiled([ex.parse(c) for c in u])
+
+    def flow(q, h, t):
+        dq, a = sys.flow(q, h, np.array([[float(c) for c in control({"t": t})]]))
+        return dq, h @ a
+
+    def advance(s, state):
+        t = s * dt
+        k1 = flow(*state, t)
+        k2 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k1)), t + 0.5 * dt)
+        k3 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k2)), t + 0.5 * dt)
+        k4 = flow(*(x + dt * k for x, k in zip(state, k3)), t + dt)
+        q, h = (x + dt * (a + 2 * b + 2 * c + d) / 6.0
+                for x, a, b, c, d in zip(state, k1, k2, k3, k4))
+        return q, dv.polar_project(h)
+
+    state = (np.asarray(q0, dtype=float)[None, :].copy(), np.eye(frame.k1)[None].copy())
+    return dv._integrate(advance, state, round(T / dt), dt, "full", chart=frame.chart)
+
+
+@pytest.mark.parametrize("name", ["contact-halfplane", "engel-halfplane"])
+def test_curve_equals_the_per_stage_oracle(name):
+    # the control table and the one-point scalar geometry change no bit; an
+    # affine field with both a drift part and an offset turns the frames
+    frame, st, _, sym = ck.context(name)
+    gamma = mf.ChristoffelField(st, sym, np.full((sym.dimH * frame.k1, frame.k1), 0.1), 0.2)
+    q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
+    u = ["cos(t)", "sin(3*t) - 0.5"]
+    path = dv.develop_curve(frame, st, gamma, u, q0, 7e-3, 0.7)
+    ref = per_stage_curve(frame, st, gamma, u, q0, 7e-3, 0.7)
+    assert np.abs(path.points[-1] - path.points[0]).max() > 0.1
+    for got, want in ((path.times, ref.times), (path.points, ref.points),
+                      (path.frames, ref.frames), (path.left_chart, ref.left_chart)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert path.ortho_defect == ref.ortho_defect
+
+
+@pytest.mark.parametrize("u,first_bad", [(["1/(t-0.5)", "0"], "t=0.5"),
+                                          (["exp(1000*t)", "0"], "t=0.75")])
+def test_curve_nonfinite_control_raises_before_any_step(u, first_bad):
+    # the control table is checked before the first step, with no warning
+    frame, st, sym, gamma = ck.connection("contact-halfplane")
+
+    def refuse(q):
+        raise AssertionError("the curve stepped")
+
+    st.horizontal = refuse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite, match=first_bad):
+            dv.develop_curve(frame, st, gamma, u, [0.0, 1.0, 0.5], 0.1, 1.0)
+
+
 # -- stochastic development ----------------------------------------------------------
 
 
@@ -215,15 +284,20 @@ def test_sde_takes_gamma_from_the_connection():
 
 
 def test_singular_frame_raises_not_nan():
-    config = dv.SDEConfig(dt=1e-2, T=0.1, seed=0, paths=4)
-    frame = bi.frame("hyperbolic-plane")
+    # one path runs its geometry on scalars, several on arrays: both raise
+    plane = bi.frame("hyperbolic-plane")
+    frame, st, gamma, _ = sde_setup("contact-halfplane")
+    singular = [0.0, 0.0, 0.5]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        for paths in (4, 1):
+            config = dv.SDEConfig(dt=1e-2, T=0.1, seed=0, paths=paths)
+            with pytest.raises(SingularFrame):
+                dv.simulate_popp(plane, mf.StructureField(plane), [0.0, 0.0], config)
+            with pytest.raises(SingularFrame):
+                dv.develop_sde(frame, st, gamma, singular, config)
         with pytest.raises(SingularFrame):
-            dv.simulate_popp(frame, mf.StructureField(frame), [0.0, 0.0], config)
-        frame, st, gamma, _ = sde_setup("contact-halfplane")
-        with pytest.raises(SingularFrame):
-            dv.develop_sde(frame, st, gamma, [0.0, 0.0, 0.5], config)
+            dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)"], singular, 1e-2, 0.1)
 
 
 def test_sde_orthogonality_defect_small():

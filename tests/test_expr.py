@@ -128,6 +128,23 @@ def test_compiled_keeps_signed_zeros_and_int_exponents_apart():
     assert out[2].tolist() == [1.0, 9.0] and out[3].tolist() == [2.0, -6.0]
 
 
+@pytest.mark.parametrize("k", range(8))
+def test_power_on_scalars_has_array_bits(k):
+    # one point is evaluated on np.float64 scalars; x^k must give the bits
+    # of the same power of an array, signed zeros, infinities and nan included
+    rng = np.random.default_rng(17)
+    x = np.concatenate([[-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-300, -1e300],
+                        rng.uniform(-3.0, 3.0, 2000), rng.lognormal(0.0, 20.0, 2000)])
+    tree = ex.Pow(ex.Var("x"), k)
+    prog = ex.Compiled([tree])
+    with np.errstate(over="ignore", under="ignore"):
+        want = tree({"x": x})
+        assert np.array_equal(prog({"x": x})[0], want, equal_nan=True)
+        for f in (tree, lambda env: prog(env)[0]):
+            got = np.array([f({"x": v}) for v in x])
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("text", FIELDS)
 def test_compiled_equals_tree_evaluation(text):
     e = ex.parse(text)

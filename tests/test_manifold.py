@@ -157,6 +157,28 @@ def test_field_values_match_the_tree_walk(name):
         assert np.array_equal(c[:, j, i], -sol[:, :, col])
 
 
+@pytest.mark.parametrize("name", bi.FRAME_NAMES)
+def test_one_point_geometry_is_a_batch_row(name):
+    # a single point is evaluated on scalars: every bit must be that of its
+    # row in a batch (with ** for powers, sphere-patch differs at 2 of these
+    # 2000 points)
+    frame = bi.frame(name)
+    st = mf.StructureField(frame)
+    pts = frame.chart.sample_points(2000)
+    x, div = st.horizontal(pts)
+    for i in range(len(pts)):
+        xi, di = st.horizontal(pts[i:i + 1])
+        assert xi.tobytes() == x[i:i + 1].tobytes()
+        assert di.tobytes() == div[i:i + 1].tobytes()
+    pairs = [(i, j) for i in range(frame.n) for j in range(i + 1, frame.n)]
+    fields = frame.fields + tuple(
+        mf.lie_bracket(frame.fields[i], frame.fields[j], frame.chart) for i, j in pairs)
+    vals = mf.field_values(fields, frame.chart, pts[:200])
+    for i in range(200):
+        vi = mf.field_values(fields, frame.chart, pts[i:i + 1])
+        assert vi.tobytes() == vals[i:i + 1].tobytes()
+
+
 def test_compiled_geometry_rejects_singular_points():
     frame = bi.frame("hyperbolic-plane")
     st = mf.StructureField(frame)
