@@ -316,15 +316,7 @@ class ExtendedMetric:
 
     def gram(self):
         """Full dim x dim Gram matrix."""
-        n = sum(len(b) for b in self.blocks)
-        g = [[ZERO] * n for _ in range(n)]
-        off = 0
-        for b in self.blocks:
-            for i, row in enumerate(b):
-                for j, v in enumerate(row):
-                    g[off + i][off + j] = v
-            off += len(b)
-        return g
+        return rl.block_diagonal(self.blocks)
 
 
 def _tuples(k1, l):

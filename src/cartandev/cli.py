@@ -243,7 +243,7 @@ def cmd_verify_generator(args):
 
 def cmd_verify_equivalence(args):
     frame, structure, _, gamma = ck.connection(args.builtin or _load_frame(args))
-    report = mc.equivalence_test(frame, structure, gamma, _q0(args, frame), _config(args))
+    report, = mc.equivalence_test(frame, structure, [gamma], _q0(args, frame), _config(args))
     return _emit(report, args, report["pass"])
 
 

@@ -156,30 +156,13 @@ class Cohomology:
     def gram_g(self):
         """Gram matrix on g: extended metric on n, identity on h."""
         if self._gram_g is None:
-            g = self.metric.gram()
-            N = self.N
-            full = [[ZERO] * N for _ in range(N)]
-            for i in range(self.n):
-                for j in range(self.n):
-                    full[i][j] = g[i][j]
-            for i in range(self.n, N):
-                full[i][i] = ONE
-            self._gram_g = full
+            self._gram_g = rl.block_diagonal([*self.metric.blocks, rl.identity(self.N - self.n)])
         return self._gram_g
 
     def gram_n_dual(self):
         """Gram matrix on n*: blockwise inverse of the metric on n."""
         if self._gram_n_dual is None:
-            n = self.n
-            full = [[ZERO] * n for _ in range(n)]
-            off = 0
-            for b in self.metric.blocks:
-                inv = rl.invert([list(r) for r in b])
-                for i, row in enumerate(inv):
-                    for j, v in enumerate(row):
-                        full[off + i][off + j] = v
-                off += len(b)
-            self._gram_n_dual = full
+            self._gram_n_dual = rl.block_diagonal([rl.invert(b) for b in self.metric.blocks])
         return self._gram_n_dual
 
     def wedge_gram(self, js, ks):

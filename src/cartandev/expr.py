@@ -248,12 +248,15 @@ def mul(a, b):
 
 
 def div(a, b):
+    if _is_const(a) and _is_const(b):
+        # the IEEE quotient: c/0 is +-inf or nan, for the finiteness checks
+        # to catch, not a Python ZeroDivisionError at evaluation
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return Const(float(np.float64(a.value) / b.value))
     if _is_const(a, 0.0):
         return Const(0.0)
     if _is_const(b, 1.0):
         return a
-    if _is_const(a) and _is_const(b) and b.value != 0:
-        return Const(a.value / b.value)
     return Div(a, b)
 
 

@@ -9,10 +9,10 @@ Vector fields are evaluated on one path: their components are lowered into
 one shared-subexpression ``expr.Compiled`` call (``field_values``). What the
 simulators need at every step, the horizontal fields X_1..X_k1 and the Popp
 drift div_i = sum_l c_li^l, is compiled once per StructureField (the drift
-in the closed form d_a X_i^a - X_i(det X)/det X). The full structure
-functions c_ij^k come from a batched linear solve of the evaluated brackets
-in the evaluated frame and serve the one-off checks: growth,
-nilpotentization and model comparison.
+in the closed form d_a X_i^a - X_i(det X)/det X), and so are the frame
+and its brackets. The full structure functions c_ij^k come from a batched
+linear solve of the evaluated brackets in the evaluated frame and serve the
+one-off checks: growth, nilpotentization and model comparison.
 
 The connection is affine in the drift, Gamma = div P^T + offset
 (ChristoffelField). Development is feasible exactly when div annihilates
@@ -195,14 +195,19 @@ def _evaluate(compiled, chart, points):
     return out
 
 
+def _field_array(program, chart, points):
+    """The m fields compiled in program from _components at points: (P, d, m)."""
+    vals = _evaluate(program, chart, points)
+    return vals.T.reshape(-1, chart.dim, len(vals) // chart.dim)
+
+
 def field_values(fields, chart, points):
     """Vector fields at points: shape (P, d, m), column j = fields[j].
 
     Every component of every field is lowered into one Compiled call, so a
     subtree shared between components is evaluated once.
     """
-    vals = _evaluate(ex.Compiled(_components(fields)), chart, points)
-    return vals.T.reshape(-1, chart.dim, len(fields))
+    return _field_array(ex.Compiled(_components(fields)), chart, points)
 
 
 def build_frame(spec):
@@ -263,12 +268,12 @@ def _popp_divergence(frame):
 class StructureField:
     """Pointwise structure functions c_ij^k with [X_i, X_j] = sum_k c_ij^k X_k.
 
-    Every evaluation goes through compiled trees. The horizontal fields and
-    the Popp drift sum_l c_li^l are compiled once, on first use, from the
-    closed form of _popp_divergence, into one shared-subexpression evaluation
+    Every evaluation goes through programs compiled once, on first use. The
+    horizontal fields and the Popp drift sum_l c_li^l, from the closed form
+    of _popp_divergence, are one shared-subexpression evaluation
     (``horizontal``). The full c_ij^k (``at``) evaluate the frame and the
-    symbolic brackets in one field_values call and expand the brackets in
-    the frame by a batched linear solve at each point.
+    symbolic brackets in one more and expand the brackets in the frame by a
+    batched linear solve at each point.
     """
 
     def __init__(self, frame):
@@ -284,6 +289,10 @@ class StructureField:
         # built on first use: checks that only call at / residual never need it
         div, det = _popp_divergence(self.frame)
         return ex.Compiled(_components(self.frame.fields[:self.frame.k1]) + div + [det])
+
+    @functools.cached_property
+    def _frame_and_brackets(self):
+        return ex.Compiled(_components((*self.frame.fields, *self._brackets)))
 
     def horizontal(self, points):
         """X_1..X_k1 and the Popp drift at points: shapes (P, d, k1), (P, k1).
@@ -305,7 +314,7 @@ class StructureField:
 
     def _solve(self, points):
         """Frame matrix X, bracket columns B (one per i < j) and X^-1 B at points."""
-        vals = field_values((*self.frame.fields, *self._brackets), self.frame.chart, points)
+        vals = _field_array(self._frame_and_brackets, self.frame.chart, points)
         frame_m, rhs = vals[:, :, :self.frame.n], vals[:, :, self.frame.n:]
         try:
             return frame_m, rhs, np.linalg.solve(frame_m, rhs)

@@ -119,6 +119,18 @@ def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+def block_diagonal(blocks):
+    """The square matrix with the square blocks down its diagonal, ZERO elsewhere."""
+    n = sum(len(b) for b in blocks)
+    out = [[ZERO] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(b)] = row
+        off += len(b)
+    return out
+
+
 def invert(m):
     """Inverse of a square rational matrix via Gauss-Jordan.
 

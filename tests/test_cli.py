@@ -224,6 +224,18 @@ def test_simulate_popp_needs_no_nilpotent_model(capsys, tmp_path):
     assert rep["process"] == "popp"
 
 
+def test_simulate_popp_literal_division_by_zero_is_an_error(capsys, tmp_path):
+    # a frame component 1/0 is a singular frame, reported, not a traceback
+    spec = bi.frame("contact-halfplane").to_spec()
+    spec["frame"][0][0] = "1/0"
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "simulate", "popp", str(path), "--paths", "4",
+                         "--T", "0.01", "--dt", "0.005")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_simulate_bad_q0(capsys):
     code, _, err = run(capsys, "simulate", "popp", "--builtin", "heisenberg3",
                        "--q0", "0.1,0.2")

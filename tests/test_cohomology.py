@@ -112,6 +112,19 @@ SMALL_ALGEBRAS = pytest.mark.parametrize(
 
 
 @SMALL_ALGEBRAS
+def test_gram_g_and_its_dual(alg):
+    # g: the extended metric on n, then the identity on h; n*: its inverse
+    co = cohomology_for(alg)
+    g, gg, gd = co.metric.gram(), co.gram_g(), co.gram_n_dual()
+    n, N = co.n, co.N
+    assert [row[:n] for row in gg[:n]] == g
+    assert [row[n:] for row in gg[n:]] == rl.identity(N - n)
+    assert all(not x for row in gg[:n] for x in row[n:])
+    assert all(not x for row in gg[n:] for x in row[:n])
+    assert rl.matmul(gd, g) == rl.identity(n)
+
+
+@SMALL_ALGEBRAS
 def test_gram_restricted_equals_pairwise_inner(alg):
     # the block-wise Gram skips pairs across blocks; a nonzero there would fail here
     co = cohomology_for(alg)

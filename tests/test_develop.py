@@ -200,7 +200,8 @@ def test_curve_equals_the_per_stage_oracle(name):
 
 
 @pytest.mark.parametrize("u,first_bad", [(["1/(t-0.5)", "0"], "t=0.5"),
-                                          (["exp(1000*t)", "0"], "t=0.75")])
+                                          (["exp(1000*t)", "0"], "t=0.75"),
+                                          (["1/0", "0"], "t=0.0")])
 def test_curve_nonfinite_control_raises_before_any_step(u, first_bad):
     # the control table is checked before the first step, with no warning
     frame, st, sym, gamma = ck.connection("contact-halfplane")

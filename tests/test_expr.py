@@ -106,6 +106,17 @@ def test_diff_constant_folding():
     assert ex.parse("y^2").diff("x") == ex.Const(0.0)
 
 
+@pytest.mark.parametrize("text,value", [("1/0", math.inf), ("-1/0", -math.inf),
+                                        ("2/(1-1)", math.inf), ("0/0", math.nan)])
+def test_constant_division_folds_to_its_ieee_value(text, value):
+    # a division of constants is folded, by zero too, so nothing is left for
+    # evaluation to divide on Python floats (a ZeroDivisionError)
+    e = ex.parse(text)
+    assert isinstance(e, ex.Const)
+    assert repr(e.value) == repr(value)
+    assert repr(ex.Compiled([e])({})[0]) == repr(value)
+
+
 # -- shared-subexpression evaluation ---------------------------------------------
 
 

@@ -186,6 +186,40 @@ def test_compiled_geometry_rejects_singular_points():
         st.horizontal([[0.0, 1.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("row,col", [(0, 0), (1, 1), (2, 0)])
+def test_literal_division_by_zero_is_a_singular_frame(row, col):
+    # a component 1/0 is +inf: the finiteness checks see it, at one point
+    # (scalars) and at several (arrays)
+    spec = bi.frame("contact-halfplane").to_spec()
+    spec["frame"][row][col] = "1/0"
+    frame = mf.build_frame(spec)
+    for count in (1, 4):
+        with pytest.raises(SingularFrame):
+            mf.StructureField(frame).horizontal(frame.chart.sample_points(count, seed=0))
+
+
+def test_structure_programs_are_compiled_once(monkeypatch):
+    # at and residual reuse one compiled frame-and-brackets program
+    frame = bi.frame("engel-halfplane")
+    st = mf.StructureField(frame)
+    pts = frame.chart.sample_points(5, seed=1)
+    first, res = st.at(pts), st.residual(pts)
+    built = []
+    real = ex.Compiled
+
+    def counting(roots):
+        built.append(len(roots))
+        return real(roots)
+
+    monkeypatch.setattr(ex, "Compiled", counting)
+    for p in (pts, pts[:1]):
+        st.at(p)
+        st.residual(p)
+    assert built == []
+    assert np.array_equal(st.at(pts), first) and st.residual(pts) == res
+    assert np.array_equal(st.at(pts[:1]), first[:1])
+
+
 def test_goursat_structure_function():
     # c^4_{24}(q) = sin(t1) sin(t2) on the twice-prolonged half-plane
     frame = bi.frame("goursat-halfplane")

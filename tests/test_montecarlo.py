@@ -101,8 +101,18 @@ def test_generator_family_test_structure():
     assert all(r["pass"] for r in rep["functions"])
 
 
+def _tree_evaluate(f, chart, points):
+    """f at points by walking its Expr tree, one function at a time."""
+    env = chart.env(points)
+    vals = np.broadcast_to(f(env), (len(points),))
+    if not np.all(np.isfinite(vals)):
+        raise NonFinite("test function evaluated to a non-finite sample")
+    return vals
+
+
 def _two_run_report(frame, st, gamma, fs, q0, config):
-    """The generator report from separate develop_sde runs at t and t/2."""
+    """The generator report from separate develop_sde runs at t and t/2, each
+    test function evaluated by its own tree walk."""
     chart = frame.chart
     q0v = np.asarray(q0, dtype=float)
     configs = [dv.SDEConfig(dt=config.dt, T=t, seed=config.seed, paths=config.paths)
@@ -113,11 +123,11 @@ def _two_run_report(frame, st, gamma, fs, q0, config):
     drift = st.divergence(q) + mf.generator_defect(gamma, q)
     reports = []
     for label, f in fs:
-        f0 = float(mc._evaluate(f, chart, q)[0])
+        f0 = float(_tree_evaluate(f, chart, q)[0])
         symbolic = 0.5 * float(mf.second_order(frame, f, q, drift)[0])
         runs = {}
         for cfg, end in endpoints:
-            mean, stderr = mc.summarize(mc._evaluate(f, chart, end))
+            mean, stderr = mc.summarize(_tree_evaluate(f, chart, end))
             runs[cfg.T] = {"mc_value": (mean - f0) / cfg.T, "stderr": stderr / cfg.T}
         t1, t2 = config.T, config.T / 2.0
         gap1 = runs[t1]["mc_value"] - symbolic
@@ -167,21 +177,55 @@ def test_generator_family_test_rejects_odd_step_count():
 def test_equivalence_passes_small_scale():
     frame, st, gamma, sym, q0 = setup("contact-halfplane")
     cfg = dv.SDEConfig(dt=1e-3, T=0.2, seed=8, paths=8000)
-    rep = mc.equivalence_test(frame, st, gamma, q0, cfg)
+    rep, = mc.equivalence_test(frame, st, [gamma], q0, cfg)
     assert rep["pass"]
     assert rep["max_abs_z"] <= 3.0
     assert len(rep["moments"]) == 2 * frame.chart.dim
 
 
-def test_equivalence_reuses_a_direct_path():
+def test_equivalence_of_several_connections_is_that_of_each():
+    # one direct simulation serves every connection: the reports equal those
+    # of one call per connection, bit for bit
     frame, st, gamma, sym, q0 = setup("contact-halfplane")
     cfg = dv.SDEConfig(dt=1e-2, T=0.2, seed=3, paths=200)
-    direct = dv.simulate_popp(frame, st, q0, cfg)
-    assert (mc.equivalence_test(frame, st, gamma, q0, cfg, direct=direct)
-            == mc.equivalence_test(frame, st, gamma, q0, cfg))
-    other = dv.SDEConfig(dt=1e-2, T=0.1, seed=3, paths=200)
-    with pytest.raises(MalformedSpec):
-        mc.equivalence_test(frame, st, gamma, q0, other, direct=direct)
+    gammas = [gamma, gamma.perturbed(0.3)]
+    both = mc.equivalence_test(frame, st, gammas, q0, cfg)
+    each = [mc.equivalence_test(frame, st, [g], q0, cfg)[0] for g in gammas]
+    assert json.dumps(both) == json.dumps(each)
+    assert both[0]["moments"] != both[1]["moments"]
+
+
+def _column_rows(frame, st, gamma, q0, config):
+    """The equivalence rows from the endpoint columns and their squares."""
+    a = dv.develop_sde(frame, st, gamma, q0, config).endpoints()
+    b = dv.simulate_popp(frame, st, q0, config).endpoints()
+    rows = []
+    for i, name in enumerate(frame.chart.coords):
+        for label, xa, xb in ((name, a[:, i], b[:, i]),
+                              (f"{name}^2", a[:, i] ** 2, b[:, i] ** 2)):
+            (ma, sa), (mb, sb) = mc.summarize(xa), mc.summarize(xb)
+            se = np.hypot(sa, sb)
+            z = float((ma - mb) / se) if se else 0.0
+            rows.append({"moment": label, "developed": ma,
+                         "direct": mb, "stderr": float(se), "z": z})
+    return rows
+
+
+@pytest.mark.parametrize("name", ["contact-halfplane", "heisenberg3"])
+def test_equivalence_moments_are_the_column_moments(name):
+    # the compiled family (coordinates, then squares) gives the numbers of
+    # the endpoint columns and their squares, label by label
+    frame, st, gamma, sym, q0 = setup(name)
+    cfg = dv.SDEConfig(dt=1e-2, T=0.2, seed=4, paths=500)
+    gamma = gamma.perturbed(0.2)
+    rep, = mc.equivalence_test(frame, st, [gamma], q0, cfg)
+    oracle = _column_rows(frame, st, gamma, q0, cfg)
+    assert [r["moment"] for r in rep["moments"]] == \
+        [f"{c}{s}" for s in ("", "^2") for c in frame.chart.coords]
+    by_label = {r["moment"]: r for r in oracle}
+    assert json.dumps(rep["moments"]) == json.dumps([by_label[r["moment"]]
+                                                     for r in rep["moments"]])
+    assert rep["max_abs_z"] == max(abs(r["z"]) for r in oracle)
 
 
 def test_equivalence_detects_wrong_connection():
@@ -189,6 +233,6 @@ def test_equivalence_detects_wrong_connection():
     # moment comparison must reject it decisively
     frame, st, gamma, sym, q0 = setup("contact-halfplane")
     cfg = dv.SDEConfig(dt=1e-3, T=0.2, seed=9, paths=8000)
-    rep = mc.equivalence_test(frame, st, gamma.perturbed(0.5), q0, cfg)
+    rep, = mc.equivalence_test(frame, st, [gamma.perturbed(0.5)], q0, cfg)
     assert not rep["pass"]
     assert rep["max_abs_z"] > 5.0

@@ -69,6 +69,14 @@ def test_invert():
         rl.invert(F([[1, 2], [2, 4]]))
 
 
+def test_block_diagonal():
+    a, b = F([[1, 2], [3, 4]]), F([[5]])
+    assert rl.block_diagonal([a, b]) == F([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
+    assert rl.block_diagonal([]) == []
+    # the zero cells are the shared ZERO, which the sparse rows skip by identity
+    assert rl.block_diagonal([a, b])[0][2] is rl.ZERO
+
+
 def test_solve():
     x = rl.solve(A, F([[3, 0, 3]])[0])
     assert rl.matmul([x], rl.transpose(A))[0] == F([[3, 0, 3]])[0]
