@@ -4,16 +4,22 @@ Implements the Chevalley-Eilenberg differential on hom(^k n, g), its Gram
 form, and the two normal-module constructions, all in exact rational
 arithmetic: Morimoto's N_Morimoto = ker d* = (im d+)^perp, and the Popp
 module N = S^perp meet (S + N_Morimoto), orthogonal to the trace module S.
+
+Subspaces of hom(^2 n, g) are sparse rows over the positive monomials
+(``ratlinalg``'s {column: Fraction} dicts) from the image of the
+differential to the finished modules, and each HomSubspace keeps its
+reduced echelon basis; dense rows and HomElements are views of it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratlinalg as rl
-from .errors import ClosureFailure, DimensionMismatch, IntersectionNonTrivial
+from .errors import ClosureFailure, IntersectionNonTrivial
 
 ZERO = rl.ZERO
 ONE = rl.ONE
@@ -41,6 +47,15 @@ def _sort_sign(t):
 def _column_index(monos):
     """Map each monomial of a coordinate order to its column."""
     return {m: i for i, m in enumerate(monos)}
+
+
+def _coords(coeffs, index):
+    """Sparse coordinates {column: coefficient} of a {monomial: coefficient}
+    map over the columns index (_column_index of the monomials)."""
+    if not coeffs.keys() <= index.keys():
+        missing = next(m for m in coeffs if m not in index)
+        raise ValueError(f"element not supported on the expected monomials: {missing}")
+    return {index[m]: c for m, c in coeffs.items()}
 
 
 @dataclass(frozen=True)
@@ -101,16 +116,27 @@ def hom_element(arity, terms):
 
 @dataclass
 class HomSubspace:
-    """A subspace of positive-degree hom(^k n, g), with an echelon certificate."""
+    """A subspace of positive-degree hom(^k n, g), kept as its reduced echelon
+    basis over the positive-monomial coordinates."""
 
     arity: int
-    elements: list                 # HomElements (echelonized basis)
-    matrix: list                   # rows over the positive-monomial coordinates
+    echelon: dict                  # {pivot column: sparse row}, ratlinalg.echelon
     monomials: list                # the positive-monomial coordinate order
 
     @property
     def dim(self):
-        return len(self.elements)
+        return len(self.echelon)
+
+    @functools.cached_property
+    def matrix(self):
+        """The echelon basis as dense rows over the monomials."""
+        return rl.dense(self.echelon.values(), len(self.monomials))
+
+    @functools.cached_property
+    def elements(self):
+        """The echelon basis as HomElements."""
+        return [HomElement(self.arity, {self.monomials[c]: x for c, x in r.items()})
+                for r in self.echelon.values()]
 
 
 class Cohomology:
@@ -188,21 +214,6 @@ class Cohomology:
             fact *= i
         return total / fact
 
-    def inner(self, x, y):
-        """Exact inner product of two HomElements of equal arity."""
-        if x.arity != y.arity:
-            raise DimensionMismatch(f"inner product of arities {x.arity} and {y.arity}")
-        gg = self.gram_g()
-        total = ZERO
-        for (a, js), cx in x.coeffs.items():
-            for (b, ks), cy in y.coeffs.items():
-                if gg[a][b] == 0:
-                    continue
-                w = self.wedge_gram(js, ks)
-                if w != 0:
-                    total += cx * cy * gg[a][b] * w
-        return total
-
     def _block_key(self, m):
         a, js = m
         alayer = self.amb.nil.degree[a] if a < self.n else 0
@@ -261,60 +272,56 @@ class Cohomology:
 
     # -- subspaces of positive-degree hom(^2 n, g) ---------------------------
 
-    def _coords(self, elem, monos, index=None):
-        """Dense coordinates of elem over monos; index is _column_index(monos)."""
-        if index is None:
-            index = _column_index(monos)
-        row = [ZERO] * len(monos)
-        for m, c in elem.coeffs.items():
-            if m not in index:
-                raise ValueError(f"element not supported on the expected monomials: {m}")
-            row[index[m]] = c
-        return row
-
-    def _from_coords(self, arity, row, monos):
-        return HomElement(arity, {m: c for m, c in zip(monos, row) if c is not ZERO and c})
-
     def _subspace(self, arity, rows, monos):
-        basis = rl.row_basis(rows)
-        elems = [self._from_coords(arity, r, monos) for r in basis]
-        return HomSubspace(arity=arity, elements=elems, matrix=basis, monomials=monos)
+        """The span of sparse rows over monos, by its reduced echelon basis."""
+        return HomSubspace(arity=arity, echelon=rl.echelon(rows), monomials=monos)
 
     def _gram_restricted(self, monos):
-        """Gram matrix of monos, all of one arity; entries across _block_key
-        blocks are zero."""
+        """Sparse rows of the Gram matrix of monos, all of one arity.
+
+        <e_a (x) e^J, e_b (x) e^K> = g(a, b) wedge_gram(J, K): a product of a
+        nonzero of gram_g and a wedge Gram entry, computed once per (J, K)
+        pair in this call. Entries across _block_key blocks are zero.
+        """
         key = tuple(monos)
         if key not in self._grams:
-            arity = len(monos[0][1])
-            groups = {}
+            gg = self.gram_g()
+            blocks = {}                # block key -> {a: [(column, J)]}
             for i, m in enumerate(monos):
-                groups.setdefault(self._block_key(m), []).append(i)
-            gram = [[ZERO] * len(monos) for _ in monos]
-            for ids in groups.values():
-                for i in ids:
-                    x = HomElement(arity, {monos[i]: ONE})
-                    for j in ids:
-                        gram[i][j] = self.inner(x, HomElement(arity, {monos[j]: ONE}))
+                blocks.setdefault(self._block_key(m), {}).setdefault(m[0], []).append((i, m[1]))
+            wedge = {}
+            gram = []
+            for m in monos:
+                a, js = m
+                row = {}
+                for b, cols in blocks[self._block_key(m)].items():
+                    g = gg[a][b]
+                    if not g:
+                        continue
+                    for j, ks in cols:
+                        w = wedge.get((js, ks))
+                        if w is None:
+                            w = wedge[js, ks] = self.wedge_gram(js, ks)
+                        if w:
+                            row[j] = g * w
+                gram.append(row)
             self._grams[key] = gram
         return self._grams[key]
 
     def _ortho_complement(self, rows, monos):
-        """Orthocomplement of a row span within the span of monos."""
+        """Orthocomplement of the span of sparse rows within the span of monos,
+        as sparse rows."""
         if not rows:
-            return rl.identity(len(monos))
-        g = self._gram_restricted(monos)
-        return rl.nullspace(rl.matmul(rows, g))
+            return [{i: ONE} for i in range(len(monos))]
+        return rl.kernel(rl.product(rows, self._gram_restricted(monos)), len(monos))
 
     def image_partial_plus(self):
         """Basis of the differential's image of positive-degree hom(n, g)."""
         if self._im is None:
             monos = self.positive_monomials(2)
             index = _column_index(monos)
-            rows = []
-            for m in self.positive_monomials(1):
-                d = self._monomial_differential(1, m)
-                if not d.is_zero():
-                    rows.append(self._coords(d, monos, index))
+            rows = [_coords(self._monomial_differential(1, m).coeffs, index)
+                    for m in self.positive_monomials(1)]
             self._im = self._subspace(2, rows, monos)
         return self._im
 
@@ -335,69 +342,97 @@ class Cohomology:
                 for i in range(k1):
                     if phi[i] != 0 and i != j:
                         terms.append((j, (j, i), phi[i]))
-            elem = hom_element(2, terms)
-            rows.append(self._coords(elem, monos, index))
+            rows.append(_coords(hom_element(2, terms).coeffs, index))
         return self._subspace(2, rows, monos)
 
-    def h_action(self, alpha, elem):
-        """Induced symmetry action on hom(^2 n, g):
-        (A.f)(v, w) = A f(v, w) - f(Av, w) - f(v, Aw). As e^i o A = sum_p A[i][p] e^p,
-        a coefficient c of e_a (x) e^i ^ e^j goes to [e_{n+alpha}, e_a] at (i, j),
-        to -A[i][p] c at (p, j) and to -A[j][p] c at (i, p)."""
+    def _act(self, alpha, m):
+        """The induced symmetry action on one monomial of hom(^2 n, g), as
+        {monomial: coefficient}: (A.f)(v, w) = A f(v, w) - f(Av, w) - f(v, Aw).
+        As e^i o A = sum_p A[i][p] e^p, e_a (x) e^i ^ e^j goes to
+        [e_{n+alpha}, e_a] at (i, j), to -A[i][p] at (p, j) and to -A[j][p]
+        at (i, p)."""
         amb = self.amb
         mat = amb.sym.basis[alpha]
-        ea = self.n + alpha
-        terms = []
-        for (a, (i, j)), c in elem.coeffs.items():
-            terms.extend((b, (i, j), c * w) for b, w in amb.bracket_basis(ea, a).items())
-            for p in range(self.n):
-                if mat[i][p]:
-                    terms.append((a, (p, j), -mat[i][p] * c))
-                if mat[j][p]:
-                    terms.append((a, (i, p), -mat[j][p] * c))
-        return hom_element(2, terms)
+        a, (i, j) = m
+        # the wedge e^q ^ e^r with q > r is -e^r ^ e^q, and 0 when q = r
+        terms = [((b, (i, j)), w) for b, w in amb.bracket_basis(self.n + alpha, a).items()]
+        terms += [((a, (p, j)), -x) if p < j else ((a, (j, p)), x)
+                  for p, x in enumerate(mat[i]) if x and p != j]
+        terms += [((a, (i, p)), -x) if i < p else ((a, (p, i)), x)
+                  for p, x in enumerate(mat[j]) if x and p != i]
+        out = {}
+        for key, x in terms:
+            out[key] = out[key] + x if key in out else x
+        return {key: x for key, x in out.items() if x}
+
+    def h_action(self, alpha, elem):
+        """Induced symmetry action on hom(^2 n, g), monomial by monomial."""
+        return hom_element(2, [(b, js, c * w) for m, c in elem.coeffs.items()
+                               for (b, js), w in self._act(alpha, m).items()])
 
     def _check_h_invariant(self, rows, monos):
-        """Whether the span of rows is h-invariant; rows must be independent
-        (an echelon basis), since their rank is taken to be len(rows)."""
+        """Whether the span of sparse rows over monos is h-invariant.
+
+        Each symmetry generator acts as a sparse map from every monomial column
+        to its image; the image of every row of the span's reduced echelon
+        basis must reduce to 0 against that basis (ratlinalg.residual).
+        """
+        basis = rl.echelon(rows)
         index = _column_index(monos)
-        acted = [self._coords(self.h_action(alpha, self._from_coords(2, r, monos)),
-                              monos, index)
-                 for alpha in range(self.amb.sym.dimH) for r in rows]
-        return rl.rank(rows + acted) == len(rows)
+        for alpha in range(self.amb.sym.dimH):
+            images = [_coords(self._act(alpha, m), index) for m in monos]
+            if any(rl.residual(basis, r) for r in rl.product(basis.values(), images)):
+                return False
+        return True
 
     def _complements(self, rows, im, monos):
-        """Whether rows are independent and span a complement of im within hom_+."""
-        return len(rows) + im.dim == len(monos) == rl.rank(rows + im.matrix)
+        """Whether sparse rows are independent and span a complement of im
+        within hom_+: |rows| + dim im = |monos|, the echelon basis of rows
+        keeps every row, and the residuals of im's rows against it are
+        independent, so that rank(rows + im) = |monos|."""
+        if len(rows) + im.dim != len(monos):
+            return False
+        basis = rl.echelon(rows)
+        residuals = [rl.residual(basis, r) for r in im.echelon.values()]
+        return len(basis) == len(rows) and len(rl.echelon(residuals)) == im.dim
 
     def normal_module_popp(self):
         """Normal module orthogonal to the trace module S:
         N = S^perp meet (S + N_Morimoto).
 
         Its elements are the combinations of the rows of S and of the
-        Morimoto module O that are Gram-orthogonal to S, the kernel of a
-        |S| x (|S| + |O|) system; with S = 0 it is O. Returns the
-        HomSubspace. Raises IntersectionNonTrivial with a witness when S meets
-        O, the orthocomplement of the differential's image.
+        Morimoto module O that are Gram-orthogonal to S. S G S^T is
+        invertible (G is positive definite), so there is one per row O[f]:
+        O[f] - c_f S with c_f = (S G S^T)^-1 S G O[f]^T; with S = 0 it is O.
+        Returns the HomSubspace. Raises IntersectionNonTrivial with a witness
+        when S meets O, the orthocomplement of the differential's image.
         """
         monos = self.positive_monomials(2)
         im = self.image_partial_plus()
-        s = self.s_module().matrix
-        operp = self.normal_module_morimoto().matrix
-        sg = rl.matmul(s, self._gram_restricted(monos))
+        s = list(self.s_module().echelon.values())
+        rows = [dict(r) for r in self.normal_module_morimoto().echelon.values()]
+        sg = rl.product(s, self._gram_restricted(monos))
         # combinations of S orthogonal to im d+: an |im| x |S| kernel
-        meet = rl.nullspace(rl.matmul(im.matrix, rl.transpose(sg)))
+        pairings = [{i: x for i, a in enumerate(sg) if (x := rl.dot(r, a))}
+                    for r in im.echelon.values()]
+        meet = rl.kernel(pairings, len(s))
         if meet:
-            witness = self._from_coords(2, rl.row_basis(rl.matmul(meet, s))[0], monos)
+            witness = self._subspace(2, rl.product(meet, s), monos).elements[0]
             raise IntersectionNonTrivial(
                 "the trace module meets the orthocomplement of im d+", witness)
-        both = s + operp
-        rows = (rl.matmul(rl.nullspace(rl.transpose(rl.matmul(both, rl.transpose(sg)))), both)
-                if s else operp)
+        if s:
+            # O[f] - sum_i (S G O[f]^T)_i t_i, t = (S G S^T)^-T S: over S's nonzeros only
+            k = rl.invert([[rl.dot(a, b) for b in s] for a in sg])
+            t = rl.product(rl.sparse(rl.transpose(k)), s)
+            for row in rows:
+                for y, ti in zip([rl.dot(row, a) for a in sg], t):
+                    if y:
+                        rl.eliminate(row, y, ti)
         module = self._subspace(2, rows, monos)
         # exact verification on the echelon basis: N + im d+ = hom_+, N is h-invariant
-        if (not self._complements(module.matrix, im, monos)
-                or not self._check_h_invariant(module.matrix, monos)):
+        basis = module.echelon.values()
+        if (not self._complements(basis, im, monos)
+                or not self._check_h_invariant(basis, monos)):
             raise ClosureFailure("the Popp normal module is not an h-invariant complement")
         return module
 
@@ -410,8 +445,8 @@ class Cohomology:
         if self._morimoto is None:
             monos = self.positive_monomials(2)
             im = self.image_partial_plus()
-            module = self._subspace(2, self._ortho_complement(im.matrix, monos), monos)
-            if not self._complements(module.matrix, im, monos):
+            module = self._subspace(2, self._ortho_complement(im.echelon.values(), monos), monos)
+            if not self._complements(module.echelon.values(), im, monos):
                 raise ClosureFailure("the Morimoto normal module is not a complement of im d+")
             self._morimoto = module
         return self._morimoto

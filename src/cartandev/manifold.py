@@ -277,6 +277,13 @@ class StructureField:
     """
 
     def __init__(self, frame):
+        # a constant inf or nan can drop out of det X (0 * inf folds to 0),
+        # so the per-point checks would not see it
+        for i, field in enumerate(frame.fields):
+            for coord, c in zip(frame.chart.coords, field):
+                if isinstance(c, ex.Const) and not math.isfinite(c.value):
+                    raise SingularFrame(f"X{i + 1} has the non-finite constant component "
+                                        f"{coord} = {c.value}")
         self.frame = frame
         n = frame.n
         self._pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -1,11 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows, each row a list of ``fractions.Fraction``, at
-every function's interface. Inside, row reduction and products keep only the
-nonzero entries of each row, so their cost follows the number of nonzeros,
-not the matrix size. Row reduction uses deterministic pivoting: first
-nonzero column, smallest row index. Everything returns fresh lists; inputs
-are never mutated.
+One sparse core does the work: a row is a ``{column: Fraction}`` dict of its
+nonzeros, and ``echelon`` keeps the reduced row echelon basis of a span as
+``{pivot: row}``. Each row is reduced against the basis built so far
+(``residual``) and, if anything is left, becomes a new pivot row that is
+eliminated from the earlier ones, so the cost follows the nonzeros, not the
+matrix size. A reduced echelon basis is unique for its span, so every result
+is independent of the order of elimination. ``eliminate``, ``dot``,
+``product`` and ``kernel`` work on the same rows, and ``sparse`` / ``dense``
+convert.
+
+The public dense functions (``rref``, ``rank``, ``row_basis``, ``nullspace``,
+``matmul``, ``invert``, ``solve``, ``span_intersection``, ``spans_equal``)
+take and return lists of rows, each a list of ``fractions.Fraction``, and are
+thin wrappers over the core. Except for ``eliminate``, which updates its
+row in place, everything returns fresh lists and dicts; inputs are never
+mutated.
 """
 
 from fractions import Fraction
@@ -14,14 +24,29 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _nonzeros(row):
-    """(column, entry) pairs of a row's nonzeros; the shared ZERO that fills
-    the zero cells of rows built here is skipped without a Fraction test."""
-    return [(c, x) for c, x in enumerate(row) if x is not ZERO and x]
+# -- the sparse core ------------------------------------------------------------
+
+def sparse(m):
+    """The rows of a dense matrix as {column: entry} dicts of their nonzeros;
+    the shared ZERO that fills the zero cells of rows built here is skipped
+    without a Fraction test."""
+    return [{c: x for c, x in enumerate(row) if x is not ZERO and x} for row in m]
 
 
-def _eliminate(row, f, pivot):
-    """row -= f * pivot over the pivot's nonzeros, dropping entries that cancel."""
+def dense(rows, cols):
+    """Sparse rows as dense rows of length cols, ZERO in every other cell."""
+    out = []
+    for r in rows:
+        row = [ZERO] * cols
+        for c, x in r.items():
+            row[c] = x
+        out.append(row)
+    return out
+
+
+def eliminate(row, f, pivot):
+    """row -= f * pivot in place, over the pivot's nonzeros; entries that
+    cancel are dropped."""
     for c, x in pivot.items():
         v = row.get(c, ZERO) - f * x
         if v:
@@ -30,6 +55,70 @@ def _eliminate(row, f, pivot):
             del row[c]
 
 
+def residual(basis, v):
+    """v - sum_p v[p] * basis[p] over the pivots of a reduced echelon basis.
+
+    A pivot row is 1 at its pivot and 0 at every other pivot, so one pass
+    clears every pivot column: the result is {} exactly when v lies in the
+    span, and two rows have equal residuals exactly when they are equal
+    modulo the span.
+    """
+    out = dict(v)
+    for p in [p for p in v if p in basis]:
+        eliminate(out, v[p], basis[p])
+    return out
+
+
+def echelon(rows):
+    """The reduced row echelon basis of the span of sparse rows, {pivot: row}
+    in increasing pivot order; rows that reduce to 0 add nothing."""
+    basis = {}
+    for v in rows:
+        v = residual(basis, v)
+        if not v:
+            continue
+        p = min(v)
+        if v[p] != 1:
+            inv = ONE / v[p]
+            v = {c: x * inv for c, x in v.items()}
+        for r in basis.values():
+            if p in r:
+                eliminate(r, r[p], v)
+        basis[p] = v
+    return dict(sorted(basis.items()))
+
+
+def dot(u, v):
+    """The sum of u[c] * v[c] over the columns of u."""
+    return sum((x * v[c] for c, x in u.items() if c in v), ZERO)
+
+
+def product(rows, m):
+    """Sparse rows times the matrix whose rows are the sparse rows m."""
+    out = []
+    for r in rows:
+        acc = {}
+        for j, x in r.items():
+            for c, y in m[j].items():
+                acc[c] = acc.get(c, ZERO) + x * y
+        out.append({c: v for c, v in acc.items() if v})
+    return out
+
+
+def kernel(rows, cols):
+    """Basis of the right kernel {x : rows x = 0} in Q^cols: one vector per
+    non-pivot column f, 1 at f and -basis[p][f] at each pivot p."""
+    basis = echelon(rows)
+    out = {f: {f: ONE} for f in range(cols) if f not in basis}
+    for p, r in basis.items():
+        for f, x in r.items():
+            if f != p:
+                out[f][p] = -x
+    return list(out.values())
+
+
+# -- the dense interface ----------------------------------------------------------
+
 def rref(m):
     """Reduced row echelon form.
 
@@ -37,35 +126,11 @@ def rref(m):
     """
     if not m:
         return [], []
+    basis = echelon(sparse(m))
     cols = len(m[0])
-    rest = [dict(_nonzeros(row)) for row in m]
-    done = []                      # reduced pivot rows, in pivot order
-    pivots = []
-    for col in range(cols):
-        if not rest:
-            break
-        hits = [r for r in rest if col in r]
-        if not hits:
-            continue
-        src = hits[0]
-        inv = ONE / src[col]
-        lead = {c: x * inv for c, x in src.items()}
-        for r in hits[1:]:
-            _eliminate(r, r[col], lead)
-        for r in done:
-            if col in r:
-                _eliminate(r, r[col], lead)
-        rest = [r for r in rest if r and r is not src]
-        done.append(lead)
-        pivots.append(col)
-    out = []
-    for r in done:
-        row = [ZERO] * cols
-        for c, x in r.items():
-            row[c] = x
-        out.append(row)
-    out.extend([ZERO] * cols for _ in range(len(m) - len(done)))
-    return out, pivots
+    out = dense(basis.values(), cols)
+    out.extend([ZERO] * cols for _ in range(len(m) - len(basis)))
+    return out, list(basis)
 
 
 def rank(m):
@@ -74,8 +139,7 @@ def rank(m):
 
 def row_basis(m):
     """Basis of the row space, in reduced echelon form (zero rows dropped)."""
-    r, pivots = rref(m)
-    return [r[i] for i in range(len(pivots))]
+    return dense(echelon(sparse(m)).values(), len(m[0])) if m else []
 
 
 def nullspace(m):
@@ -83,32 +147,13 @@ def nullspace(m):
     if not m:
         return []
     cols = len(m[0])
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = {f: [ZERO] * cols for f in range(cols) if f not in pivot_set}
-    for f, v in basis.items():
-        v[f] = ONE
-    # a reduced pivot row is 1 at its pivot and 0 at every other pivot
-    for row, p in zip(r, pivots):
-        for f, x in _nonzeros(row):
-            if f != p:
-                basis[f][p] = -x
-    return list(basis.values())
+    return dense(kernel(sparse(m), cols), cols)
 
 
 def matmul(a, b):
     if not a or not b:
         return []
-    mcols = len(b[0])
-    bnz = [_nonzeros(row) for row in b]
-    out = []
-    for ai in a:
-        oi = [ZERO] * mcols
-        for j, x in _nonzeros(ai):
-            for c, y in bnz[j]:
-                oi[c] += x * y
-        out.append(oi)
-    return out
+    return dense(product(sparse(a), sparse(b)), len(b[0]))
 
 
 def transpose(m):
@@ -137,11 +182,10 @@ def invert(m):
     Raises ValueError on singular input.
     """
     n = len(m)
-    aug = [list(row) + ident_row for row, ident_row in zip(m, identity(n))]
-    r, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    basis = echelon([{**r, n + i: ONE} for i, r in enumerate(sparse(m))])
+    if list(basis)[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r[:n]]
+    return [[r.get(n + c, ZERO) for c in range(n)] for r in basis.values()]
 
 
 def solve(a, b):
@@ -152,13 +196,12 @@ def solve(a, b):
     if not a:
         return None
     cols = len(a[0])
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    r, pivots = rref(aug)
-    if cols in pivots:
+    basis = echelon([{**r, cols: bv} if bv else r for r, bv in zip(sparse(a), b)])
+    if cols in basis:
         return None
     x = [ZERO] * cols
-    for i, p in enumerate(pivots):
-        x[p] = r[i][cols]
+    for p, r in basis.items():
+        x[p] = r.get(cols, ZERO)
     return x
 
 
@@ -167,11 +210,10 @@ def span_intersection(a, b):
     if not a or not b:
         return []
     # x = c.a = d.b  <=>  (c, -d) is in the kernel of the transposed stack
-    kernel = nullspace(transpose(a + b))
-    return row_basis(matmul([v[:len(a)] for v in kernel], a))
+    k = kernel(sparse(transpose(a + b)), len(a) + len(b))
+    rows = echelon(product([{i: x for i, x in v.items() if i < len(a)} for v in k], sparse(a)))
+    return dense(rows.values(), len(a[0]))
 
 
 def spans_equal(a, b):
-    ra = row_basis(a)
-    rb = row_basis(b)
-    return ra == rb
+    return row_basis(a) == row_basis(b)

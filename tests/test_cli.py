@@ -236,6 +236,19 @@ def test_simulate_popp_literal_division_by_zero_is_an_error(capsys, tmp_path):
     assert out == "" and err.startswith("error:")
 
 
+def test_simulate_popp_infinite_non_horizontal_component_is_an_error(capsys, tmp_path):
+    # X3's t1 component 1/0 cancels out of det X along X1 = (0, 0, 1), so
+    # only the constant check at construction sees it
+    spec = bi.frame("contact-halfplane").to_spec()
+    spec["frame"][2][2] = "1/0"
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "simulate", "popp", str(path), "--paths", "4",
+                         "--T", "0.01", "--dt", "0.005")
+    assert code == 2
+    assert out == "" and err.startswith("error: X3 has the non-finite constant")
+
+
 def test_simulate_bad_q0(capsys):
     code, _, err = run(capsys, "simulate", "popp", "--builtin", "heisenberg3",
                        "--q0", "0.1,0.2")

@@ -1,6 +1,12 @@
 """Tests for hom-valued forms, the graded differential, and normal modules."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,15 +15,25 @@ from cartandev import cohomology as ch
 from cartandev import ratlinalg as rl
 from cartandev.builtins import algebra as builtin_algebra
 from cartandev.checks import cohomology_for
-from cartandev.errors import ClosureFailure, DimensionMismatch, IntersectionNonTrivial
+from cartandev.errors import ClosureFailure, IntersectionNonTrivial
+
+
+def inner(co, x, y):
+    """<x, y> = sum of cx cy g(a, b) wedge_gram(J, K) over every pair of
+    monomials e_a (x) e^J of x and e_b (x) e^K of y: the Gram oracle."""
+    gg = co.gram_g()
+    return sum((cx * cy * gg[a][b] * co.wedge_gram(js, ks)
+                for (a, js), cx in x.coeffs.items() for (b, ks), cy in y.coeffs.items()),
+               Fraction(0))
 
 
 def codifferential(co, beta):
     """Gram-adjoint of the differential: <d a, b> = <a, d* b> exactly."""
     k = beta.arity - 1
     monos = co.monomials(k)
-    y = [co.inner(co._monomial_differential(k, m), beta) for m in monos]
-    return co._from_coords(k, rl.solve(co._gram_restricted(monos), y), monos)
+    y = [inner(co, co._monomial_differential(k, m), beta) for m in monos]
+    gram = rl.dense(co._gram_restricted(monos), len(monos))
+    return ch.HomElement(k, dict(zip(monos, rl.solve(gram, y))))
 
 
 def make_cohomology(name):
@@ -92,7 +108,7 @@ def test_codifferential_adjointness(name):
         a = ch.HomElement(1, {m: Fraction(1)})
         da = co.differential(a)
         for b, db in zip(betas, dstars):
-            assert co.inner(da, b) == co.inner(a, db)
+            assert inner(co, da, b) == inner(co, a, db)
 
 
 # free(2,3) with e5 = [e1, e3] + [e2, e3] in place of [e2, e3]: its layer-3
@@ -130,7 +146,8 @@ def test_gram_restricted_equals_pairwise_inner(alg):
     co = cohomology_for(alg)
     monos = co.positive_monomials(2)
     units = [ch.HomElement(2, {m: Fraction(1)}) for m in monos]
-    assert co._gram_restricted(monos) == [[co.inner(x, y) for y in units] for x in units]
+    gram = rl.dense(co._gram_restricted(monos), len(monos))
+    assert gram == [[inner(co, x, y) for y in units] for x in units]
 
 
 # -- inner products of the trace module --------------------------------------
@@ -148,13 +165,7 @@ def test_h3_trace_module_inner_products():
             if k == i:
                 continue
             probe = ch.hom_element(2, [(k, (k, i), 1)])
-            assert co.inner(gen, probe) == Fraction(1, 2)
-
-
-def test_inner_rejects_mixed_arities():
-    co = make_cohomology("heisenberg3")
-    with pytest.raises(DimensionMismatch):
-        co.inner(ch.hom_element(1, [(2, (0,), 1)]), ch.hom_element(2, [(2, (0, 1), 1)]))
+            assert inner(co, gen, probe) == Fraction(1, 2)
 
 
 # -- obstruction elements -----------------------------------------------------
@@ -196,7 +207,7 @@ def test_popp_normal_module_complements_image(name):
     assert n.dim + im.dim == len(monos)
     assert not rl.span_intersection(n.matrix, im.matrix)
     # invariance under the metric-preserving symmetries
-    assert co._check_h_invariant(n.matrix, monos)
+    assert co._check_h_invariant(list(n.echelon.values()), monos)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "free23"])
@@ -222,10 +233,10 @@ def reference_popp(co):
     """N = (S + (S + O)^perp)^perp by two orthocomplements over hom_+, O the
     Morimoto module: the reference for normal_module_popp."""
     monos = co.positive_monomials(2)
-    s = co.s_module().matrix
-    operp = co.normal_module_morimoto().matrix
+    s = list(co.s_module().echelon.values())
+    operp = list(co.normal_module_morimoto().echelon.values())
     tperp = co._ortho_complement(s + operp, monos)
-    return rl.row_basis(co._ortho_complement(s + tperp, monos))
+    return rl.row_basis(rl.dense(co._ortho_complement(s + tperp, monos), len(monos)))
 
 
 def reference_h_action(co, alpha, elem):
@@ -273,13 +284,51 @@ def test_popp_witness_is_the_first_row_of_the_intersection(name, monkeypatch):
     co = make_cohomology(name)
     monos = co.positive_monomials(2)
     operp = co.normal_module_morimoto().matrix
-    s = co._subspace(2, co.s_module().matrix[:1] + [operp[3]], monos)
+    s = co._subspace(2, rl.sparse(co.s_module().matrix[:1] + [operp[3]]), monos)
     monkeypatch.setattr(co, "s_module", lambda: s)
     with pytest.raises(IntersectionNonTrivial) as raised:
         co.normal_module_popp()
     expected = rl.span_intersection(s.matrix, operp)
     assert len(expected) == 1
-    assert raised.value.witness == co._from_coords(2, expected[0], monos)
+    assert raised.value.witness == ch.HomElement(2, dict(zip(monos, expected[0])))
+
+
+def matrix_digest(matrix):
+    """sha256 of dense rows written one line each, entries by str, comma-separated."""
+    h = hashlib.sha256()
+    for row in matrix:
+        h.update((",".join(str(x) for x in row) + "\n").encode())
+    return h.hexdigest()
+
+
+# sha256 of the matrix rows of im d+, N_Morimoto and N_Popp, recorded before
+# the exact path moved to sparse rows; every later engine must give these bytes
+PINNED_DIGESTS = {
+    "heisenberg3": ("fc7edb55f38b0db612f0e4f2748df0ea76278636b08b12806a857d3268e720c9",
+                    "9182b3aad100b2cfece8075290b885410beb425c5ddb6b7dc196836ea8a7e511",
+                    "9182b3aad100b2cfece8075290b885410beb425c5ddb6b7dc196836ea8a7e511"),
+    "engel": ("4d921dcdac004695f5dc3ce3e4851fa33b48598a06d0b52cbe462f940797a09f",
+              "5430d769bff76b6bd1ade953fdcd4e3d892dc35b83d319541191c92a05205ec9",
+              "5430d769bff76b6bd1ade953fdcd4e3d892dc35b83d319541191c92a05205ec9"),
+    "free23": ("e2d085a927ca686a41b8437aebb8ce1169cee5c6f96c9d8166964961db95eb97",
+               "d584b44caaa7dedccd98d4f10d75fa2aec78b395a9f6d89ddae411891569defe",
+               "b0140538fc01abc72d537e71f3c689a65e0a54eccfb71d0ec94194af95397752"),
+    "free24": ("bb23acaa6f1ec003ba3f2059e50dc7949022c3306d303370c46477a5e12ac8a7",
+               "a67641f7fe2a3daa4ade3da5ce1347368a56b78d7525e382330e68bf5cdf1860",
+               "2546f57594f64d747567e8faad1c8ab8099b98db7f7fe05eae564d5696af0a6a"),
+    "free32": ("2cbf725f9fd70913d2095538abf4a30605286d17a4da25ca70d2d4c96588bdab",
+               "25530780d94cc919e99ab99a5f1a4395bc7d2dfce04990d0b67d320cf6336385",
+               "b96319a8dccd057af5bc7a071e0dab4fa7d91283235f79924a51ec3a482a4b59"),
+}
+FREE25_MORIMOTO_DIGEST = "d0a9d5e4f6cf1e7151831226bc063ffb5656b73cb1b1b00f5f0231e855af6702"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_module_bytes_are_pinned(name):
+    alg = al.free_nilpotent(3, 2) if name == "free32" else builtin_algebra(name)
+    co = cohomology_for(alg)
+    modules = (co.image_partial_plus(), co.normal_module_morimoto(), co.normal_module_popp())
+    assert tuple(matrix_digest(m.matrix) for m in modules) == PINNED_DIGESTS[name]
 
 
 def test_free25_morimoto_module_is_a_complement():
@@ -289,6 +338,7 @@ def test_free25_morimoto_module_is_a_complement():
     co = cohomology_for(al.free_nilpotent(2, 5))
     n = co.normal_module_morimoto()
     assert (len(n.monomials), co.image_partial_plus().dim, n.dim) == (1247, 85, 1162)
+    assert matrix_digest(n.matrix) == FREE25_MORIMOTO_DIGEST
 
 
 def test_popp_certificate_raises_when_not_h_invariant(monkeypatch):
@@ -306,15 +356,45 @@ def test_morimoto_certificate_raises_when_meeting_image(monkeypatch):
         co.normal_module_morimoto()
 
 
+# Asserts are stripped under -O, so the child reports what the certificates
+# returned and the test compares it
+CERTIFICATES_UNDER_O = """
+import json, sys
+from fractions import Fraction
+from cartandev import builtins as bi, checks as ck
+out = {"optimize": sys.flags.optimize}
+for name in ("heisenberg3", "free23"):
+    co = ck.cohomology_for(bi.algebra(name))
+    monos = co.positive_monomials(2)
+    rows = list(co.normal_module_popp().echelon.values())
+    im = co.image_partial_plus()
+    line = {monos.index((0, (0, 1))): Fraction(1)}
+    out[name] = [co._check_h_invariant(rows, monos), co._check_h_invariant([line], monos),
+                 co._complements(rows, im, monos),
+                 co._complements(rows[:-1] + [next(iter(im.echelon.values()))], im, monos)]
+print(json.dumps(out))
+"""
+
+
+def test_certificates_reject_under_python_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", CERTIFICATES_UNDER_O],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"optimize": 1, "heisenberg3": [True, False, True, False],
+                                       "free23": [True, False, True, False]}
+
+
 @pytest.mark.parametrize("name", ["heisenberg3", "free23"])
 def test_complements_rejects_non_complements(name):
     co = make_cohomology(name)
-    rows = co.normal_module_popp().matrix
+    rows = list(co.normal_module_popp().echelon.values())
     im = co.image_partial_plus()
     monos = co.positive_monomials(2)
     assert co._complements(rows, im, monos)
     # right count, but one row now lies in im d+
-    assert not co._complements(rows[:-1] + [im.matrix[0]], im, monos)
+    assert not co._complements(rows[:-1] + [next(iter(im.echelon.values()))], im, monos)
     # right count, but dependent rows
     assert not co._complements(rows[:-1] + [rows[0]], im, monos)
     # independent and meeting im d+ trivially, but one dimension short
@@ -325,8 +405,7 @@ def test_complements_rejects_non_complements(name):
 def test_check_h_invariant_rejects_a_monomial_line(name):
     co = make_cohomology(name)
     monos = co.positive_monomials(2)
-    line = [Fraction(int(m == (0, (0, 1)))) for m in monos]
-    assert sum(line) == 1
+    line = {monos.index((0, (0, 1))): Fraction(1)}
     assert not co._check_h_invariant([line], monos)
 
 
@@ -334,11 +413,10 @@ def test_h3_degree_one_differential_bijective():
     # on the 3-dimensional Heisenberg algebra, the differential restricted to
     # positive-degree hom(n, g) is injective onto its image of equal dimension
     co = make_cohomology("heisenberg3")
-    monos2 = co.positive_monomials(2)
-    rows = []
-    for m in co.positive_monomials(1):
-        rows.append(co._coords(co._monomial_differential(1, m), monos2))
-    assert rl.rank(rows) == len(co.positive_monomials(1))
+    index = ch._column_index(co.positive_monomials(2))
+    rows = [ch._coords(co._monomial_differential(1, m).coeffs, index)
+            for m in co.positive_monomials(1)]
+    assert len(rl.echelon(rows)) == len(co.positive_monomials(1))
 
 
 def test_evaluate_matches_coefficients():

@@ -176,3 +176,136 @@ def test_matmul_equals_the_triple_loop(seed):
         a_before, b_before = [list(r) for r in a], [list(r) for r in b]
         assert rl.matmul(a, b) == dense_matmul(a, b)
         assert (a, b) == (a_before, b_before)
+
+
+# -- every public function against one column-by-column oracle -----------------
+
+
+def column_rref(m):
+    """Column-by-column Gauss-Jordan over {column: entry} rows: each column's
+    pivot row is its first unreduced row, which then clears the column from
+    every other row. The oracle every public function is derived from below."""
+    if not m:
+        return [], []
+    cols = len(m[0])
+    rest = [{c: x for c, x in enumerate(row) if x} for row in m]
+    done, pivots = [], []
+    for col in range(cols):
+        hits = [r for r in rest if col in r]
+        if not hits:
+            continue
+        src = hits[0]
+        lead = {c: x / src[col] for c, x in src.items()}
+        for r in hits[1:] + [r for r in done if col in r]:
+            f = r[col]
+            for c, x in lead.items():
+                r[c] = r.get(c, 0) - f * x
+                if not r[c]:
+                    del r[c]
+        rest = [r for r in rest if r and r is not src]
+        done.append(lead)
+        pivots.append(col)
+    out = [[Fraction(r.get(c, 0)) for c in range(cols)] for r in done]
+    return out + [[Fraction(0)] * cols for _ in range(len(m) - len(done))], pivots
+
+
+def oracle_row_basis(m):
+    r, pivots = column_rref(m)
+    return r[:len(pivots)]
+
+
+def oracle_nullspace(m):
+    r, pivots = column_rref(m)
+    out = []
+    for f in range(len(m[0])):
+        if f not in pivots:
+            v = [Fraction(0)] * len(m[0])
+            v[f] = Fraction(1)
+            for row, p in zip(r, pivots):
+                v[p] = -row[f]
+            out.append(v)
+    return out
+
+
+def oracle_solve(a, b):
+    cols = len(a[0])
+    r, pivots = column_rref([row + [bv] for row, bv in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for row, p in zip(r, pivots):
+        x[p] = row[cols]
+    return x
+
+
+def oracle_invert(m):
+    n = len(m)
+    r, pivots = column_rref([row + [Fraction(int(i == j)) for j in range(n)]
+                             for i, row in enumerate(m)])
+    return [row[n:] for row in r[:n]] if pivots[:n] == list(range(n)) else None
+
+
+def oracle_span_intersection(a, b):
+    kernel = oracle_nullspace([list(col) for col in zip(*(a + b))])
+    return oracle_row_basis(dense_matmul([v[:len(a)] for v in kernel], a)) if kernel else []
+
+
+def oracle_residual(m, v):
+    r, pivots = column_rref(m)
+    out = list(v)
+    for row, p in zip(r, pivots):
+        f = v[p]
+        out = [x - f * y for x, y in zip(out, row)]
+    return out
+
+
+def check_invert(square):
+    """Whether rl.invert equals the oracle: the inverse, or ValueError."""
+    expected = oracle_invert(square)
+    if expected is None:
+        with pytest.raises(ValueError):
+            rl.invert(square)
+    else:
+        assert rl.invert(square) == expected
+    return expected is not None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_public_function_equals_the_column_oracle(seed):
+    rng = random.Random(200 + seed)
+    # the cases below are mostly singular, so add dense squares
+    assert sum(check_invert(random_sparse(rng, n, n, 0.8)) for n in (1, 2, 3, 5)) >= 2
+    for m in sparse_cases(seed):
+        r, pivots = column_rref(m)
+        assert rl.rref(m) == (r, pivots)
+        assert rl.rank(m) == len(pivots)
+        assert rl.row_basis(m) == oracle_row_basis(m)
+        if not m or not m[0]:
+            continue
+        cols = len(m[0])
+        assert rl.nullspace(m) == oracle_nullspace(m)
+        assert rl.matmul(m, rl.transpose(m)) == dense_matmul(m, rl.transpose(m))
+        # the sparse core on the same matrix
+        rows = rl.sparse(m)
+        assert rl.dense(rows, cols) == m
+        assert rl.echelon(rows) == dict(zip(pivots, rl.sparse(r)))
+        assert rl.kernel(rows, cols) == rl.sparse(oracle_nullspace(m))
+        assert rl.product(rows, rl.sparse(rl.transpose(m))) == rl.sparse(
+            dense_matmul(m, rl.transpose(m)))
+        probe = random_sparse(rng, 1, cols, 0.5)[0]
+        assert rl.residual(rl.echelon(rows), rl.sparse([probe])[0]) == rl.sparse(
+            [oracle_residual(m, probe)])[0]
+        assert rl.dot(rows[0], rl.sparse([probe])[0]) == sum(
+            (x * y for x, y in zip(m[0], probe)), Fraction(0))
+        # a consistent right-hand side, then one that is inconsistent unless m has full row rank
+        weights = random_sparse(rng, 1, len(m), 0.7)[0]
+        b = [sum((w * x for w, x in zip(weights, col)), Fraction(0)) for col in zip(*m)]
+        assert rl.solve(rl.transpose(m), b) == oracle_solve(rl.transpose(m), b)
+        b = random_sparse(rng, 1, len(m), 0.7)[0]
+        assert rl.solve(m, b) == oracle_solve(m, b)
+        k = min(len(m), cols)
+        check_invert([row[:k] for row in m[:k]])
+        top, bottom = m[:len(m) // 2 + 1], m[len(m) // 2:]
+        assert rl.span_intersection(top, bottom) == oracle_span_intersection(top, bottom)
+        assert rl.spans_equal(top, bottom) == (oracle_row_basis(top) == oracle_row_basis(bottom))
+        assert rl.spans_equal(m, r)
