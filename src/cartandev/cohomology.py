@@ -143,8 +143,8 @@ class Cohomology:
     """All cohomological operations for one ambient algebra with its metric.
 
     Caches monomial enumerations, Gram matrices, monomial differentials, im d+
-    and its orthocomplement (the Morimoto module); callers share the latter
-    two HomSubspaces and must not modify them.
+    and its orthocomplement (the Morimoto module), and d of the identity;
+    callers share the two HomSubspaces and must not modify them.
     """
 
     def __init__(self, amb, metric):
@@ -457,8 +457,12 @@ class Cohomology:
         A zero return is the necessary condition for Morimoto's normalisation
         to reproduce the Popp development in direction i (0-based).
         """
-        d = self.differential(self.identity_hom())
         terms = []
-        for (a, js), c in d.coeffs.items():
+        for (a, js), c in self._d_identity.coeffs.items():
             terms.append((a, js + (i,), c))
         return hom_element(3, terms)
+
+    @functools.cached_property
+    def _d_identity(self):
+        """d(sum_j e_j (x) e^j), computed once for every generator's obstruction."""
+        return self.differential(self.identity_hom())

@@ -1,13 +1,16 @@
 """Deterministic and stochastic development, and the Carnot-group lift.
 
 Each simulator is a flow (the right-hand side of its Stratonovich or
-ordinary system) stepped by one time loop, ``_integrate``: Stratonovich-Heun
-for the three SDEs, the developed one moving its frame h~ by Cayley transforms
-of so(k1) increments, and classical RK4 with polar projection of h~ for model
-curves. All simulators are vectorized over paths; randomness comes from a
-counter-based Philox stream keyed by (seed, step), with path p consuming
-row p of each step's draw, so a batch of P paths reproduces the first P
-paths of any larger batch at the same seed.
+ordinary system) stepped by one time loop, ``_integrate``. The three SDEs
+take Stratonovich-Heun steps, the developed one moving its frame h~ by
+Cayley transforms of so(k1) increments; they are vectorized over paths.
+Randomness comes from a counter-based Philox stream keyed by (seed, step),
+with path p consuming row p of each step's draw, so a batch of P paths
+reproduces the first P paths of any larger batch at the same seed.
+
+A model curve is one path, stepped on scalars by RKMK4 in Cayley
+coordinates (Munthe-Kaas 1999): classical RK4 on (q, Omega) with the frame
+h~ cay(Omega), so h~ stays in O(k1) with no projection.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import expr as ex
+from . import manifold as mf
 from .errors import DimensionMismatch, MalformedSpec, NonFinite, StepTooLarge
 
 # Dynkin coefficients of the group law through step 4:
@@ -116,16 +120,16 @@ def _heun(flow, state, dw, moves=None):
 
 
 def _rk4(flow, state, u, dt):
-    """Classical RK4 step; flow(*state, c) returns the derivative tuple.
+    """Classical RK4 step; flow(state, c) returns the derivative list of the state list.
 
     u holds the control at the step's start, midpoint and end.
     """
-    k1 = flow(*state, u[0])
-    k2 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k1)), u[1])
-    k3 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k2)), u[1])
-    k4 = flow(*(x + dt * k for x, k in zip(state, k3)), u[2])
-    return tuple(x + dt * (a + 2 * b + 2 * c + d) / 6.0
-                 for x, a, b, c, d in zip(state, k1, k2, k3, k4))
+    half = 0.5 * dt
+    k1 = flow(state, u[0])
+    k2 = flow([x + half * k for x, k in zip(state, k1)], u[1])
+    k3 = flow([x + half * k for x, k in zip(state, k2)], u[1])
+    k4 = flow([x + dt * k for x, k in zip(state, k3)], u[2])
+    return [x + dt * (a + 2 * b + 2 * c + d) / 6.0 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
 def _integrate(advance, state, steps, dt, record, chart=None):
@@ -147,17 +151,17 @@ def _integrate(advance, state, steps, dt, record, chart=None):
     left = None
     if chart is not None:
         left = np.zeros(len(state[0]), dtype=bool)
-        box = np.array(chart.bounds())
-        bounded = [i for i, c in enumerate(chart.coords) if c not in chart.periodic]
-        lo, hi = box[bounded, 0], box[bounded, 1]
+        # a wrapped periodic coordinate is never outside: its box is unbounded
+        box = np.array([(-np.inf, np.inf) if c in chart.periodic else b
+                        for c, b in zip(chart.coords, chart.bounds())])
+        lo, hi = box[:, 0], box[:, 1]
     row = 0                                 # keep is sorted: the next row to fill
     for s in range(steps + 1):
         if s:
             state = advance(s - 1, state)
             if chart is not None:
                 state = (chart.wrap(state[0]),) + state[1:]
-                q = state[0][:, bounded]
-                left |= ((q < lo) | (q > hi)).any(axis=1)
+                left |= ((state[0] < lo) | (state[0] > hi)).any(axis=1)
         if row < len(keep) and keep[row] == s:
             for o, x in zip(out, state):
                 o[row] = x
@@ -286,11 +290,10 @@ def simulate_carnot_lift(alg, config, record="endpoints"):
 # Development on a chart
 # ---------------------------------------------------------------------------
 
-def polar_project(h):
-    """Nearest orthogonal matrix via Newton iteration h <- (h + h^-T)/2."""
-    for _ in range(3):
-        h = 0.5 * (h + np.linalg.inv(np.swapaxes(h, -1, -2)))
-    return h
+def _rotation(sigma):
+    """Cosine and sine of cay(sigma J), J = [[0, -1], [1, 0]]: an array or a scalar sigma."""
+    quarter = 0.25 * sigma * sigma
+    return (1.0 - quarter) / (1.0 + quarter), sigma / (1.0 + quarter)
 
 
 def cayley_move(h, a):
@@ -302,12 +305,43 @@ def cayley_move(h, a):
     if h.shape[-1] != 2:
         eye = np.eye(h.shape[-1])
         return h @ np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a)
-    sigma = a[:, 1, 0]
-    quarter = 0.25 * sigma * sigma
-    c = ((1.0 - quarter) / (1.0 + quarter))[:, None]
-    s = (sigma / (1.0 + quarter))[:, None]
+    c, s = (x[:, None] for x in _rotation(a[:, 1, 0]))
     h0, h1 = h[:, :, 0], h[:, :, 1]
     return np.stack((h0 * c + h1 * s, h1 * c - h0 * s), axis=-1)
+
+
+def _cayley_coordinates(blocks, k1):
+    """(zero, move, velocity) of one frame's Cayley coordinates Omega.
+
+    h~ cay(Omega(t)) solves dh~ = h~ A for Omega(0) = 0 and Omega' =
+    velocity(Omega, s) = (I + Omega/2) A (I - Omega/2), A = sum_alpha s_alpha
+    A_alpha over the rows of blocks; move(h, Omega) is h~ cay(Omega) for a
+    row-major sequence h. For k1 = 2, Omega = omega J is a scalar, the
+    velocity is sigma (1 + omega^2/4) with sigma = A[1, 0], and cay(omega J)
+    is cayley_move's rotation; otherwise Omega is a (k1, k1) array.
+    """
+    if k1 == 2:
+        column = blocks[:, k1].tolist()                   # A_alpha[1, 0]
+
+        def move(h, omega):
+            c, s = _rotation(omega)
+            return (h[0] * c + h[1] * s, h[1] * c - h[0] * s,
+                    h[2] * c + h[3] * s, h[3] * c - h[2] * s)
+
+        def velocity(omega, s):
+            return sum(map(operator.mul, s, column)) * (1.0 + 0.25 * omega * omega)
+
+        return 0.0, move, velocity
+    eye = np.eye(k1)
+
+    def move(h, omega):
+        return tuple(cayley_move(np.reshape(h, (1, k1, k1)), omega[None]).ravel())
+
+    def velocity(omega, s):
+        a = (np.asarray(s, dtype=float) @ blocks).reshape(k1, k1)
+        return (eye + 0.5 * omega) @ a @ (eye - 0.5 * omega)
+
+    return np.zeros((k1, k1)), move, velocity
 
 
 def ortho_defect(h):
@@ -321,13 +355,19 @@ class _DevelopSystem:
 
     Gamma comes from the connection object, fed the Popp drift of the same
     compiled evaluation that gives the frame, so the flow evaluates the
-    chart geometry once.
+    chart geometry once. ``flow`` takes a batch of paths on arrays, ``point``
+    one path on scalars.
     """
 
     def __init__(self, frame, structure, gamma):
         self.structure = structure
         self.gamma = gamma
         self.k1 = frame.k1
+        self.coords = frame.chart.coords
+        # point's Gamma = div P^T + offset: the rows of P, one offset per (alpha, i)
+        self._p = gamma.p.tolist()
+        offset = np.broadcast_to(gamma.offset, (1, len(gamma.blocks), self.k1))
+        self._offset = offset.ravel().tolist()
 
     def flow(self, q, h, u):
         """Increments (dq, A) for control increment u of shape (P, k1).
@@ -341,6 +381,27 @@ class _DevelopSystem:
         dq = np.einsum("pdi,pi->pd", x, v)
         s = np.einsum("pai,pi->pa", self.gamma.at(q, div), v)   # one per generator
         return dq, (s @ self.gamma.blocks).reshape(len(q), self.k1, self.k1)
+
+    def point(self, q, h, u):
+        """flow at one point: dq and the coordinates s_alpha of A in the basis A_alpha.
+
+        q (np.float64, as Chart.env needs), row-major h~ and u are sequences
+        of scalars. The outputs of StructureField._horizontal are read as
+        they come, so the caller suppresses floating-point warnings, as
+        horizontal does; det X and the drift are checked. Each sum runs in
+        the order of flow's einsum, so the bits are a one-row flow's except
+        where BLAS fuses a multiply-add in div P^T, which needs two inexact
+        terms in one sum.
+        """
+        k1, mul = self.k1, operator.mul
+        v = [sum(map(mul, h[i::k1], u)) for i in range(k1)]          # h~^T u
+        vals = self.structure._horizontal(dict(zip(self.coords, q)))
+        dk = len(vals) - k1 - 1
+        mf.check_horizontal(vals[-1], vals[dk:-1])
+        div = [*map(float, vals[dk:-1])]    # Python floats: the same bits, cheaper
+        dq = [sum(map(mul, vals[a:a + k1], v)) for a in range(0, dk, k1)]
+        gamma = [sum(map(mul, div, p)) + c for p, c in zip(self._p, self._offset)]
+        return dq, [sum(map(mul, gamma[a:a + k1], v)) for a in range(0, len(gamma), k1)]
 
 
 def _prepare_h0(h0, k1, paths):
@@ -372,9 +433,9 @@ def develop_sde(frame, structure, gamma, q0, config, record="endpoints"):
 
 
 def _control_table(u, steps, dt):
-    """u at the RK4 times of every step, shape (steps, 3, 1, k1).
+    """u at the RK4 times of every step, shape (steps, 3, k1).
 
-    Row s holds u at s*dt, s*dt + 0.5*dt and s*dt + dt, the same float
+    Step s holds u at s*dt, s*dt + 0.5*dt and s*dt + dt, the same float
     expressions a step forms ((s+1)*dt can differ from s*dt + dt in the last
     bit). Raises NonFinite at the first time where u is not finite.
     """
@@ -382,10 +443,10 @@ def _control_table(u, steps, dt):
     times = np.stack((start, start + 0.5 * dt, start + dt), axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = ex.Compiled(u)({"t": times})
-    table = np.empty((steps, 3, 1, len(u)))
+    table = np.empty((steps, 3, len(u)))
     for i, v in enumerate(vals):
-        table[:, :, 0, i] = v
-    bad = ~np.isfinite(table).all(axis=(2, 3))
+        table[:, :, i] = v
+    bad = ~np.isfinite(table).all(axis=2)
     if bad.any():
         raise NonFinite(f"control not finite at t={float(times[bad][0])!r}")
     return table
@@ -394,11 +455,13 @@ def _control_table(u, steps, dt):
 def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full"):
     """Deterministic development of a model curve with control u(t).
 
-    u is a sequence of k1 expressions in the single variable t; integration
-    is classical RK4 on the coupled (q, h~) system with polar projection.
-    The control is evaluated once per curve, at every RK4 time, before the
-    first step; the one path's chart geometry is evaluated on scalars
-    (Chart.env), with the bits of a batch row.
+    u is a sequence of k1 expressions in the single variable t. Each step is
+    RKMK4 in Cayley coordinates: classical RK4 on (q, Omega) from Omega = 0,
+    with dOmega/dt = (I + Omega/2) A (I - Omega/2) and the frame
+    h~ cay(Omega) at every stage, then h~ <- h~ cay(Omega). The control is
+    evaluated once per curve, at every RK4 time, before the first step. The
+    one path is stepped on scalars (_DevelopSystem.point); only _integrate
+    sees it as one-row arrays.
     """
     sys = _DevelopSystem(frame, structure, gamma)
     k1 = frame.k1
@@ -407,17 +470,25 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
         raise MalformedSpec(f"need {k1} control components, got {len(u)}")
     steps = _step_count(dt, T)
     control = _control_table(u, steps, dt)
-
-    def flow(q, h, c):
-        dq, a = sys.flow(q, h, c)
-        return dq, h @ a
+    zero, move, velocity = _cayley_coordinates(gamma.blocks, k1)
 
     def advance(s, state):
-        q, h = _rk4(flow, state, control[s], dt)
-        return q, polar_project(h)
+        # h~ and u as Python floats (the same bits as np.float64, cheaper);
+        # q stays np.float64, as the chart geometry needs
+        h = state[1].ravel().tolist()
+
+        def flow(y, c):                                 # y = [*q, omega]
+            dq, gen = sys.point(y[:-1], move(h, y[-1]), c)
+            dq.append(velocity(y[-1], gen))
+            return dq
+
+        y = _rk4(flow, [*state[0][0], zero], control[s].tolist(), dt)
+        return np.array([y[:-1]]), np.array(move(h, y[-1])).reshape(1, k1, k1)
 
     state = (np.asarray(q0, dtype=float)[None, :].copy(), _prepare_h0(h0, k1, 1))
-    return _integrate(advance, state, steps, dt, record, chart=frame.chart)
+    # point's geometry may divide by zero at a singular point, which its checks report
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _integrate(advance, state, steps, dt, record, chart=frame.chart)
 
 
 def simulate_popp(frame, structure, q0, config, record="endpoints"):

@@ -265,6 +265,23 @@ def _popp_divergence(frame):
     return out, det
 
 
+def check_horizontal(det, drift):
+    """Raise SingularFrame where det X vanishes or the Popp drift is not finite.
+
+    det and drift are outputs of StructureField._horizontal: a batch's rows,
+    or one point's scalar and sequence of scalars, checked without numpy's
+    per-call cost.
+    """
+    if isinstance(det, np.ndarray):
+        singular, finite = not det.all(), np.isfinite(drift).all()
+    else:
+        singular, finite = not det, all(map(math.isfinite, drift))
+    if singular:
+        raise SingularFrame("frame matrix singular at a sample point")
+    if not finite:
+        raise SingularFrame("Popp drift not finite at a sample point")
+
+
 class StructureField:
     """Pointwise structure functions c_ij^k with [X_i, X_j] = sum_k c_ij^k X_k.
 
@@ -313,10 +330,7 @@ class StructureField:
         dk = chart.dim * k1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = _evaluate(self._horizontal, chart, points)
-        if not vals[-1].all():
-            raise SingularFrame("frame matrix singular at a sample point")
-        if not np.isfinite(vals[dk:-1]).all():
-            raise SingularFrame("Popp drift not finite at a sample point")
+        check_horizontal(vals[-1], vals[dk:-1])
         return vals[:dk].T.reshape(-1, chart.dim, k1), np.ascontiguousarray(vals[dk:-1].T)
 
     def _solve(self, points):

@@ -1,6 +1,10 @@
 """Tests for the group law, left-invariant fields, and development dynamics."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +151,36 @@ def test_curve_flat_connection_keeps_frame_constant():
     assert np.allclose(path.frames[-1], np.eye(2), atol=1e-14)
 
 
+def free32_model_frame():
+    """The free(3,2) model frame X_k = d_k + (1/2)[x, e_k] in exponential
+    coordinates (u = y_ab, v = y_ac, w = y_bc), so [X_i, X_j] = d_{y_ij}."""
+    model = [["1", "0", "0", "-b/2", "-c/2", "0"],
+             ["0", "1", "0", "a/2", "0", "-c/2"],
+             ["0", "0", "1", "0", "a/2", "b/2"]]
+    vertical = [["1" if j == 3 + k else "0" for j in range(6)] for k in range(3)]
+    return mf.build_frame({"chart": {"coords": ["a", "b", "c", "u", "v", "w"]},
+                           "growth": [3, 6], "frame": model + vertical})
+
+
+@pytest.mark.parametrize("name", ["contact-halfplane", "free32-model"])
+def test_curve_rkmk4_order_and_defect(name):
+    # RKMK4 in Cayley coordinates keeps order 4 on both Cayley branches:
+    # halving dt cuts the endpoint error about 16x, and the frames stay
+    # orthogonal. The affine field turns the frames; for k1 = 3 every stage
+    # moves them by cayley_move's solve
+    frame, st, _, sym = ck.context(free32_model_frame() if name == "free32-model" else name)
+    gamma = mf.ChristoffelField(st, sym, np.full((sym.dimH * frame.k1, frame.k1), 0.1), 0.2)
+    q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
+    u = ["cos(t)", "sin(t)", "0.5*cos(2*t)"][:frame.k1]
+    paths = {dt: dv.develop_curve(frame, st, gamma, u, q0, dt, 1.0) for dt in (1e-3, 2e-2, 4e-2)}
+    ref = paths[1e-3].points[-1, 0]
+    e1 = np.abs(paths[4e-2].points[-1, 0] - ref).max()
+    e2 = np.abs(paths[2e-2].points[-1, 0] - ref).max()
+    assert e1 / e2 >= 12.0
+    assert np.abs(paths[1e-3].frames[-1] - np.eye(frame.k1)).max() > 0.1
+    assert max(p.ortho_defect for p in paths.values()) <= 1e-12
+
+
 class RowGeometry:
     """StructureField.horizontal of one point as row 0 of a two-row batch."""
 
@@ -159,24 +193,31 @@ class RowGeometry:
 
 
 def per_stage_curve(frame, st, gamma, u, q0, dt, T):
-    """The RK4 curve loop with the control evaluated at every stage, on a
-    Python float t, and the geometry on arrays: the oracle for develop_curve."""
+    """The RKMK4 curve loop with the control evaluated at every stage, on a
+    Python float t, and the geometry, the batch flow and the Cayley moves on
+    one-row arrays: the oracle for develop_curve. For k1 = 2, Omega = omega J
+    and (I + Omega/2) A (I - Omega/2) = (1 + omega^2/4) A."""
+    assert frame.k1 == 2
     sys = dv._DevelopSystem(frame, RowGeometry(st), gamma)
     control = ex.Compiled([ex.parse(c) for c in u])
 
-    def flow(q, h, t):
-        dq, a = sys.flow(q, h, np.array([[float(c) for c in control({"t": t})]]))
-        return dq, h @ a
+    def flow(q, omega, t, h):
+        u_t = np.array([[float(c) for c in control({"t": t})]])
+        dq, a = sys.flow(q, dv.cayley_move(h, omega), u_t)
+        w = omega[:, 1:, :1]
+        return dq, a * (1.0 + 0.25 * w * w)
 
     def advance(s, state):
         t = s * dt
-        k1 = flow(*state, t)
-        k2 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k1)), t + 0.5 * dt)
-        k3 = flow(*(x + 0.5 * dt * k for x, k in zip(state, k2)), t + 0.5 * dt)
-        k4 = flow(*(x + dt * k for x, k in zip(state, k3)), t + dt)
-        q, h = (x + dt * (a + 2 * b + 2 * c + d) / 6.0
-                for x, a, b, c, d in zip(state, k1, k2, k3, k4))
-        return q, dv.polar_project(h)
+        q, h = state
+        y = (q, np.zeros_like(h))
+        k1 = flow(*y, t, h)
+        k2 = flow(*(x + 0.5 * dt * k for x, k in zip(y, k1)), t + 0.5 * dt, h)
+        k3 = flow(*(x + 0.5 * dt * k for x, k in zip(y, k2)), t + 0.5 * dt, h)
+        k4 = flow(*(x + dt * k for x, k in zip(y, k3)), t + dt, h)
+        q, omega = (x + dt * (a + 2 * b + 2 * c + d) / 6.0
+                    for x, a, b, c, d in zip(y, k1, k2, k3, k4))
+        return q, dv.cayley_move(h, omega)
 
     state = (np.asarray(q0, dtype=float)[None, :].copy(), np.eye(frame.k1)[None].copy())
     return dv._integrate(advance, state, round(T / dt), dt, "full", chart=frame.chart)
@@ -184,8 +225,11 @@ def per_stage_curve(frame, st, gamma, u, q0, dt, T):
 
 @pytest.mark.parametrize("name", ["contact-halfplane", "engel-halfplane"])
 def test_curve_equals_the_per_stage_oracle(name):
-    # the control table and the one-point scalar geometry change no bit; an
-    # affine field with both a drift part and an offset turns the frames
+    # the control table, the scalar one-point step and the scalar rotations
+    # change no bit of the array RKMK4 step; an affine field with both a
+    # drift part and an offset turns the frames. The BLAS products of
+    # div P^T are exact here (contact's drift has a zero first component,
+    # engel has no generators), so no fused multiply-add can split the bits
     frame, st, _, sym = ck.context(name)
     gamma = mf.ChristoffelField(st, sym, np.full((sym.dimH * frame.k1, frame.k1), 0.1), 0.2)
     q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
@@ -202,14 +246,14 @@ def test_curve_equals_the_per_stage_oracle(name):
 @pytest.mark.parametrize("u,first_bad", [(["1/(t-0.5)", "0"], "t=0.5"),
                                           (["exp(1000*t)", "0"], "t=0.75"),
                                           (["1/0", "0"], "t=0.0")])
-def test_curve_nonfinite_control_raises_before_any_step(u, first_bad):
+def test_curve_nonfinite_control_raises_before_any_step(u, first_bad, monkeypatch):
     # the control table is checked before the first step, with no warning
     frame, st, sym, gamma = ck.connection("contact-halfplane")
 
-    def refuse(q):
+    def refuse(*args):
         raise AssertionError("the curve stepped")
 
-    st.horizontal = refuse
+    monkeypatch.setattr(dv._DevelopSystem, "point", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFinite, match=first_bad):
@@ -284,11 +328,25 @@ def test_sde_takes_gamma_from_the_connection():
     assert np.array_equal(base.frames, same.frames)
 
 
+def nan_drift_frame():
+    """contact-halfplane with X1's x component exp(-1/x^2): at x = 0 the
+    frame is finite and det X = 1, but its x-derivative, 0 * inf, makes
+    the Popp drift nan."""
+    spec = bi.frame("contact-halfplane").to_spec()
+    spec["frame"][0][0] = "exp(-1/(x*x))"
+    return mf.build_frame(spec)
+
+
 def test_singular_frame_raises_not_nan():
-    # one path runs its geometry on scalars, several on arrays: both raise
+    # one path runs its geometry on scalars, several on arrays, a model
+    # curve on the one-point right-hand side: all raise, at det X = 0 and
+    # at a drift that is not finite
     plane = bi.frame("hyperbolic-plane")
     frame, st, gamma, _ = sde_setup("contact-halfplane")
     singular = [0.0, 0.0, 0.5]
+    drifting = nan_drift_frame()
+    drifting_st = mf.StructureField(drifting)
+    drifting_gamma = mf.ChristoffelField(drifting_st, gamma.sym, gamma.p)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for paths in (4, 1):
@@ -297,8 +355,44 @@ def test_singular_frame_raises_not_nan():
                 dv.simulate_popp(plane, mf.StructureField(plane), [0.0, 0.0], config)
             with pytest.raises(SingularFrame):
                 dv.develop_sde(frame, st, gamma, singular, config)
-        with pytest.raises(SingularFrame):
+        with pytest.raises(SingularFrame, match="frame matrix singular"):
             dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)"], singular, 1e-2, 0.1)
+        with pytest.raises(SingularFrame, match="Popp drift not finite"):
+            dv.develop_curve(drifting, drifting_st, drifting_gamma, ["cos(t)", "sin(t)"],
+                             [0.0, 1.0, 0.5], 1e-2, 0.1)
+
+
+# The child prints the message each curve raised, so an assert stripped by
+# -O cannot make it pass
+SINGULAR_CURVES_UNDER_O = """
+import sys
+from cartandev import checks as ck, develop as dv, manifold as mf
+import test_develop as td
+frame, st, sym, gamma = ck.connection("contact-halfplane")
+drifting = td.nan_drift_frame()
+drifting_st = mf.StructureField(drifting)
+cases = [(frame, st, gamma, [0.0, 0.0, 0.5]),
+         (drifting, drifting_st, mf.ChristoffelField(drifting_st, sym, gamma.p), [0.0, 1.0, 0.5])]
+print(sys.flags.optimize)
+for f, s, g, q0 in cases:
+    try:
+        dv.develop_curve(f, s, g, ["cos(t)", "sin(t)"], q0, 1e-2, 0.1)
+        print("no error")
+    except Exception as e:
+        print(type(e).__name__, e)
+"""
+
+
+def test_curve_raises_singular_frame_under_python_optimize():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    proc = subprocess.run([sys.executable, "-O", "-c", SINGULAR_CURVES_UNDER_O],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "1", "SingularFrame frame matrix singular at a sample point",
+        "SingularFrame Popp drift not finite at a sample point"]
 
 
 def test_sde_orthogonality_defect_small():
