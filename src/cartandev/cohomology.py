@@ -236,12 +236,46 @@ class Cohomology:
                 out[a] = out.get(a, ZERO) + sign * c
         return out
 
+    @functools.cached_property
+    def _bracket_preimage(self):
+        """l -> the pairs i < j of n-basis indices whose bracket has an e_l term."""
+        out = {}
+        for (i, j), row in self.amb.nil.brackets.items():
+            if i < j:
+                for l in row:
+                    out.setdefault(l, []).append((i, j))
+        return out
+
+    def _support(self, elem):
+        """The sorted (k+1)-tuples on which d(elem) can be nonzero.
+
+        A term of d(elem) on a tuple evaluates elem either on the tuple less
+        one index or on (l, rest), where e_l is a term of the bracket of two
+        indices of the tuple and rest is the tuple less those two. So the
+        tuple contains the index set of one of elem's monomials, or is that
+        set less l together with a pair whose bracket has an e_l term.
+        """
+        out = set()
+        for _, ks in elem.coeffs:
+            out.update(tuple(sorted(ks + (x,))) for x in range(self.n) if x not in ks)
+            for l in ks:
+                rest = tuple(j for j in ks if j != l)
+                out.update(tuple(sorted(rest + pair))
+                           for pair in self._bracket_preimage.get(l, ())
+                           if pair[0] not in rest and pair[1] not in rest)
+        return sorted(out)
+
     def differential(self, elem):
-        """Chevalley-Eilenberg differential hom(^k n, g) -> hom(^{k+1} n, g)."""
+        """Chevalley-Eilenberg differential hom(^k n, g) -> hom(^{k+1} n, g).
+
+        Only the tuples of _support are evaluated, in the order of
+        itertools.combinations, so the result is the one a sweep over every
+        (k+1)-tuple gives, term for term.
+        """
         k = elem.arity
         amb = self.amb
         out = {}
-        for tup in itertools.combinations(range(self.n), k + 1):
+        for tup in self._support(elem):
             val = {}
             for i in range(k + 1):
                 rest = tup[:i] + tup[i + 1:]

@@ -10,7 +10,8 @@ reproduces the first P paths of any larger batch at the same seed.
 
 A model curve is one path, stepped on scalars by RKMK4 in Cayley
 coordinates (Munthe-Kaas 1999): classical RK4 on (q, Omega) with the frame
-h~ cay(Omega), so h~ stays in O(k1) with no projection.
+h~ cay(Omega), so h~ stays in O(k1) with no projection. The step is traced
+once per curve into one expr.Compiled program, which every step runs.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _integrate(advance, state, steps, dt, record, chart=None):
         if s:
             state = advance(s - 1, state)
             if chart is not None:
-                state = (chart.wrap(state[0]),) + state[1:]
+                chart.wrap(state[0])            # advance returns fresh arrays
                 left |= ((state[0] < lo) | (state[0] > hi)).any(axis=1)
         if row < len(keep) and keep[row] == s:
             for o, x in zip(out, state):
@@ -318,7 +319,9 @@ def _cayley_coordinates(blocks, k1):
     A_alpha over the rows of blocks; move(h, Omega) is h~ cay(Omega) for a
     row-major sequence h. For k1 = 2, Omega = omega J is a scalar, the
     velocity is sigma (1 + omega^2/4) with sigma = A[1, 0], and cay(omega J)
-    is cayley_move's rotation; otherwise Omega is a (k1, k1) array.
+    is cayley_move's rotation, all scalar arithmetic; otherwise Omega is a
+    (k1, k1) array, and move and velocity are each one opaque op of a traced
+    step.
     """
     if k1 == 2:
         column = blocks[:, k1].tolist()                   # A_alpha[1, 0]
@@ -341,13 +344,16 @@ def _cayley_coordinates(blocks, k1):
         a = (np.asarray(s, dtype=float) @ blocks).reshape(k1, k1)
         return (eye + 0.5 * omega) @ a @ (eye - 0.5 * omega)
 
-    return np.zeros((k1, k1)), move, velocity
+    return np.zeros((k1, k1)), ex.opaque(move, k1 * k1), ex.opaque(velocity)
 
 
 def ortho_defect(h):
     k = h.shape[-1]
     hth = np.swapaxes(h, -1, -2) @ h
     return float(np.abs(hth - np.eye(k)).max())
+
+
+_float = ex.opaque(float)
 
 
 class _DevelopSystem:
@@ -383,25 +389,28 @@ class _DevelopSystem:
         return dq, (s @ self.gamma.blocks).reshape(len(q), self.k1, self.k1)
 
     def point(self, q, h, u):
-        """flow at one point: dq and the coordinates s_alpha of A in the basis A_alpha.
+        """flow at one point: dq, the coordinates s_alpha of A in the basis
+        A_alpha, and det X and the drift, which the caller checks.
 
         q (np.float64, as Chart.env needs), row-major h~ and u are sequences
-        of scalars. The outputs of StructureField._horizontal are read as
-        they come, so the caller suppresses floating-point warnings, as
-        horizontal does; det X and the drift are checked. Each sum runs in
-        the order of flow's einsum, so the bits are a one-row flow's except
-        where BLAS fuses a multiply-add in div P^T, which needs two inexact
-        terms in one sum.
+        of scalars, or of values traced into develop_curve's step. The
+        outputs of StructureField._horizontal are read as they come, so the
+        caller suppresses floating-point warnings, as horizontal does. Each
+        sum runs in the order of flow's einsum, so the bits are a one-row
+        flow's except where BLAS fuses a multiply-add in div P^T, which needs
+        two inexact terms in one sum.
         """
         k1, mul = self.k1, operator.mul
         v = [sum(map(mul, h[i::k1], u)) for i in range(k1)]          # h~^T u
         vals = self.structure._horizontal(dict(zip(self.coords, q)))
         dk = len(vals) - k1 - 1
-        mf.check_horizontal(vals[-1], vals[dk:-1])
-        div = [*map(float, vals[dk:-1])]    # Python floats: the same bits, cheaper
+        # the drift as Python floats: the same bits, and the arithmetic after
+        # it is cheaper than on np.float64 (a traced step records the float calls)
+        div = [*map(_float, vals[dk:-1])]
         dq = [sum(map(mul, vals[a:a + k1], v)) for a in range(0, dk, k1)]
         gamma = [sum(map(mul, div, p)) + c for p, c in zip(self._p, self._offset)]
-        return dq, [sum(map(mul, gamma[a:a + k1], v)) for a in range(0, len(gamma), k1)]
+        gen = [sum(map(mul, gamma[a:a + k1], v)) for a in range(0, len(gamma), k1)]
+        return dq, gen, vals[-1], div
 
 
 def _prepare_h0(h0, k1, paths):
@@ -442,7 +451,7 @@ def _control_table(u, steps, dt):
     start = np.arange(steps) * dt
     times = np.stack((start, start + 0.5 * dt, start + dt), axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = ex.Compiled(u)({"t": times})
+        vals = ex.Compiled(u, "develop_curve control")({"t": times})
     table = np.empty((steps, 3, len(u)))
     for i, v in enumerate(vals):
         table[:, :, i] = v
@@ -450,6 +459,32 @@ def _control_table(u, steps, dt):
     if bad.any():
         raise NonFinite(f"control not finite at t={float(times[bad][0])!r}")
     return table
+
+
+def _rkmk4_step(sys, dt):
+    """One RKMK4 step of a model curve, on flat lists: the function develop_curve traces.
+
+    The input is [*q, *h~, *u], with h~ row-major and u the control at the
+    step's start, midpoint and end; the output is [*q', *h~'] followed by
+    det X and the drift of each of the four stages, for the caller to check.
+    """
+    k1, d = sys.k1, len(sys.coords)
+    zero, move, velocity = _cayley_coordinates(sys.gamma.blocks, k1)
+
+    def step(inputs):
+        q, h, c = inputs[:d], inputs[d:d + k1 * k1], inputs[d + k1 * k1:]
+        stages = []
+
+        def flow(y, u):                                 # y = [*q, omega]
+            dq, gen, det, drift = sys.point(y[:-1], move(h, y[-1]), u)
+            stages.extend((det, *drift))
+            dq.append(velocity(y[-1], gen))
+            return dq
+
+        y = _rk4(flow, [*q, zero], [c[:k1], c[k1:2 * k1], c[2 * k1:]], dt)
+        return [*y[:-1], *move(h, y[-1]), *stages]
+
+    return step
 
 
 def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full"):
@@ -460,33 +495,34 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
     with dOmega/dt = (I + Omega/2) A (I - Omega/2) and the frame
     h~ cay(Omega) at every stage, then h~ <- h~ cay(Omega). The control is
     evaluated once per curve, at every RK4 time, before the first step. The
-    one path is stepped on scalars (_DevelopSystem.point); only _integrate
-    sees it as one-row arrays.
+    step (_rkmk4_step over _DevelopSystem.point, the geometry program and
+    the Cayley moves) is traced once per curve into one expr.Compiled
+    program, which every step runs on scalars; only _integrate sees the one
+    path as one-row arrays. After each step the four stages are checked in
+    order, so the first singular one raises.
     """
     sys = _DevelopSystem(frame, structure, gamma)
-    k1 = frame.k1
+    k1, d = frame.k1, frame.chart.dim
     u = [ex.parse(c) if isinstance(c, str) else c for c in u]
     if len(u) != k1:
         raise MalformedSpec(f"need {k1} control components, got {len(u)}")
     steps = _step_count(dt, T)
-    control = _control_table(u, steps, dt)
-    zero, move, velocity = _cayley_coordinates(gamma.blocks, k1)
+    control = _control_table(u, steps, dt).reshape(steps, 3 * k1)
+    step = ex.Compiled.trace(_rkmk4_step(sys, dt), d + k1 * k1 + 3 * k1, "develop_curve step")
+    moved = d + k1 * k1
 
     def advance(s, state):
-        # h~ and u as Python floats (the same bits as np.float64, cheaper);
-        # q stays np.float64, as the chart geometry needs
-        h = state[1].ravel().tolist()
-
-        def flow(y, c):                                 # y = [*q, omega]
-            dq, gen = sys.point(y[:-1], move(h, y[-1]), c)
-            dq.append(velocity(y[-1], gen))
-            return dq
-
-        y = _rk4(flow, [*state[0][0], zero], control[s].tolist(), dt)
-        return np.array([y[:-1]]), np.array(move(h, y[-1])).reshape(1, k1, k1)
+        # q stays np.float64, as the chart geometry needs; h~ and u are
+        # Python floats (the same bits, cheaper)
+        out = step([*state[0][0], *state[1].ravel().tolist(), *control[s].tolist()])
+        health = out[moved:]                            # (det, *drift) per stage
+        if not (all(health[::k1 + 1]) and all(map(math.isfinite, health))):
+            for i in range(0, len(health), k1 + 1):     # the first bad stage raises
+                mf.check_horizontal(health[i], health[i + 1:i + k1 + 1])
+        return np.array([out[:d]]), np.array(out[d:moved]).reshape(1, k1, k1)
 
     state = (np.asarray(q0, dtype=float)[None, :].copy(), _prepare_h0(h0, k1, 1))
-    # point's geometry may divide by zero at a singular point, which its checks report
+    # a step may divide by zero at a singular point, which its checks report
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _integrate(advance, state, steps, dt, record, chart=frame.chart)
 

@@ -14,13 +14,23 @@ evaluation on numpy arrays, one tree at a time or, through ``Compiled``,
 several trees at once with every shared subtree evaluated once. Every
 operation is an IEEE operator or a numpy ufunc, so an env of np.float64
 scalars gives bit for bit the values an env of arrays gives at each point.
+
+A ``Compiled`` program runs as one straight-line Python function generated
+from its op list. ``Compiled.trace`` records such a program from Python code
+run once on ``Traced`` values (with ``opaque`` functions as single ops), as
+develop_curve does with its step.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import linecache
 import math
 import operator
 import re
+import struct
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,60 +282,254 @@ def pow_(a, k):
 
 # -- shared-subexpression evaluation -------------------------------------------
 
-class Compiled:
-    """Several Expr roots lowered to one op list without repeated subtrees.
+_INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*", operator.truediv: "/"}
+_serial = itertools.count()
 
-    Every distinct subtree gets one slot of a value list: a constant is
-    stored in ``values``, a variable is read from env, and an op
-    (slot, fn, a, b) stores fn(slot a) or, for a binary node, fn(slot a,
-    slot b); a Pow's integer exponent is a constant. Slots are keyed by fn
-    and operand slots, so structurally equal subtrees share one and are
-    evaluated once per call. Each op applies the same operation to the same
-    operands as the tree node it replaces, so every output equals its
-    root's own evaluation bit for bit.
+
+def _const_key(value):
+    """Slot key of a constant; equal keys only for interchangeable constants.
+
+    A float keys by its type and bytes (-0.0 is not 0.0, nor is one nan
+    another), an int by its type and value (an int exponent is not a float),
+    anything else, such as an array, by identity.
+    """
+    if isinstance(value, float):
+        return ("const", type(value), struct.pack("<d", value))
+    if isinstance(value, int):
+        return ("const", type(value), value)
+    return ("const", id(value))
+
+
+class Compiled:
+    """A program of ops without repeated subtrees, run as one generated function.
+
+    Every distinct value gets one slot of ``values``: a constant is stored
+    there, a variable is read from env, and an op (slot, fn, args) stores
+    fn(*args), args being slots. Ops are keyed by fn and operand slots, so
+    structurally equal subtrees share one slot and are evaluated once per
+    call. From Expr roots, each op applies the same operation to the same
+    operands as the tree node it replaces, so every output equals its root's
+    own evaluation bit for bit; ``trace`` records a program from Python code.
+
+    The ops become straight-line Python generated once per program, one line
+    per op: an IEEE operator is written as its operator (``v7 = v3 * v5``),
+    any other fn, a ufunc or an opaque call, as a call of a bound name, and
+    constants are bound names too. Its source is registered in linecache
+    under a filename that names the program, so tracebacks show its lines.
     """
 
-    def __init__(self, roots):
-        self.values, self.names, self.ops = [], [], []
-        slots = {}
-        self.outputs = [self._lower(r, slots) for r in roots]
+    def __init__(self, roots, name="expr"):
+        self._start()
+        memo = {}                      # id(node) -> slot: a DAG is lowered once per node
+        self._finish([self._lower(r, memo) for r in roots], name)
 
-    def _lower(self, e, slots):
-        if isinstance(e, Const):
-            # repr keeps -0.0 apart from 0.0 and an int exponent from a float
-            key = ("const", repr(e.value))
-        elif isinstance(e, Var):
-            key = ("var", e.name)
-        elif isinstance(e, Neg):
-            key = (operator.neg, self._lower(e.arg, slots), None)
-        elif isinstance(e, Call):
-            key = (_FUNCS[e.func], self._lower(e.arg, slots), None)
-        elif isinstance(e, Pow):
-            key = (np.power, self._lower(e.base, slots),
-                   self._lower(Const(e.exponent), slots))
-        else:
-            key = (e.op, self._lower(e.left, slots), self._lower(e.right, slots))
-        slot = slots.get(key)
+    @classmethod
+    def trace(cls, fn, arity, name):
+        """The program of fn(inputs), run once on recorded values.
+
+        fn takes a list of arity inputs and returns a flat list of outputs.
+        Each operator, ufunc or ``opaque`` call applied to an input, or to a
+        value computed from one, is recorded as an op in the order fn applies
+        it, with any other operand as a constant; the rest of fn (arithmetic
+        on constants, its control flow) runs once, here. So fn must not branch
+        on an input. The program takes env as a sequence of arity values and
+        returns fn's outputs for them bit for bit.
+        """
+        self = cls.__new__(cls)
+        self._start()
+        inputs = [Traced(self, self._var(i)) for i in range(arity)]
+        self._finish([self._operand(o) for o in fn(inputs)], name)
+        return self
+
+    def _start(self):
+        self.values, self.names, self.ops = [], [], []
+        self._slots = {}
+
+    def _slot(self, key, value=None):
+        slot = self._slots.get(key)
         if slot is None:
-            slot = slots[key] = len(self.values)
-            self.values.append(e.value if isinstance(e, Const) else None)
-            if isinstance(e, Var):
-                self.names.append((slot, e.name))
-            elif not isinstance(e, Const):
-                self.ops.append((slot,) + key)
+            slot = self._slots[key] = len(self.values)
+            self.values.append(value)
         return slot
 
+    def _const(self, value):
+        return self._slot(_const_key(value), value)
+
+    def _var(self, name):
+        key = ("var", name)
+        if key not in self._slots:
+            self.names.append((self._slot(key), name))
+        return self._slots[key]
+
+    def _op(self, fn, args, outputs=None):
+        """The slot of fn(*args), or the outputs slots its result unpacks into."""
+        key = (fn, args, outputs)
+        slot = self._slots.get(key)
+        if slot is None:
+            first = len(self.values)
+            self.values += [None] * (outputs or 1)
+            slot = first if outputs is None else tuple(range(first, first + outputs))
+            self._slots[key] = slot
+            self.ops.append((slot, fn, args))
+        return slot
+
+    def _lower(self, e, memo):
+        slot = memo.get(id(e))
+        if slot is not None:
+            return slot
+        if isinstance(e, Const):
+            slot = self._const(e.value)
+        elif isinstance(e, Var):
+            slot = self._var(e.name)
+        elif isinstance(e, Neg):
+            slot = self._op(operator.neg, (self._lower(e.arg, memo),))
+        elif isinstance(e, Call):
+            slot = self._op(_FUNCS[e.func], (self._lower(e.arg, memo),))
+        elif isinstance(e, Pow):
+            slot = self._op(np.power, (self._lower(e.base, memo), self._const(e.exponent)))
+        else:
+            slot = self._op(e.op, (self._lower(e.left, memo), self._lower(e.right, memo)))
+        memo[id(e)] = slot
+        return slot
+
+    def _operand(self, x):
+        """The slot of a traced value or a constant; a list or tuple of them
+        becomes a tuple of slots, passed to its op as a tuple."""
+        if isinstance(x, Traced):
+            if x.program is not self:
+                raise ValueError("a value traced by another program")
+            return x.slot
+        if isinstance(x, (list, tuple)):
+            return tuple(map(self._operand, x))
+        return self._const(x)
+
+    def _record(self, fn, args, outputs=None):
+        slot = self._op(fn, tuple(map(self._operand, args)), outputs)
+        if outputs is None:
+            return Traced(self, slot)
+        return [Traced(self, s) for s in slot]
+
+    def _finish(self, outputs, name):
+        del self._slots
+        self.outputs = outputs
+        self.name = name
+        self._run = self._generate()
+
+    def _generate(self):
+        """Compile the ops into one function env -> list of output values."""
+        computed = {s for s, _ in self.names}
+        for slot, _, _ in self.ops:
+            computed.update(slot if isinstance(slot, tuple) else (slot,))
+        bound = {}                     # bound name -> object, in order
+        fn_names = {}
+
+        def ref(a):
+            if isinstance(a, tuple):
+                return "(" + "".join(ref(x) + ", " for x in a) + ")"
+            if a in computed:
+                return f"v{a}"
+            if f"c{a}" not in bound:
+                bound[f"c{a}"] = self.values[a]
+            return f"c{a}"
+
+        def fn_name(fn):
+            if fn not in fn_names:
+                name = base = "_" + getattr(fn, "__name__", "")
+                if not base.isidentifier():
+                    name = base = "_fn"
+                for k in itertools.count(1):
+                    if name not in bound:
+                        break
+                    name = f"{base}{k}"
+                fn_names[fn] = name
+                bound[name] = fn
+            return fn_names[fn]
+
+        body = []
+        if self.names:
+            body += ["try:"]
+            body += [f"    v{slot} = env[{name!r}]" for slot, name in self.names]
+            body += ["except KeyError as e:",
+                     "    raise UnknownIdentifier(f'unknown variable {e.args[0]!r}') from None"]
+        for slot, fn, args in self.ops:
+            lhs = f"v{slot}" if not isinstance(slot, tuple) else \
+                "".join(f"v{s}, " for s in slot)
+            if fn in _INFIX and len(args) == 2:
+                rhs = f"{ref(args[0])} {_INFIX[fn]} {ref(args[1])}"
+            elif fn is operator.neg:
+                rhs = f"-{ref(args[0])}"
+            else:
+                rhs = f"{fn_name(fn)}({', '.join(map(ref, args))})"
+            body.append(f"{lhs} = {rhs}")
+        body.append(f"return [{', '.join(map(ref, self.outputs))}]")
+        source = "\n".join([f"def _bind({', '.join(bound)}):", "    def run(env):",
+                            *("        " + line for line in body), "    return run", ""])
+        filename = f"<compiled {self.name} #{next(_serial)}>"
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        weakref.finalize(self, linecache.cache.pop, filename, None)
+        scope = {"__name__": __name__, "UnknownIdentifier": UnknownIdentifier}
+        exec(compile(source, filename, "exec"), scope)
+        return scope["_bind"](*bound.values())
+
     def __call__(self, env):
-        """Values of the roots, in order, with env as for Expr.__call__."""
-        vals = list(self.values)
-        for slot, name in self.names:
-            try:
-                vals[slot] = env[name]
-            except KeyError:
-                raise UnknownIdentifier(f"unknown variable {name!r}") from None
-        for slot, fn, a, b in self.ops:
-            vals[slot] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
-        return [vals[i] for i in self.outputs]
+        """Values of the outputs, in order, with env as for Expr.__call__
+        (a sequence of the inputs for a traced program)."""
+        return self._run(env)
+
+
+def _recorded(fn, reflected=False):
+    """The method of Traced that records fn(self, other), or fn(other, self)."""
+    def method(self, other):
+        return self.program._record(fn, (other, self) if reflected else (self, other))
+    return method
+
+
+class Traced:
+    """A value of a program being traced: each operation on it is recorded.
+
+    Python operators record themselves, numpy ufuncs through
+    ``__array_ufunc__``, and ``opaque`` functions as one call. A traced value
+    has no truth value, so code that branches on an input cannot be traced.
+    """
+
+    __slots__ = ("program", "slot")
+
+    def __init__(self, program, slot):
+        self.program, self.slot = program, slot
+
+    __add__, __radd__ = _recorded(operator.add), _recorded(operator.add, True)
+    __sub__, __rsub__ = _recorded(operator.sub), _recorded(operator.sub, True)
+    __mul__, __rmul__ = _recorded(operator.mul), _recorded(operator.mul, True)
+    __truediv__, __rtruediv__ = _recorded(operator.truediv), _recorded(operator.truediv, True)
+
+    def __neg__(self):
+        return self.program._record(operator.neg, (self,))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        return self.program._record(ufunc, inputs)
+
+    def __bool__(self):
+        raise TypeError("a traced value has no truth value: traced code must not branch on it")
+
+
+def opaque(fn, outputs=None):
+    """fn as one op of a traced program.
+
+    Called with a traced value among its arguments, or in a list or tuple
+    argument, it records one call of fn, whose result unpacks into
+    ``outputs`` values when outputs is given; called on anything else, it is
+    fn.
+    """
+    @functools.wraps(fn)
+    def call(*args):
+        for a in args:
+            for x in (a if isinstance(a, (list, tuple)) else (a,)):
+                if isinstance(x, Traced):
+                    return x.program._record(fn, args, outputs)
+        return fn(*args)
+    return call
 
 
 # -- parser -------------------------------------------------------------------

@@ -82,8 +82,7 @@ class Chart:
         return {name: points[:, i] for i, name in enumerate(self.coords)}
 
     def wrap(self, points):
-        """Reduce periodic coordinates mod 2*pi (in place on a copy)."""
-        points = np.array(points, dtype=float)
+        """Reduce the periodic coordinates of a float array mod 2*pi in place; returns it."""
         for i in self._periodic_cols:
             points[..., i] %= TAU
         return points
@@ -207,7 +206,7 @@ def field_values(fields, chart, points):
     Every component of every field is lowered into one Compiled call, so a
     subtree shared between components is evaluated once.
     """
-    return _field_array(ex.Compiled(_components(fields)), chart, points)
+    return _field_array(ex.Compiled(_components(fields), "field_values"), chart, points)
 
 
 def build_frame(spec):
@@ -312,11 +311,13 @@ class StructureField:
     def _horizontal(self):
         # built on first use: checks that only call at / residual never need it
         div, det = _popp_divergence(self.frame)
-        return ex.Compiled(_components(self.frame.fields[:self.frame.k1]) + div + [det])
+        return ex.Compiled(_components(self.frame.fields[:self.frame.k1]) + div + [det],
+                           "StructureField.horizontal")
 
     @functools.cached_property
     def _frame_and_brackets(self):
-        return ex.Compiled(_components((*self.frame.fields, *self._brackets)))
+        return ex.Compiled(_components((*self.frame.fields, *self._brackets)),
+                           "StructureField frame and brackets")
 
     def horizontal(self, points):
         """X_1..X_k1 and the Popp drift at points: shapes (P, d, k1), (P, k1).
@@ -472,7 +473,7 @@ def second_order(frame, f, points, drift):
     chart, k1 = frame.chart, frame.k1
     first = [apply_field(x, f, chart) for x in frame.fields[:k1]]
     second = [apply_field(x, xf, chart) for x, xf in zip(frame.fields, first)]
-    vals = _evaluate(ex.Compiled(first + second), chart, points)
+    vals = _evaluate(ex.Compiled(first + second, "second_order"), chart, points)
     out = np.zeros(len(drift))
     for i in range(k1):
         out += vals[k1 + i]

@@ -44,7 +44,7 @@ def _moments(fs, chart):
     stderr) of each function there, in the order of fs: one
     program(chart.env(points)) call, then summarize of each output.
     """
-    program = ex.Compiled([f for _, f in fs])
+    program = ex.Compiled([f for _, f in fs], "test functions")
 
     def moments(points):
         return [summarize(np.broadcast_to(v, (len(points),)))

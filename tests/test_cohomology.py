@@ -1,6 +1,7 @@
 """Tests for hom-valued forms, the graded differential, and normal modules."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -94,6 +95,37 @@ def test_differential_squares_to_zero(name):
         d = co._monomial_differential(1, m)
         dd = co.differential(d)
         assert dd.is_zero(), (m, dd.serialize())
+
+
+def swept_differential(co, elem):
+    """The differential by a sweep over every (k+1)-tuple: the oracle of the
+    sparse differential, which evaluates only the tuples that can be nonzero."""
+    k, amb, out = elem.arity, co.amb, {}
+    for tup in itertools.combinations(range(co.n), k + 1):
+        val = {}
+        for i in range(k + 1):
+            s = Fraction(1 if i % 2 == 0 else -1)
+            for a, c in co.evaluate(elem, tup[:i] + tup[i + 1:]).items():
+                for b, w in amb.bracket_basis(tup[i], a).items():
+                    val[b] = val.get(b, Fraction(0)) + s * c * w
+        for i, j in itertools.combinations(range(k + 1), 2):
+            rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
+            s = Fraction(-1 if (i + j) % 2 == 1 else 1)
+            for l, c in amb.nil.bracket_basis(tup[i], tup[j]).items():
+                for a, w in co.evaluate(elem, (l,) + rest).items():
+                    val[a] = val.get(a, Fraction(0)) + s * c * w
+        out.update(((a, tup), c) for a, c in val.items() if c != 0)
+    return out
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "engel", "free23", "free32"])
+def test_differential_equals_the_full_sweep(name):
+    # term for term and in the same order, on every monomial of arity 0 to 2
+    # and on the identity of n
+    co = cohomology_for(al.free_nilpotent(3, 2)) if name == "free32" else make_cohomology(name)
+    elems = [ch.HomElement(k, {m: Fraction(1)}) for k in range(3) for m in co.monomials(k)]
+    for e in elems + [co.identity_hom()]:
+        assert list(co.differential(e).coeffs.items()) == list(swept_differential(co, e).items())
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "free23"])

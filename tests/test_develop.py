@@ -243,6 +243,64 @@ def test_curve_equals_the_per_stage_oracle(name):
     assert path.ortho_defect == ref.ortho_defect
 
 
+def affine_curve_setup(name):
+    frame = free32_model_frame() if name == "free32-model" else name
+    frame, st, _, sym = ck.context(frame)
+    gamma = mf.ChristoffelField(st, sym, np.full((sym.dimH * frame.k1, frame.k1), 0.1), 0.2)
+    q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
+    return frame, st, gamma, q0
+
+
+@pytest.mark.parametrize("name", ["contact-halfplane", "engel-halfplane", "free32-model"])
+def test_compiled_step_equals_the_untraced_step(name):
+    # the traced program is the step _rk4, point, move and velocity take on
+    # plain values, output for output and byte for byte (for k1 = 3, move
+    # and velocity are opaque ops of the program)
+    frame, st, gamma, q0 = affine_curve_setup(name)
+    k1, d, dt = frame.k1, frame.chart.dim, 0.05
+    step = dv._rkmk4_step(dv._DevelopSystem(frame, st, gamma), dt)
+    program = ex.Compiled.trace(step, d + k1 * k1 + 3 * k1, "step")
+    u = [ex.parse(c) for c in ["cos(t)", "sin(3*t) - 0.5", "0.5*cos(2*t)"][:k1]]
+    control = dv._control_table(u, 20, dt).reshape(20, 3 * k1)
+    q, h = np.array(q0), np.eye(k1).ravel().tolist()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in range(20):
+            inputs = [*q, *h, *control[s].tolist()]
+            got, want = program(inputs), step(inputs)
+            assert [type(x) for x in got] == [type(x) for x in want]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            q, h = np.array(got[:d]), np.array(got[d:d + k1 * k1]).tolist()
+    assert np.abs(q - q0).max() > 0.1
+    # engel-halfplane's h is 0, so only the other frames turn
+    assert (np.abs(np.reshape(h, (k1, k1)) - np.eye(k1)).max() > 0.01) == (name != "engel-halfplane")
+
+
+@pytest.mark.parametrize("name", ["contact-halfplane", "free32-model"])
+def test_curve_traces_and_compiles_once_per_call(name, monkeypatch):
+    # the four stages of one step are traced once, and the step and the
+    # control table are the only programs compiled, however many steps run
+    frame, st, gamma, q0 = affine_curve_setup(name)
+    points, compiled = [], []
+    point = dv._DevelopSystem.point
+
+    def counting_point(self, *args):
+        points.append(args)
+        return point(self, *args)
+
+    def counting_compile(*args):
+        compiled.append(args[1])
+        return compile(*args)
+
+    st._horizontal                                  # built before counting
+    monkeypatch.setattr(dv._DevelopSystem, "point", counting_point)
+    monkeypatch.setattr(ex, "compile", counting_compile, raising=False)
+    path = dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)", "1"][:frame.k1],
+                            q0, 1e-2, 0.5)
+    assert len(path.times) == 51
+    assert len(points) == 4 and len(compiled) == 2
+    assert sum("develop_curve step" in f for f in compiled) == 1
+
+
 @pytest.mark.parametrize("u,first_bad", [(["1/(t-0.5)", "0"], "t=0.5"),
                                           (["exp(1000*t)", "0"], "t=0.75"),
                                           (["1/0", "0"], "t=0.0")])

@@ -1,6 +1,8 @@
 """Tests for the small symbolic expression language."""
 
+import inspect
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -182,3 +184,100 @@ def test_str_round_trip(text):
     for _ in range(3):
         env = {"x": rng.uniform(-1, 1), "y": rng.uniform(-1, 1)}
         assert again(env) == pytest.approx(e(env), rel=1e-15, abs=1e-15)
+
+
+# -- the generated evaluator -------------------------------------------------------
+
+
+def random_dag(seed, size=40):
+    """Random Expr DAG over x and y, built with the raw node classes (no
+    folding): operands are drawn from every node so far, so subtrees are
+    shared, and each op has at least one non-constant operand."""
+    rng = np.random.default_rng(seed)
+    x, y = ex.Var("x"), ex.Var("y")
+    consts = [ex.Const(c) for c in (-0.0, 0.0, 1.5, -2.0, 0.5)]
+    pool = [x, y, ex.Div(x, ex.Const(0.0)), ex.Div(x, ex.Const(-0.0)),
+            ex.Div(ex.Const(1.0), y), ex.Mul(x, ex.Const(-0.0))]
+    binary = (ex.Add, ex.Sub, ex.Mul, ex.Div)
+    for _ in range(size):
+        a = pool[rng.integers(len(pool))]
+        kind = rng.integers(8)
+        if kind < 4:
+            b = (pool[rng.integers(len(pool))] if rng.random() < 0.7
+                 else consts[rng.integers(len(consts))])
+            node = binary[kind](*((a, b) if rng.random() < 0.5 else (b, a)))
+        elif kind == 4:
+            node = ex.Neg(a)
+        elif kind == 5:
+            node = ex.Pow(a, int(rng.integers(5)))
+        else:
+            node = ex.Call(("sin", "cos", "exp")[rng.integers(3)], a)
+        pool.append(node)
+    return pool[2:6] + pool[-8:] + [pool[rng.integers(len(pool))] for _ in range(4)]
+
+
+def same_bytes(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_generated_program_equals_tree_evaluation_on_random_dags(seed):
+    # on one np.float64 point and on batches, signed zeros, x/0 = +-inf or
+    # nan, integer powers and the ufuncs included, byte for byte
+    roots = random_dag(seed)
+    prog = ex.Compiled(roots)
+    xs = np.array([0.0, -0.0, 0.7, -1.3, 2.0, np.inf])
+    ys = np.array([0.0, 2.0, -0.0, 0.5, -3.0, 1.0])
+    envs = [{"x": a, "y": b} for a, b in zip(xs, ys)] + [{"x": xs, "y": ys}]
+    with np.errstate(all="ignore"):
+        for env in envs:
+            got = prog(env)
+            assert all(same_bytes(g, r(env)) for g, r in zip(got, roots))
+
+
+def test_program_is_generated_once_not_per_call(monkeypatch):
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[1])
+        return compile(*args)
+
+    monkeypatch.setattr(ex, "compile", counting, raising=False)
+    prog = ex.Compiled([ex.parse("sin(x) * y + x^2")], "once")
+    run = prog._run
+    for v in np.linspace(0.0, 1.0, 50):
+        prog({"x": np.float64(v), "y": 2.0})
+    assert len(compiled) == 1 and "once" in compiled[0] and prog._run is run
+
+
+def test_traced_program_records_operators_ufuncs_and_opaque_calls():
+    def split(a, b):
+        return a + b, a - b
+
+    def fn(v):
+        s, d = ex.opaque(split, 2)(v[0], v[1])
+        return [np.sin(v[0]) * 2.0 + s / d, -np.power(v[1], 3), 0 + v[0],
+                2.0 - v[0] / (3.0 / v[1]), 1.25]
+
+    prog = ex.Compiled.trace(fn, 2, "traced")
+    assert len(prog.ops) == 11
+    for a, b in ((0.3, 0.1), (0.0, -0.0), (1.0, 1.0)):
+        env = [np.float64(a), np.float64(b)]
+        with np.errstate(all="ignore"):
+            assert all(same_bytes(g, w) for g, w in zip(prog(env), fn(env)))
+    with pytest.raises(TypeError, match="truth value"):
+        ex.Compiled.trace(lambda v: [v[0] if v[1] else v[0]], 2, "branch")
+
+
+def test_generated_lines_show_in_tracebacks_and_source():
+    # a Python float divided by zero raises inside the generated function
+    prog = ex.Compiled.trace(lambda v: [v[0] * 3.0 / v[1]], 2, "ratio step")
+    with pytest.raises(ZeroDivisionError) as info:
+        prog([1.0, 0.0])
+    last = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert "ratio step" in last.filename and last.line == "v4 = v3 / v1"
+    tb = info.value.__traceback__
+    while tb.tb_next:
+        tb = tb.tb_next
+    assert "v4 = v3 / v1" in inspect.getsource(tb.tb_frame.f_code)
