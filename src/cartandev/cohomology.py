@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -282,17 +283,18 @@ class Cohomology:
                 inner_val = self.evaluate(elem, rest)
                 if not inner_val:
                     continue
-                s = ONE if i % 2 == 0 else -ONE
+                # the sign (-1)^i by adding or subtracting: one product a term
+                sign = operator.add if i % 2 == 0 else operator.sub
                 for a, c in inner_val.items():
                     for b, w in amb.bracket_basis(tup[i], a).items():
-                        val[b] = val.get(b, ZERO) + s * c * w
+                        val[b] = sign(val.get(b, ZERO), c * w)
             for i in range(k + 1):
                 for j in range(i + 1, k + 1):
                     rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
-                    s = -ONE if (i + j) % 2 == 1 else ONE
+                    sign = operator.sub if (i + j) % 2 == 1 else operator.add
                     for l, c in amb.nil.bracket_basis(tup[i], tup[j]).items():
                         for a, w in self.evaluate(elem, (l,) + rest).items():
-                            val[a] = val.get(a, ZERO) + s * c * w
+                            val[a] = sign(val.get(a, ZERO), c * w)
             for a, c in val.items():
                 if c != 0:
                     out[(a, tup)] = c

@@ -1,24 +1,26 @@
 """Deterministic and stochastic development, and the Carnot-group lift.
 
-Each simulator is a flow (the right-hand side of its Stratonovich or
-ordinary system) stepped by one time loop, ``_integrate``. The three SDEs
-take Stratonovich-Heun steps, the developed one moving its frame h~ by
-Cayley transforms of so(k1) increments; they are vectorized over paths.
+Each simulator steps a flat list of state columns with one time loop,
+``_integrate``: one (paths,) array per coordinate and frame entry, or, for
+the one path of a model curve, one scalar. Each call traces its step once
+into one expr.Compiled program, which every step runs. The three SDEs take
+Stratonovich-Heun steps over path columns, the developed one moving its
+frame h~ by Cayley transforms of so(k1) increments; every sum runs in a
+fixed order, so a path's bits do not depend on the batch or the BLAS build.
 Randomness comes from a counter-based Philox stream keyed by (seed, step),
 with path p consuming row p of each step's draw, so a batch of P paths
-reproduces the first P paths of any larger batch at the same seed.
+reproduces the first P paths of any larger batch at the same seed; a run
+draws from one generator whose counter is reset at every step.
 
 A model curve is one path, stepped on scalars by RKMK4 in Cayley
 coordinates (Munthe-Kaas 1999): classical RK4 on (q, Omega) with the frame
-h~ cay(Omega), so h~ stays in O(k1) with no projection. The step is traced
-once per curve into one expr.Compiled program, which every step runs.
+h~ cay(Omega), so h~ stays in O(k1) with no projection.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -99,25 +101,56 @@ def increments(seed, step, paths, width, dt):
     """Gaussian increments of one time step: shape (paths, width), sd sqrt(dt).
 
     Row p depends only on (seed, step, p, width): the Philox counter encodes
-    the step and the generator fills rows in order.
+    the step and the generator fills rows in order. This is one draw of
+    _stream(seed, dt).
     """
-    bits = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, step, 0]))
-    return bits.standard_normal((paths, width)) * np.sqrt(dt)
+    return _stream(seed, dt)(step, paths, width)
+
+
+def _stream(seed, dt):
+    """draw(step, paths, width): increments(seed, step, paths, width, dt), bit
+    for bit, from one Philox generator whose counter is reset at every draw."""
+    bits = np.random.Philox(key=seed)
+    normal = np.random.Generator(bits).standard_normal
+    state = bits.state                  # a fresh generator's: no buffered output
+    counter = state["state"]["counter"]
+    scale = np.sqrt(dt)
+
+    def draw(step, paths, width):
+        counter[:] = (0, 0, step, 0)
+        bits.state = state
+        return normal((paths, width)) * scale
+    return draw
 
 
 # ---------------------------------------------------------------------------
 # The time stepper
 # ---------------------------------------------------------------------------
 
-def _heun(flow, state, dw, moves=None):
-    """Stratonovich-Heun step; flow(*state, dw) returns the increment tuple.
+def _add(x, k):
+    return [a + b for a, b in zip(x, k)]
 
-    moves[i](x, k) applies increment k to state component i (x + k by default).
+
+def _dot(a, b):
+    """0.0 + a_0 b_0 + a_1 b_1 + ..., one operation at a time in this order
+    (einsum's), so a path's scalars and its column in a batch get the same
+    bits (sum() may compensate a sum of floats)."""
+    out = 0.0
+    for x, y in zip(a, b):
+        out = out + x * y
+    return out
+
+
+def _heun(flow, move, x):
+    """Stratonovich-Heun step of the value list x.
+
+    flow(x) returns the increment list and the values the caller checks;
+    move(x, k) applies increment k. Returns the new list and both stages'
+    checked values.
     """
-    moves = moves or (operator.add,) * len(state)
-    k1 = flow(*state, dw)
-    k2 = flow(*(m(x, k) for m, x, k in zip(moves, state, k1)), dw)
-    return tuple(m(x, 0.5 * (a + b)) for m, x, a, b in zip(moves, state, k1, k2))
+    k1, checked1 = flow(x)
+    k2, checked2 = flow(move(x, k1))
+    return move(x, [0.5 * (a + b) for a, b in zip(k1, k2)]), checked1 + checked2
 
 
 def _rk4(flow, state, u, dt):
@@ -133,14 +166,17 @@ def _rk4(flow, state, u, dt):
     return [x + dt * (a + 2 * b + 2 * c + d) / 6.0 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
-def _integrate(advance, state, steps, dt, record, chart=None):
+def _integrate(advance, state, d, steps, dt, record, chart=None):
     """Step state <- advance(s, state) for s < steps and return the Path.
 
-    state is (points,) or (points, frames); advance keeps the frames
-    orthogonal and the orthogonality defect of the final frames is reported.
-    With a chart the points are wrapped after each step and paths that leave
-    its box are marked. record is "full" (every step), "endpoints" (steps 0
-    and steps) or the step indices to keep.
+    state is a flat list of columns: the d coordinates of the points, then
+    the row-major entries of the frames h~ if there are any, each a
+    (paths,) array or, for one path, a scalar. advance keeps the frames
+    orthogonal and the orthogonality defect of the final frames is
+    reported. With a chart the periodic coordinates are wrapped after each
+    step and paths that leave its box are marked. record is "full" (every
+    step), "endpoints" (steps 0 and steps) or the step indices to keep;
+    they are written into one array allocated before the first step.
     """
     named = {"full": range(steps + 1), "endpoints": (0, steps)}
     keep = named.get(record) if isinstance(record, str) else sorted(set(record))
@@ -148,28 +184,79 @@ def _integrate(advance, state, steps, dt, record, chart=None):
             isinstance(s, (int, np.integer)) and 0 <= s <= steps for s in keep):
         raise MalformedSpec(
             f"record must be 'full', 'endpoints' or step indices in [0, {steps}], got {record!r}")
-    out = [np.empty((len(keep),) + x.shape) for x in state]
-    left = None
+    batch, paths = np.ndim(state[0]) > 0, np.size(state[0])
+    # each path's values in a row, as a (paths, d) array keeps them, so that
+    # reductions over paths add in the same order
+    out = np.empty((len(keep), paths, len(state)))
+    rows = out.transpose(0, 2, 1) if batch else out[:, 0]     # a row takes the column list
+    left, wrap, box = None, (), ()
     if chart is not None:
-        left = np.zeros(len(state[0]), dtype=bool)
-        # a wrapped periodic coordinate is never outside: its box is unbounded
-        box = np.array([(-np.inf, np.inf) if c in chart.periodic else b
-                        for c, b in zip(chart.coords, chart.bounds())])
-        lo, hi = box[:, 0], box[:, 1]
+        left = np.zeros(paths, dtype=bool) if batch else False
+        wrap = chart._periodic_cols
+        # a wrapped periodic coordinate is never outside: it has no box
+        box = [(i, lo, hi) for i, (lo, hi) in enumerate(chart.bounds()) if i not in wrap]
     row = 0                                 # keep is sorted: the next row to fill
     for s in range(steps + 1):
         if s:
             state = advance(s - 1, state)
-            if chart is not None:
-                chart.wrap(state[0])            # advance returns fresh arrays
-                left |= ((state[0] < lo) | (state[0] > hi)).any(axis=1)
+            for i in wrap:
+                state[i] = state[i] % mf.TAU
+            for i, lo, hi in box:
+                x = state[i]
+                if batch:
+                    left |= x < lo
+                    left |= x > hi
+                elif x < lo or x > hi:
+                    left = True
         if row < len(keep) and keep[row] == s:
-            for o, x in zip(out, state):
-                o[row] = x
+            rows[row] = state
             row += 1
-    return Path(times=np.array(keep, dtype=float) * dt, points=out[0],
-                frames=out[1] if len(out) > 1 else None, left_chart=left,
-                ortho_defect=ortho_defect(state[1]) if len(state) > 1 else 0.0)
+    k1 = math.isqrt(len(state) - d)
+    frames, defect = None, 0.0
+    if k1:
+        frames = out[..., d:].reshape(len(keep), paths, k1, k1)
+        last = np.stack(np.broadcast_arrays(*state[d:]), axis=-1)
+        defect = ortho_defect(last.reshape(-1, k1, k1))
+    return Path(times=np.array(keep, dtype=float) * dt, points=out[..., :d],
+                frames=frames, left_chart=None if left is None else np.atleast_1d(left),
+                ortho_defect=defect)
+
+
+def _check_stages(checked, k1):
+    """SingularFrame at the first stage of a step whose det X vanishes or
+    whose drift is not finite; checked holds (det X, *drift) per stage."""
+    for i in range(0, len(checked), k1 + 1):
+        mf.check_horizontal(checked[i], checked[i + 1:i + k1 + 1])
+
+
+def _simulate(flow, move, state, d, width, config, record, name, chart=None):
+    """A Stratonovich-Heun run of flow whose step is one traced program on path columns.
+
+    state is _integrate's column list and flow(x, dw) returns the increment
+    of the value list x for the width noise columns dw, and det X and the
+    drift of the width fields it evaluated, if any; move(x, k) applies an
+    increment. The step _heun takes is traced once into an expr.Compiled
+    program of [*x, *dw], which every step runs on the columns; the noise
+    comes from one _stream per run. After each step both stages are
+    checked, in order.
+    """
+    n = len(state)
+
+    def step(inputs):
+        x, checked = _heun(lambda y: flow(y, inputs[n:]), move, inputs[:n])
+        return [*x, *checked]
+
+    program = ex.Compiled.trace(step, n + width, name)
+    draw = _stream(config.seed, config.dt)
+
+    def advance(s, x):
+        out = program([*x, *draw(s, config.paths, width).T])
+        _check_stages(out[n:], width)
+        return out[:n]
+
+    # a stage may divide by zero at a singular point, which its check reports
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _integrate(advance, state, d, config.steps, config.dt, record, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +295,42 @@ class CarnotGroup:
                 for i, j, k, v in self._terms if i not in zero or j not in zero]
 
     def _bracket(self, plan, x, y):
-        # column-major: out[..., k], like each column of the lift's state, is contiguous
-        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), order="F")
+        """[x, y] by plan, on coordinate sequences (the columns of an array,
+        or traced values): the list of its dim coordinates, 0.0 where no term lands."""
+        out = [0.0] * self.alg.dim
         for k, v, pos, neg in plan:
             a, b = pos or neg
-            w = x[..., a] * y[..., b]
+            w = x[a] * y[b]
             if pos and neg:
-                w -= x[..., neg[0]] * y[..., neg[1]]
+                w = w - x[neg[0]] * y[neg[1]]
             if v != 1.0:
-                w *= v
-            if pos:
-                out[..., k] += w
-            else:
-                out[..., k] -= w
+                w = w * v
+            out[k] = out[k] + w if pos else out[k] - w
+        return out
+
+    def _field(self, x, e):
+        """V(x, e) on coordinate sequences: x's dim and e's first k1 (see left_invariant_field)."""
+        k1 = self.alg.growth[0]
+        xe = self._bracket(self._horizontal, x, e)
+        out = [*e[:k1], *(c / 2.0 for c in xe[k1:])]
+        if self.alg.step >= 3:
+            k2 = self.alg.growth[1]
+            xxe = self._bracket(self._vertical, x, xe)
+            out[k2:] = [c + t / 12.0 for c, t in zip(out[k2:], xxe[k2:])]
+        return out
+
+    def _array(self, columns, *operands):
+        """The coordinate list columns as an array shaped like the broadcast
+        operands, column-major, so that each coordinate is contiguous."""
+        out = np.zeros(np.broadcast_shapes(*map(np.shape, operands)), order="F")
+        for k, c in enumerate(columns):
+            out[..., k] = c
         return out
 
     def bracket(self, x, y):
-        return self._bracket(self._full, x, y)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        columns = self._bracket(self._full, np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0))
+        return self._array(columns, x, y)
 
     def bch(self, x, y):
         """Truncated group product in the Lie algebra coordinates."""
@@ -251,16 +357,8 @@ class CarnotGroup:
         degree >= 2 and [x, [x, e]] degree >= 3: the first k1 columns of V
         are e itself.
         """
-        k1 = self.alg.growth[0]
-        e = np.asarray(e, dtype=float)
-        out = self._bracket(self._horizontal, x, e)          # [x, e], then V
-        xxe = self._bracket(self._vertical, x, out) if self.alg.step >= 3 else None
-        out[..., :k1] = e[..., :k1]
-        out[..., k1:] /= 2.0
-        if xxe is not None:
-            k2 = self.alg.growth[1]
-            out[..., k2:] += xxe[..., k2:] / 12.0
-        return out
+        x, e = np.asarray(x, dtype=float), np.asarray(e, dtype=float)
+        return self._array(self._field(np.moveaxis(x, -1, 0), np.moveaxis(e, -1, 0)), x, e)
 
     def embed(self, w):
         """Pad a horizontal k1-vector (or batch) with zeros to full dimension."""
@@ -272,79 +370,86 @@ class CarnotGroup:
 
 
 def simulate_carnot_lift(alg, config, record="endpoints"):
-    """Lift of Brownian motion on R^{k1} to the Carnot group (Heun scheme)."""
+    """Lift of Brownian motion on R^{k1} to the Carnot group (Heun scheme).
+
+    The step is traced from the bracket plans on the dim coordinate columns,
+    in the order of their products, so each column gets the bits of the
+    same arithmetic on (paths, dim) arrays.
+    """
     group = CarnotGroup(alg)
-    k1 = alg.growth[0]
-
-    def flow(g, dw):
-        return (group.left_invariant_field(g, dw),)
-
-    def advance(s, state):
-        dw = group.embed(increments(config.seed, s, config.paths, k1, config.dt))
-        return _heun(flow, state, dw)
-
-    return _integrate(advance, (np.zeros((config.paths, alg.dim), order="F"),),
-                      config.steps, config.dt, record)
+    state = [np.zeros(config.paths)] * alg.dim
+    return _simulate(lambda x, dw: (group._field(x, dw), []), _add, state, alg.dim,
+                     alg.growth[0], config, record, "simulate_carnot_lift step")
 
 
 # ---------------------------------------------------------------------------
 # Development on a chart
 # ---------------------------------------------------------------------------
 
-def _rotation(sigma):
-    """Cosine and sine of cay(sigma J), J = [[0, -1], [1, 0]]: an array or a scalar sigma."""
-    quarter = 0.25 * sigma * sigma
-    return (1.0 - quarter) / (1.0 + quarter), sigma / (1.0 + quarter)
-
-
 def cayley_move(h, a):
     """h cay(A), cay(A) = (I - A/2)^-1 (I + A/2), for batches of frames and so(k) A.
 
-    For k = 2, A = sigma J and cay(A) is the rotation with cosine
-    (1 - sigma^2/4)/(1 + sigma^2/4) and sine sigma/(1 + sigma^2/4): no solve.
+    For k = 2, A = sigma J and cay(A) is _rotate's rotation: no solve.
     """
     if h.shape[-1] != 2:
         eye = np.eye(h.shape[-1])
         return h @ np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a)
-    c, s = (x[:, None] for x in _rotation(a[:, 1, 0]))
-    h0, h1 = h[:, :, 0], h[:, :, 1]
-    return np.stack((h0 * c + h1 * s, h1 * c - h0 * s), axis=-1)
+    return np.stack(_rotate(h.reshape(-1, 4).T, a[:, 1, 0]), axis=-1).reshape(h.shape)
 
 
-def _cayley_coordinates(blocks, k1):
-    """(zero, move, velocity) of one frame's Cayley coordinates Omega.
+def _rotate(h, sigma):
+    """h~ cay(sigma J), J = [[0, -1], [1, 0]], for the row-major entries h of a
+    2x2 h~: scalars, columns or traced values. cay(sigma J) is the rotation
+    with cosine (1 - sigma^2/4)/(1 + sigma^2/4) and sine sigma/(1 + sigma^2/4)."""
+    quarter = 0.25 * sigma * sigma
+    c, s = (1.0 - quarter) / (1.0 + quarter), sigma / (1.0 + quarter)
+    return (h[0] * c + h[1] * s, h[1] * c - h[0] * s,
+            h[2] * c + h[3] * s, h[3] * c - h[2] * s)
+
+
+def _generator_coordinates(blocks, k1):
+    """coordinates(s) of A = sum_alpha s_alpha A_alpha in so(k1), each a sum
+    in the order of the rows of blocks: [A[1, 0]] for k1 = 2, where A is
+    A[1, 0] J, and A's row-major entries otherwise."""
+    columns = blocks.T.tolist()[k1:k1 + 1] if k1 == 2 else blocks.T.tolist()
+    return lambda s: [_dot(s, c) for c in columns]
+
+
+def _frame_move(k1):
+    """move(h, a) = h~ cay(A) for the row-major entries h of h~ and the
+    coordinates a of A (as _generator_coordinates lists them): scalars or
+    columns. For k1 = 2 it is cayley_move's rotation, all arithmetic;
+    otherwise cayley_move's solve, one opaque op of a traced step."""
+    if k1 == 2:
+        return lambda h, a: _rotate(h, a[0])
+
+    def move(h, a):
+        columns = np.ndim(h[0]) > 0
+        h, a = (np.stack(np.broadcast_arrays(*x), axis=-1).reshape(-1, k1, k1) for x in (h, a))
+        out = cayley_move(h, a).reshape(-1, k1 * k1).T
+        return tuple(out if columns else out[:, 0])
+
+    return ex.opaque(move, k1 * k1)
+
+
+def _cayley_velocity(k1):
+    """velocity(Omega, a) of a curve's Cayley coordinates Omega, for the A whose
+    coordinates are a, both listed as _generator_coordinates lists A's.
 
     h~ cay(Omega(t)) solves dh~ = h~ A for Omega(0) = 0 and Omega' =
-    velocity(Omega, s) = (I + Omega/2) A (I - Omega/2), A = sum_alpha s_alpha
-    A_alpha over the rows of blocks; move(h, Omega) is h~ cay(Omega) for a
-    row-major sequence h. For k1 = 2, Omega = omega J is a scalar, the
-    velocity is sigma (1 + omega^2/4) with sigma = A[1, 0], and cay(omega J)
-    is cayley_move's rotation, all scalar arithmetic; otherwise Omega is a
-    (k1, k1) array, and move and velocity are each one opaque op of a traced
-    step.
+    (I + Omega/2) A (I - Omega/2). For k1 = 2, Omega = omega J and omega' =
+    sigma (1 + omega^2/4) with sigma = A[1, 0], scalar arithmetic; otherwise
+    the matrix product is one opaque op of a traced step.
     """
     if k1 == 2:
-        column = blocks[:, k1].tolist()                   # A_alpha[1, 0]
-
-        def move(h, omega):
-            c, s = _rotation(omega)
-            return (h[0] * c + h[1] * s, h[1] * c - h[0] * s,
-                    h[2] * c + h[3] * s, h[3] * c - h[2] * s)
-
-        def velocity(omega, s):
-            return sum(map(operator.mul, s, column)) * (1.0 + 0.25 * omega * omega)
-
-        return 0.0, move, velocity
+        return lambda omega, a: [a[0] * (1.0 + 0.25 * omega[0] * omega[0])]
     eye = np.eye(k1)
 
-    def move(h, omega):
-        return tuple(cayley_move(np.reshape(h, (1, k1, k1)), omega[None]).ravel())
+    def velocity(omega, a):
+        omega, a = np.reshape(omega, (k1, k1)), np.reshape(a, (k1, k1))
+        return tuple(((eye + 0.5 * omega) @ a @ (eye - 0.5 * omega)).ravel())
 
-    def velocity(omega, s):
-        a = (np.asarray(s, dtype=float) @ blocks).reshape(k1, k1)
-        return (eye + 0.5 * omega) @ a @ (eye - 0.5 * omega)
-
-    return np.zeros((k1, k1)), ex.opaque(move, k1 * k1), ex.opaque(velocity)
+    return ex.opaque(velocity, k1 * k1)
 
 
 def ortho_defect(h):
@@ -357,12 +462,13 @@ _float = ex.opaque(float)
 
 
 class _DevelopSystem:
-    """Right-hand sides of the coupled (q, h~) development system.
+    """The right-hand side of the coupled (q, h~) development system at one
+    point (``point``): a path's scalars, or traced values of every path's
+    columns.
 
     Gamma comes from the connection object, fed the Popp drift of the same
     compiled evaluation that gives the frame, so the flow evaluates the
-    chart geometry once. ``flow`` takes a batch of paths on arrays, ``point``
-    one path on scalars.
+    chart geometry once.
     """
 
     def __init__(self, frame, structure, gamma):
@@ -370,50 +476,39 @@ class _DevelopSystem:
         self.gamma = gamma
         self.k1 = frame.k1
         self.coords = frame.chart.coords
-        # point's Gamma = div P^T + offset: the rows of P, one offset per (alpha, i)
+        # Gamma = div P^T + offset: the rows of P, one offset per (alpha, i)
         self._p = gamma.p.tolist()
         offset = np.broadcast_to(gamma.offset, (1, len(gamma.blocks), self.k1))
         self._offset = offset.ravel().tolist()
 
-    def flow(self, q, h, u):
-        """Increments (dq, A) for control increment u of shape (P, k1).
+    def point(self, q, h, u, cast=_float):
+        """dq, the coordinates s_alpha of A in the basis A_alpha, and det X and
+        the drift, which the caller checks, for control increment u.
 
         dq = (u^T h~ X)(q): move along sum_i (h~^T u)_i X_i;
         A = sum_alpha (u^T h~ Gamma^alpha(q)) A_alpha in so(k1), so that
-        dh~ = h~ A.
+        dh~ = h~ A. q (np.float64 or arrays, as Chart.env needs), row-major
+        h~ and u are sequences of values, or of values traced into a step.
+        Each sum runs in a fixed order, starting from 0, so a path's bits do
+        not depend on how many paths run. The outputs of
+        StructureField._horizontal are read as they come, so the caller
+        suppresses floating-point warnings, as horizontal does. cast, when
+        given, converts the drift first: Python floats have the same bits
+        and cheaper arithmetic than np.float64 (a traced step records the
+        float calls); None keeps a batch's columns.
         """
-        v = np.einsum("pji,pj->pi", h, u)                 # h~^T u
-        x, div = self.structure.horizontal(q)
-        dq = np.einsum("pdi,pi->pd", x, v)
-        s = np.einsum("pai,pi->pa", self.gamma.at(q, div), v)   # one per generator
-        return dq, (s @ self.gamma.blocks).reshape(len(q), self.k1, self.k1)
-
-    def point(self, q, h, u):
-        """flow at one point: dq, the coordinates s_alpha of A in the basis
-        A_alpha, and det X and the drift, which the caller checks.
-
-        q (np.float64, as Chart.env needs), row-major h~ and u are sequences
-        of scalars, or of values traced into develop_curve's step. The
-        outputs of StructureField._horizontal are read as they come, so the
-        caller suppresses floating-point warnings, as horizontal does. Each
-        sum runs in the order of flow's einsum, so the bits are a one-row
-        flow's except where BLAS fuses a multiply-add in div P^T, which needs
-        two inexact terms in one sum.
-        """
-        k1, mul = self.k1, operator.mul
-        v = [sum(map(mul, h[i::k1], u)) for i in range(k1)]          # h~^T u
+        k1 = self.k1
+        v = [_dot(h[i::k1], u) for i in range(k1)]                    # h~^T u
         vals = self.structure._horizontal(dict(zip(self.coords, q)))
         dk = len(vals) - k1 - 1
-        # the drift as Python floats: the same bits, and the arithmetic after
-        # it is cheaper than on np.float64 (a traced step records the float calls)
-        div = [*map(_float, vals[dk:-1])]
-        dq = [sum(map(mul, vals[a:a + k1], v)) for a in range(0, dk, k1)]
-        gamma = [sum(map(mul, div, p)) + c for p, c in zip(self._p, self._offset)]
-        gen = [sum(map(mul, gamma[a:a + k1], v)) for a in range(0, len(gamma), k1)]
+        div = vals[dk:-1] if cast is None else [*map(cast, vals[dk:-1])]
+        dq = [_dot(vals[a:a + k1], v) for a in range(0, dk, k1)]
+        gamma = [_dot(div, p) + c for p, c in zip(self._p, self._offset)]
+        gen = [_dot(gamma[a:a + k1], v) for a in range(0, len(gamma), k1)]
         return dq, gen, vals[-1], div
 
 
-def _prepare_h0(h0, k1, paths):
+def _prepare_h0(h0, k1):
     if h0 is None:
         h0 = np.eye(k1)
     h0 = np.asarray(h0, dtype=float)
@@ -421,24 +516,31 @@ def _prepare_h0(h0, k1, paths):
         raise MalformedSpec(f"h0 must be a {k1}x{k1} matrix, got {h0.shape}")
     if ortho_defect(h0[None]) > 1e-8:
         raise MalformedSpec("h0 must be orthogonal")
-    return np.broadcast_to(h0, (paths, k1, k1)).copy()
+    return h0
 
 
 def develop_sde(frame, structure, gamma, q0, config, record="endpoints"):
     """Stochastic development: Stratonovich-Heun for the (q, h~) system.
 
     h~ moves in the Lie group: predictor h~ cay(A_1), step h~ cay((A_1 + A_2)/2).
+    The step, _DevelopSystem.point on every path's columns and the frame
+    moves, is traced once per call into one program.
     """
     sys = _DevelopSystem(frame, structure, gamma)
-    k1 = frame.k1
+    k1, d = frame.k1, frame.chart.dim
+    coordinates, move = _generator_coordinates(gamma.blocks, k1), _frame_move(k1)
 
-    def advance(s, state):
-        dw = increments(config.seed, s, config.paths, k1, config.dt)
-        return _heun(sys.flow, state, dw, (operator.add, cayley_move))
+    def flow(x, dw):
+        dq, gen, det, drift = sys.point(x[:d], x[d:], dw, cast=None)
+        return [*dq, *coordinates(gen)], [det, *drift]
 
-    state = (np.tile(np.asarray(q0, dtype=float), (config.paths, 1)),
-             np.tile(np.eye(k1), (config.paths, 1, 1)))
-    return _integrate(advance, state, config.steps, config.dt, record, chart=frame.chart)
+    def step_move(x, k):
+        return [*_add(x[:d], k[:d]), *move(x[d:], k[d:])]
+
+    start = [*np.asarray(q0, dtype=float), *np.eye(k1).ravel()]
+    state = [np.full(config.paths, c) for c in start]
+    return _simulate(flow, step_move, state, d, k1, config, record, "develop_sde step",
+                     frame.chart)
 
 
 def _control_table(u, steps, dt):
@@ -469,20 +571,21 @@ def _rkmk4_step(sys, dt):
     det X and the drift of each of the four stages, for the caller to check.
     """
     k1, d = sys.k1, len(sys.coords)
-    zero, move, velocity = _cayley_coordinates(sys.gamma.blocks, k1)
+    coordinates = _generator_coordinates(sys.gamma.blocks, k1)
+    move, velocity = _frame_move(k1), _cayley_velocity(k1)
+    zero = [0.0] * (1 if k1 == 2 else k1 * k1)           # Omega(0)
 
     def step(inputs):
         q, h, c = inputs[:d], inputs[d:d + k1 * k1], inputs[d + k1 * k1:]
         stages = []
 
-        def flow(y, u):                                 # y = [*q, omega]
-            dq, gen, det, drift = sys.point(y[:-1], move(h, y[-1]), u)
+        def flow(y, u):                                 # y = [*q, *Omega]
+            dq, gen, det, drift = sys.point(y[:d], move(h, y[d:]), u)
             stages.extend((det, *drift))
-            dq.append(velocity(y[-1], gen))
-            return dq
+            return [*dq, *velocity(y[d:], coordinates(gen))]
 
-        y = _rk4(flow, [*q, zero], [c[:k1], c[k1:2 * k1], c[2 * k1:]], dt)
-        return [*y[:-1], *move(h, y[-1]), *stages]
+        y = _rk4(flow, [*q, *zero], [c[:k1], c[k1:2 * k1], c[2 * k1:]], dt)
+        return [*y[:d], *move(h, y[d:]), *stages]
 
     return step
 
@@ -497,9 +600,9 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
     evaluated once per curve, at every RK4 time, before the first step. The
     step (_rkmk4_step over _DevelopSystem.point, the geometry program and
     the Cayley moves) is traced once per curve into one expr.Compiled
-    program, which every step runs on scalars; only _integrate sees the one
-    path as one-row arrays. After each step the four stages are checked in
-    order, so the first singular one raises.
+    program, which every step runs on the path's scalars: no step makes a
+    one-row array. After each step the four stages are checked in order, so
+    the first singular one raises.
     """
     sys = _DevelopSystem(frame, structure, gamma)
     k1, d = frame.k1, frame.chart.dim
@@ -512,38 +615,40 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
     moved = d + k1 * k1
 
     def advance(s, state):
-        # q stays np.float64, as the chart geometry needs; h~ and u are
-        # Python floats (the same bits, cheaper)
-        out = step([*state[0][0], *state[1].ravel().tolist(), *control[s].tolist()])
-        health = out[moved:]                            # (det, *drift) per stage
-        if not (all(health[::k1 + 1]) and all(map(math.isfinite, health))):
-            for i in range(0, len(health), k1 + 1):     # the first bad stage raises
-                mf.check_horizontal(health[i], health[i + 1:i + k1 + 1])
-        return np.array([out[:d]]), np.array(out[d:moved]).reshape(1, k1, k1)
+        out = step([*state, *control[s].tolist()])
+        checked = out[moved:]                           # (det, *drift) per stage
+        if not (all(checked[::k1 + 1]) and all(map(math.isfinite, checked))):
+            _check_stages(checked, k1)
+        return out[:moved]
 
-    state = (np.asarray(q0, dtype=float)[None, :].copy(), _prepare_h0(h0, k1, 1))
+    # q stays np.float64, as the chart geometry needs; h~ and u are Python
+    # floats (the same bits, cheaper)
+    state = [*np.asarray(q0, dtype=float), *_prepare_h0(h0, k1).ravel().tolist()]
     # a step may divide by zero at a singular point, which its checks report
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _integrate(advance, state, steps, dt, record, chart=frame.chart)
+        return _integrate(advance, state, d, steps, dt, record, chart=frame.chart)
 
 
 def simulate_popp(frame, structure, q0, config, record="endpoints"):
     """Direct diffusion with generator half the Popp sub-Laplacian.
 
     Stratonovich dq = sum_i X_i(q) o db^i + (1/2) sum_i d_i(q) X_i(q) dt
-    with drift coefficients d_i = -sum_l c_il^l.
+    with drift coefficients d_i = -sum_l c_il^l. The step, the geometry
+    program on every path's columns, is traced once per call into one
+    program.
     """
-    k1 = frame.k1
+    k1, d = frame.k1, frame.chart.dim
+    dk = d * k1
 
     def flow(q, dw):
-        x, d = structure.horizontal(q)
-        return (np.einsum("pdi,pi->pd", x, dw + 0.5 * d * config.dt),)
+        vals = structure._horizontal(dict(zip(frame.chart.coords, q)))
+        w = [b + 0.5 * c * config.dt for b, c in zip(dw, vals[dk:-1])]
+        return ([_dot(vals[a:a + k1], w) for a in range(0, dk, k1)],
+                [vals[-1], *vals[dk:-1]])
 
-    def advance(s, state):
-        return _heun(flow, state, increments(config.seed, s, config.paths, k1, config.dt))
-
-    state = (np.tile(np.asarray(q0, dtype=float), (config.paths, 1)),)
-    return _integrate(advance, state, config.steps, config.dt, record, chart=frame.chart)
+    state = [np.full(config.paths, c) for c in np.asarray(q0, dtype=float)]
+    return _simulate(flow, _add, state, d, k1, config, record, "simulate_popp step",
+                     frame.chart)
 
 
 def check_finite(path):

@@ -18,7 +18,8 @@ scalars gives bit for bit the values an env of arrays gives at each point.
 A ``Compiled`` program runs as one straight-line Python function generated
 from its op list. ``Compiled.trace`` records such a program from Python code
 run once on ``Traced`` values (with ``opaque`` functions as single ops), as
-develop_curve does with its step.
+every simulator does with its step. A program deletes each value after its
+last use.
 """
 
 from __future__ import annotations
@@ -416,10 +417,22 @@ class Compiled:
         self._run = self._generate()
 
     def _generate(self):
-        """Compile the ops into one function env -> list of output values."""
+        """Compile the ops into one function env -> list of output values.
+
+        Each computed value is deleted after the op that reads it last (or
+        at once when nothing reads it), so a program on arrays holds only
+        the values it still needs.
+        """
         computed = {s for s, _ in self.names}
         for slot, _, _ in self.ops:
             computed.update(slot if isinstance(slot, tuple) else (slot,))
+        last = {}                      # computed slot -> index of the op reading it last
+        for n, (_, _, args) in enumerate(self.ops):
+            for a in _flatten(args):
+                if a in computed:
+                    last[a] = n
+        for a in self.outputs:
+            last[a] = len(self.ops)    # returned: never freed
         bound = {}                     # bound name -> object, in order
         fn_names = {}
 
@@ -445,13 +458,20 @@ class Compiled:
                 bound[name] = fn
             return fn_names[fn]
 
+        def freed(n, slots, args):
+            """del lines for the values op n reads for the last time and its unread results."""
+            dead = [a for a in dict.fromkeys(_flatten(args)) if last.get(a) == n]
+            dead += [s for s in slots if s not in last]
+            return [f"del {', '.join(f'v{a}' for a in dead)}"] if dead else []
+
         body = []
         if self.names:
             body += ["try:"]
             body += [f"    v{slot} = env[{name!r}]" for slot, name in self.names]
             body += ["except KeyError as e:",
                      "    raise UnknownIdentifier(f'unknown variable {e.args[0]!r}') from None"]
-        for slot, fn, args in self.ops:
+            body += freed(-1, [slot for slot, _ in self.names], ())
+        for n, (slot, fn, args) in enumerate(self.ops):
             lhs = f"v{slot}" if not isinstance(slot, tuple) else \
                 "".join(f"v{s}, " for s in slot)
             if fn in _INFIX and len(args) == 2:
@@ -461,6 +481,7 @@ class Compiled:
             else:
                 rhs = f"{fn_name(fn)}({', '.join(map(ref, args))})"
             body.append(f"{lhs} = {rhs}")
+            body += freed(n, slot if isinstance(slot, tuple) else (slot,), args)
         body.append(f"return [{', '.join(map(ref, self.outputs))}]")
         source = "\n".join([f"def _bind({', '.join(bound)}):", "    def run(env):",
                             *("        " + line for line in body), "    return run", ""])
@@ -475,6 +496,15 @@ class Compiled:
         """Values of the outputs, in order, with env as for Expr.__call__
         (a sequence of the inputs for a traced program)."""
         return self._run(env)
+
+
+def _flatten(args):
+    """The slots of an op's arguments, tuples of slots unpacked."""
+    for a in args:
+        if isinstance(a, tuple):
+            yield from _flatten(a)
+        else:
+            yield a
 
 
 def _recorded(fn, reflected=False):

@@ -267,17 +267,13 @@ def _popp_divergence(frame):
 def check_horizontal(det, drift):
     """Raise SingularFrame where det X vanishes or the Popp drift is not finite.
 
-    det and drift are outputs of StructureField._horizontal: a batch's rows,
-    or one point's scalar and sequence of scalars, checked without numpy's
-    per-call cost.
+    det and drift are outputs of StructureField._horizontal: one point's
+    scalars, or a batch's rows or columns, any of which may be a constant
+    where its expression folds to one.
     """
-    if isinstance(det, np.ndarray):
-        singular, finite = not det.all(), np.isfinite(drift).all()
-    else:
-        singular, finite = not det, all(map(math.isfinite, drift))
-    if singular:
+    if not np.asarray(det).all():
         raise SingularFrame("frame matrix singular at a sample point")
-    if not finite:
+    if not all(np.isfinite(d).all() for d in drift):
         raise SingularFrame("Popp drift not finite at a sample point")
 
 

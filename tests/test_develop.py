@@ -1,5 +1,6 @@
 """Tests for the group law, left-invariant fields, and development dynamics."""
 
+import operator
 import os
 import subprocess
 import sys
@@ -192,24 +193,38 @@ class RowGeometry:
         return x[:1], div[:1]
 
 
+def batch_flow(sys, q, h, u):
+    """Increments (dq, A) of the development system for a batch of paths, on
+    arrays: the oracle of the traced steps. dq = (u^T h~ X)(q) and
+    A = sum_alpha (u^T h~ Gamma^alpha(q)) A_alpha, by einsum and by the BLAS
+    products of ChristoffelField.at and s @ blocks."""
+    v = np.einsum("pji,pj->pi", h, u)                 # h~^T u
+    x, div = sys.structure.horizontal(q)
+    dq = np.einsum("pdi,pi->pd", x, v)
+    s = np.einsum("pai,pi->pa", sys.gamma.at(q, div), v)
+    return dq, (s @ sys.gamma.blocks).reshape(len(q), sys.k1, sys.k1)
+
+
 def per_stage_curve(frame, st, gamma, u, q0, dt, T):
     """The RKMK4 curve loop with the control evaluated at every stage, on a
     Python float t, and the geometry, the batch flow and the Cayley moves on
     one-row arrays: the oracle for develop_curve. For k1 = 2, Omega = omega J
-    and (I + Omega/2) A (I - Omega/2) = (1 + omega^2/4) A."""
+    and (I + Omega/2) A (I - Omega/2) = (1 + omega^2/4) A. Its state is one
+    one-row column per coordinate and frame entry."""
     assert frame.k1 == 2
     sys = dv._DevelopSystem(frame, RowGeometry(st), gamma)
     control = ex.Compiled([ex.parse(c) for c in u])
+    d = frame.chart.dim
 
     def flow(q, omega, t, h):
         u_t = np.array([[float(c) for c in control({"t": t})]])
-        dq, a = sys.flow(q, dv.cayley_move(h, omega), u_t)
+        dq, a = batch_flow(sys, q, dv.cayley_move(h, omega), u_t)
         w = omega[:, 1:, :1]
         return dq, a * (1.0 + 0.25 * w * w)
 
     def advance(s, state):
         t = s * dt
-        q, h = state
+        q, h = np.stack(state[:d], axis=1), np.stack(state[d:], axis=1).reshape(1, 2, 2)
         y = (q, np.zeros_like(h))
         k1 = flow(*y, t, h)
         k2 = flow(*(x + 0.5 * dt * k for x, k in zip(y, k1)), t + 0.5 * dt, h)
@@ -217,10 +232,10 @@ def per_stage_curve(frame, st, gamma, u, q0, dt, T):
         k4 = flow(*(x + dt * k for x, k in zip(y, k3)), t + dt, h)
         q, omega = (x + dt * (a + 2 * b + 2 * c + d) / 6.0
                     for x, a, b, c, d in zip(y, k1, k2, k3, k4))
-        return q, dv.cayley_move(h, omega)
+        return [*q.T, *dv.cayley_move(h, omega).reshape(1, 4).T]
 
-    state = (np.asarray(q0, dtype=float)[None, :].copy(), np.eye(frame.k1)[None].copy())
-    return dv._integrate(advance, state, round(T / dt), dt, "full", chart=frame.chart)
+    state = [np.array([c]) for c in [*q0, 1.0, 0.0, 0.0, 1.0]]
+    return dv._integrate(advance, state, d, round(T / dt), dt, "full", chart=frame.chart)
 
 
 @pytest.mark.parametrize("name", ["contact-halfplane", "engel-halfplane"])
@@ -336,6 +351,15 @@ def test_increments_reproducible_across_batches():
     assert not np.array_equal(small, other)
 
 
+def test_stream_draws_are_the_increments():
+    # one run's stream resets its counter at every draw: steps out of order
+    # and a draw of another width in between change no row
+    draw = dv._stream(42, 1e-3)
+    for step, paths, width in ((5, 64, 2), (0, 64, 2), (3, 16, 3), (5, 64, 2), (2, 7, 2)):
+        want = dv.increments(seed=42, step=step, paths=paths, width=width, dt=1e-3)
+        assert draw(step, paths, width).tobytes() == want.tobytes()
+
+
 def test_sde_lift_independence():
     # conjugating the initial transport frame by a rotation and rotating the
     # driving noise accordingly leaves the projected paths unchanged
@@ -361,8 +385,8 @@ def test_sde_lift_independence():
             if h0 is not base_h0:
                 dw = dw @ r.T
             # Lie-group Heun: h~ moves by Cayley transforms of so(2) increments
-            dq1, a1 = sys.flow(q, h, dw)
-            dq2, a2 = sys.flow(q + dq1, dv.cayley_move(h, a1), dw)
+            dq1, a1 = batch_flow(sys, q, h, dw)
+            dq2, a2 = batch_flow(sys, q + dq1, dv.cayley_move(h, a1), dw)
             q = q + 0.5 * (dq1 + dq2)
             h = dv.cayley_move(h, 0.5 * (a1 + a2))
             q = frame.chart.wrap(q)
@@ -420,9 +444,18 @@ def test_singular_frame_raises_not_nan():
                              [0.0, 1.0, 0.5], 1e-2, 0.1)
 
 
-# The child prints the message each curve raised, so an assert stripped by
-# -O cannot make it pass
-SINGULAR_CURVES_UNDER_O = """
+def folded_drift_frame():
+    """X1 = y d/dx, X2 = (1 + exp(-1/(y-1)^2)) d/dy: the drift's first
+    component folds to the constant 0.0, and at y = 1, where det X = 1, its
+    second is nan (0 * inf in the y-derivative)."""
+    return mf.build_frame({"chart": {"coords": ["x", "y"]}, "growth": [2],
+                           "frame": [["y", "0"], ["0", "1 + exp(-1/((y-1)*(y-1)))"]]})
+
+
+# The child prints the message each simulator raised, so an assert stripped
+# by -O cannot make it pass. The SDEs also run on two frames whose drift has
+# a component that folds to a constant, which they check next to a column
+SINGULAR_RUNS_UNDER_O = """
 import sys
 from cartandev import checks as ck, develop as dv, manifold as mf
 import test_develop as td
@@ -431,26 +464,73 @@ drifting = td.nan_drift_frame()
 drifting_st = mf.StructureField(drifting)
 cases = [(frame, st, gamma, [0.0, 0.0, 0.5]),
          (drifting, drifting_st, mf.ChristoffelField(drifting_st, sym, gamma.p), [0.0, 1.0, 0.5])]
+folded = []
+for f, q0 in (("hyperbolic-plane", [0.0, 0.0]), (td.folded_drift_frame(), [0.0, 1.0])):
+    f, s, _, h = ck.context(f)
+    folded.append((f, s, mf.ChristoffelField(s, h), q0))
+config = dv.SDEConfig(dt=1e-2, T=0.1, seed=0, paths=4)
+runs = [(lambda f, s, g, q0: dv.develop_curve(f, s, g, ["cos(t)", "sin(t)"], q0, 1e-2, 0.1),
+         cases),
+        (lambda f, s, g, q0: dv.develop_sde(f, s, g, q0, config), cases + folded),
+        (lambda f, s, g, q0: dv.simulate_popp(f, s, q0, config), cases + folded)]
 print(sys.flags.optimize)
-for f, s, g, q0 in cases:
-    try:
-        dv.develop_curve(f, s, g, ["cos(t)", "sin(t)"], q0, 1e-2, 0.1)
-        print("no error")
-    except Exception as e:
-        print(type(e).__name__, e)
+for run, among in runs:
+    for f, s, g, q0 in among:
+        try:
+            run(f, s, g, q0)
+            print("no error")
+        except Exception as e:
+            print(type(e).__name__, e)
 """
 
 
 def test_curve_raises_singular_frame_under_python_optimize():
+    # the curve, the developed SDE and the Popp diffusion, at det X = 0 and
+    # at a drift that is not finite
     here = Path(__file__).resolve().parent
     path = os.pathsep.join([str(here.parent / "src"), str(here)])
-    proc = subprocess.run([sys.executable, "-O", "-c", SINGULAR_CURVES_UNDER_O],
+    proc = subprocess.run([sys.executable, "-O", "-c", SINGULAR_RUNS_UNDER_O],
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "1", "SingularFrame frame matrix singular at a sample point",
+    assert proc.stdout.splitlines() == ["1"] + 5 * [
+        "SingularFrame frame matrix singular at a sample point",
         "SingularFrame Popp drift not finite at a sample point"]
+
+
+def exp_frame():
+    """X1 = exp(y) d/dx, X2 = exp(x) d/dy: a Riemannian frame whose Popp
+    drift, (-exp(y), -exp(x)), has two nonzero components everywhere."""
+    return mf.build_frame({"chart": {"coords": ["x", "y"]}, "growth": [2],
+                           "frame": [["exp(y)", "0"], ["0", "exp(x)"]]})
+
+
+def test_sde_step_is_each_paths_scalar_step():
+    # every path of a 64-path develop_sde step is the Heun step of point on
+    # that path's scalars, byte for byte: each Gamma = div P^T + offset sums
+    # two inexact products, which a BLAS product may fuse
+    frame, st, _, sym = ck.context(exp_frame())
+    gamma = mf.ChristoffelField(st, sym, np.array([[0.3, 0.7], [0.1, 0.9]]), 0.2)
+    q0 = [0.1, -0.2]
+    config = dv.SDEConfig(dt=0.01, T=0.01, seed=17, paths=64)
+    path = dv.develop_sde(frame, st, gamma, q0, config, record="full")
+    sys_ = dv._DevelopSystem(frame, st, gamma)
+    dw = dv.increments(config.seed, 0, config.paths, 2, config.dt)
+
+    def flow(q, h, u):
+        dq, s, _, _ = sys_.point(q, h.ravel().tolist(), u)
+        sigma = sum(map(operator.mul, s, gamma.blocks[:, 2]))        # A[1, 0]
+        return dq, np.array([[[0.0, -sigma], [sigma, 0.0]]])
+
+    for p in range(config.paths):
+        q, h, u = [np.float64(c) for c in q0], np.eye(2)[None], dw[p].tolist()
+        dq1, a1 = flow(q, h, u)
+        dq2, a2 = flow([x + k for x, k in zip(q, dq1)], dv.cayley_move(h, a1), u)
+        q = [x + 0.5 * (a + b) for x, a, b in zip(q, dq1, dq2)]
+        h = dv.cayley_move(h, 0.5 * (a1 + a2))
+        assert path.points[1, p].tobytes() == np.array(q).tobytes()
+        assert path.frames[1, p].tobytes() == h[0].tobytes()
+    assert np.abs(path.frames[1] - np.eye(2)).max() > 1e-3
 
 
 def test_sde_orthogonality_defect_small():

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 import traceback
 
 import numpy as np
@@ -281,3 +282,24 @@ def test_generated_lines_show_in_tracebacks_and_source():
     while tb.tb_next:
         tb = tb.tb_next
     assert "v4 = v3 / v1" in inspect.getsource(tb.tb_frame.f_code)
+
+
+def test_program_frees_each_value_after_its_last_use():
+    # a 30-op chain on 10^6-element arrays holds the value it reads and the
+    # one it makes, not every intermediate until it returns
+    def chain(v):
+        y = v[0]
+        for k in range(30):
+            y = y * 1.5 if k % 2 else y + 1.0
+        return [y]
+
+    program = ex.Compiled.trace(chain, 1, "chain")
+    x = np.ones(10 ** 6)
+    tracemalloc.start()
+    try:
+        got = program([x])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == chain([x])[0].tobytes()
+    assert peak <= 4 * x.nbytes
