@@ -1,16 +1,19 @@
 """Deterministic and stochastic development, and the Carnot-group lift.
 
-Each simulator steps a flat list of state columns with one time loop,
-``_integrate``: one (paths,) array per coordinate and frame entry, or, for
-the one path of a model curve, one scalar. Each call traces its step once
-into one expr.Compiled program, which every step runs. The three SDEs take
-Stratonovich-Heun steps over path columns, the developed one moving its
-frame h~ by Cayley transforms of so(k1) increments; every sum runs in a
-fixed order, so a path's bits do not depend on the batch or the BLAS build.
-Randomness comes from a counter-based Philox stream keyed by (seed, step),
-with path p consuming row p of each step's draw, so a batch of P paths
-reproduces the first P paths of any larger batch at the same seed; a run
-draws from one generator whose counter is reset at every step.
+Every simulator runs through one driver, ``_run``: it traces the
+simulator's step once into one expr.Compiled program, runs that program at
+every step of one time loop, ``_integrate``, under one np.errstate, and
+checks each step's stages with ``_check_stages``. The state is a flat list
+of columns: one (paths,) array per coordinate and frame entry, or, for the
+one path of a model curve, one scalar. The three SDEs take
+Stratonovich-Heun steps over path columns (``_simulate``), the developed
+one moving its frame h~ by Cayley transforms of so(k1) increments; every
+sum runs in a fixed order, so a path's bits do not depend on the batch or
+the BLAS build. Their noise is ``increments(seed, dt)``, a run's draw
+function over one counter-based Philox generator keyed by seed, whose
+counter is set to the step at every draw; path p consumes row p of each
+step's draw, so a batch of P paths reproduces the first P paths of any
+larger batch at the same seed.
 
 A model curve is one path, stepped on scalars by RKMK4 in Cayley
 coordinates (Munthe-Kaas 1999): classical RK4 on (q, Omega) with the frame
@@ -97,19 +100,14 @@ class Path:
             w.writerow([p] + [f"{v:.12g}" for v in q])
 
 
-def increments(seed, step, paths, width, dt):
-    """Gaussian increments of one time step: shape (paths, width), sd sqrt(dt).
+def increments(seed, dt):
+    """The Gaussian increments of one run: draw(step, paths, width) is one
+    time step's, shape (paths, width), sd sqrt(dt).
 
     Row p depends only on (seed, step, p, width): the Philox counter encodes
-    the step and the generator fills rows in order. This is one draw of
-    _stream(seed, dt).
+    the step and the generator fills rows in order. A run keeps one
+    generator, whose counter is reset at every draw.
     """
-    return _stream(seed, dt)(step, paths, width)
-
-
-def _stream(seed, dt):
-    """draw(step, paths, width): increments(seed, step, paths, width, dt), bit
-    for bit, from one Philox generator whose counter is reset at every draw."""
     bits = np.random.Philox(key=seed)
     normal = np.random.Generator(bits).standard_normal
     state = bits.state                  # a fresh generator's: no buffered output
@@ -224,21 +222,46 @@ def _integrate(advance, state, d, steps, dt, record, chart=None):
 
 def _check_stages(checked, k1):
     """SingularFrame at the first stage of a step whose det X vanishes or
-    whose drift is not finite; checked holds (det X, *drift) per stage."""
+    whose drift is not finite; checked holds (det X, *drift) per stage,
+    each a path's scalar, a batch's column or a folded constant. A path's
+    scalars are first tested all at once, which every regular step passes.
+    """
+    if (all(isinstance(c, float) for c in checked) and all(checked[::k1 + 1])
+            and all(map(math.isfinite, checked))):
+        return
     for i in range(0, len(checked), k1 + 1):
         mf.check_horizontal(checked[i], checked[i + 1:i + k1 + 1])
 
 
+def _run(step, width, inputs, k1, state, d, steps, dt, record, name, chart=None):
+    """Run the step function step over _integrate's column list state.
+
+    step maps [*x, *w], x the state's values and w the width values
+    inputs(s) gives for step s, to [*x', *checked], checked holding
+    (det X, *drift) of k1 fields at each stage it evaluated. It is traced
+    once into an expr.Compiled program, which every step runs; after each
+    step its stages are checked in order (_check_stages).
+    """
+    n = len(state)
+    program = ex.Compiled.trace(step, n + width, name)
+
+    def advance(s, x):
+        out = program([*x, *inputs(s)])
+        _check_stages(out[n:], k1)
+        return out[:n]
+
+    # a stage may divide by zero at a singular point, which its check reports
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _integrate(advance, state, d, steps, dt, record, chart)
+
+
 def _simulate(flow, move, state, d, width, config, record, name, chart=None):
-    """A Stratonovich-Heun run of flow whose step is one traced program on path columns.
+    """A Stratonovich-Heun run of flow on path columns, driven by increments.
 
     state is _integrate's column list and flow(x, dw) returns the increment
     of the value list x for the width noise columns dw, and det X and the
     drift of the width fields it evaluated, if any; move(x, k) applies an
-    increment. The step _heun takes is traced once into an expr.Compiled
-    program of [*x, *dw], which every step runs on the columns; the noise
-    comes from one _stream per run. After each step both stages are
-    checked, in order.
+    increment. _run traces the step _heun takes and checks both stages.
     """
     n = len(state)
 
@@ -246,17 +269,9 @@ def _simulate(flow, move, state, d, width, config, record, name, chart=None):
         x, checked = _heun(lambda y: flow(y, inputs[n:]), move, inputs[:n])
         return [*x, *checked]
 
-    program = ex.Compiled.trace(step, n + width, name)
-    draw = _stream(config.seed, config.dt)
-
-    def advance(s, x):
-        out = program([*x, *draw(s, config.paths, width).T])
-        _check_stages(out[n:], width)
-        return out[:n]
-
-    # a stage may divide by zero at a singular point, which its check reports
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _integrate(advance, state, d, config.steps, config.dt, record, chart)
+    draw = increments(config.seed, config.dt)
+    return _run(step, width, lambda s: draw(s, config.paths, width).T, width, state, d,
+                config.steps, config.dt, record, name, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +368,11 @@ class CarnotGroup:
 
         V(x, e) = e + [x, e]/2 + [x, [x, e]]/12; the step-4 term of the
         differential of left translation vanishes in this direction. e is
-        zero beyond its first k1 columns (as embed pads it), so [x, e] has
-        degree >= 2 and [x, [x, e]] degree >= 3: the first k1 columns of V
-        are e itself.
+        zero beyond its first k1 columns, so [x, e] has degree >= 2 and
+        [x, [x, e]] degree >= 3: the first k1 columns of V are e itself.
         """
         x, e = np.asarray(x, dtype=float), np.asarray(e, dtype=float)
         return self._array(self._field(np.moveaxis(x, -1, 0), np.moveaxis(e, -1, 0)), x, e)
-
-    def embed(self, w):
-        """Pad a horizontal k1-vector (or batch) with zeros to full dimension."""
-        w = np.asarray(w, dtype=float)
-        k1 = self.alg.growth[0]
-        out = np.zeros(w.shape[:-1] + (self.alg.dim,), order="F")
-        out[..., :k1] = w
-        return out
 
 
 def simulate_carnot_lift(alg, config, record="endpoints"):
@@ -487,25 +493,23 @@ class _DevelopSystem:
 
         dq = (u^T h~ X)(q): move along sum_i (h~^T u)_i X_i;
         A = sum_alpha (u^T h~ Gamma^alpha(q)) A_alpha in so(k1), so that
-        dh~ = h~ A. q (np.float64 or arrays, as Chart.env needs), row-major
-        h~ and u are sequences of values, or of values traced into a step.
-        Each sum runs in a fixed order, starting from 0, so a path's bits do
-        not depend on how many paths run. The outputs of
-        StructureField._horizontal are read as they come, so the caller
-        suppresses floating-point warnings, as horizontal does. cast, when
-        given, converts the drift first: Python floats have the same bits
-        and cheaper arithmetic than np.float64 (a traced step records the
-        float calls); None keeps a batch's columns.
+        dh~ = h~ A. q (np.float64 scalars or columns), row-major h~ and u are
+        sequences of values, or of values traced into a step. Each sum runs
+        in a fixed order, starting from 0, so a path's bits do not depend on
+        how many paths run. The geometry (StructureField._horizontal_at) is
+        read unchecked, so the caller suppresses floating-point warnings, as
+        horizontal does. cast, when given, converts the drift first: Python
+        floats have the same bits and cheaper arithmetic than np.float64 (a
+        traced step records the float calls); None keeps a batch's columns.
         """
         k1 = self.k1
         v = [_dot(h[i::k1], u) for i in range(k1)]                    # h~^T u
-        vals = self.structure._horizontal(dict(zip(self.coords, q)))
-        dk = len(vals) - k1 - 1
-        div = vals[dk:-1] if cast is None else [*map(cast, vals[dk:-1])]
-        dq = [_dot(vals[a:a + k1], v) for a in range(0, dk, k1)]
+        rows, drift, det = self.structure._horizontal_at(dict(zip(self.coords, q)))
+        div = drift if cast is None else [*map(cast, drift)]
+        dq = [_dot(row, v) for row in rows]
         gamma = [_dot(div, p) + c for p, c in zip(self._p, self._offset)]
         gen = [_dot(gamma[a:a + k1], v) for a in range(0, len(gamma), k1)]
-        return dq, gen, vals[-1], div
+        return dq, gen, det, div
 
 
 def _prepare_h0(h0, k1):
@@ -611,22 +615,11 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
         raise MalformedSpec(f"need {k1} control components, got {len(u)}")
     steps = _step_count(dt, T)
     control = _control_table(u, steps, dt).reshape(steps, 3 * k1)
-    step = ex.Compiled.trace(_rkmk4_step(sys, dt), d + k1 * k1 + 3 * k1, "develop_curve step")
-    moved = d + k1 * k1
-
-    def advance(s, state):
-        out = step([*state, *control[s].tolist()])
-        checked = out[moved:]                           # (det, *drift) per stage
-        if not (all(checked[::k1 + 1]) and all(map(math.isfinite, checked))):
-            _check_stages(checked, k1)
-        return out[:moved]
-
     # q stays np.float64, as the chart geometry needs; h~ and u are Python
     # floats (the same bits, cheaper)
     state = [*np.asarray(q0, dtype=float), *_prepare_h0(h0, k1).ravel().tolist()]
-    # a step may divide by zero at a singular point, which its checks report
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _integrate(advance, state, d, steps, dt, record, chart=frame.chart)
+    return _run(_rkmk4_step(sys, dt), 3 * k1, lambda s: control[s].tolist(), k1, state, d,
+                steps, dt, record, "develop_curve step", frame.chart)
 
 
 def simulate_popp(frame, structure, q0, config, record="endpoints"):
@@ -638,13 +631,11 @@ def simulate_popp(frame, structure, q0, config, record="endpoints"):
     program.
     """
     k1, d = frame.k1, frame.chart.dim
-    dk = d * k1
 
     def flow(q, dw):
-        vals = structure._horizontal(dict(zip(frame.chart.coords, q)))
-        w = [b + 0.5 * c * config.dt for b, c in zip(dw, vals[dk:-1])]
-        return ([_dot(vals[a:a + k1], w) for a in range(0, dk, k1)],
-                [vals[-1], *vals[dk:-1]])
+        rows, drift, det = structure._horizontal_at(dict(zip(frame.chart.coords, q)))
+        w = [b + 0.5 * c * config.dt for b, c in zip(dw, drift)]
+        return [_dot(row, w) for row in rows], [det, *drift]
 
     state = [np.full(config.paths, c) for c in np.asarray(q0, dtype=float)]
     return _simulate(flow, _add, state, d, k1, config, record, "simulate_popp step",

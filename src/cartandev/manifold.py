@@ -68,24 +68,9 @@ class Chart:
                      for c in self.coords)
 
     def env(self, points):
-        """Map coordinate names to the columns of a (P, d) point array.
-
-        One point maps each name to an np.float64 scalar instead: an
-        expression costs far less on scalars than on 1-row arrays and, since
-        every operation is an IEEE operator or a ufunc, gives the same bits.
-        A Python float would not do: x/0.0 would raise ZeroDivisionError
-        where the array gives inf or nan.
-        """
+        """Map coordinate names to the columns of a (P, d) point array."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if len(points) == 1:
-            return dict(zip(self.coords, points[0]))
         return {name: points[:, i] for i, name in enumerate(self.coords)}
-
-    def wrap(self, points):
-        """Reduce the periodic coordinates of a float array mod 2*pi in place; returns it."""
-        for i in self._periodic_cols:
-            points[..., i] %= TAU
-        return points
 
     def sample_points(self, count=100, seed=0):
         rng = np.random.default_rng(seed)
@@ -178,17 +163,11 @@ def _components(fields):
 
 
 def _evaluate(compiled, chart, points):
-    """The outputs of compiled at points as one (outputs, P) array.
-
-    One point's outputs are scalars (Chart.env) and are packed by one call;
-    a batch's are written one contiguous row each.
-    """
+    """The outputs of compiled at points as one (outputs, P) array, written
+    one contiguous row each (an output that folds to a constant fills its row)."""
     env = chart.env(points)
-    p = next(iter(env.values())).size        # a column, or one point's scalar
     vals = compiled(env)
-    if p == 1:
-        return np.array(vals, dtype=float)[:, None]
-    out = np.empty((len(vals), p))
+    out = np.empty((len(vals), len(next(iter(env.values())))))
     for i, v in enumerate(vals):
         out[i] = v
     return out
@@ -315,13 +294,21 @@ class StructureField:
         return ex.Compiled(_components((*self.frame.fields, *self._brackets)),
                            "StructureField frame and brackets")
 
+    def _horizontal_at(self, env):
+        """The outputs of _horizontal at env, unchecked: the d rows of
+        X_1..X_k1 (row a holds their a-th components), the k1 drift values
+        and det X."""
+        vals = self._horizontal(env)
+        k1 = self.frame.k1
+        dk = len(vals) - k1 - 1
+        return [vals[a:a + k1] for a in range(0, dk, k1)], vals[dk:-1], vals[-1]
+
     def horizontal(self, points):
         """X_1..X_k1 and the Popp drift at points: shapes (P, d, k1), (P, k1).
 
-        One compiled call gives every output, one point's on scalars with
-        the bits of a batch row; they are packed into one array and the
-        determinant and the drift are checked once each. Raises
-        SingularFrame where det X vanishes or the drift is not finite.
+        One compiled call gives every output; they are packed into one
+        array and the determinant and the drift are checked once each.
+        Raises SingularFrame where det X vanishes or the drift is not finite.
         """
         chart, k1 = self.frame.chart, self.frame.k1
         dk = chart.dim * k1

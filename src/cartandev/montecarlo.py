@@ -71,7 +71,7 @@ def generator_family_test(frame, structure, gamma, sym, fs, q0, config):
     path = dv.develop_sde(frame, structure, gamma, q0v, config, record=(half, config.steps))
     q = q0v[None]
     program, moments = _moments(fs, chart)
-    f0s = np.array(program(chart.env(q)), dtype=float)
+    f0s = mf._evaluate(program, chart, q)[:, 0]
     if not np.all(np.isfinite(f0s)):
         raise NonFinite("test function evaluated to a non-finite sample")
     t1, t2 = config.T, config.T / 2.0

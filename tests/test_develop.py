@@ -344,19 +344,19 @@ def sde_setup(name):
 
 def test_increments_reproducible_across_batches():
     # the increments of path p at step s must not depend on the batch size
-    big = dv.increments(seed=42, step=3, paths=64, width=2, dt=1e-3)
-    small = dv.increments(seed=42, step=3, paths=16, width=2, dt=1e-3)
+    big = dv.increments(seed=42, dt=1e-3)(3, 64, 2)
+    small = dv.increments(seed=42, dt=1e-3)(3, 16, 2)
     assert np.array_equal(big[:16], small)
-    other = dv.increments(seed=42, step=4, paths=16, width=2, dt=1e-3)
+    other = dv.increments(seed=42, dt=1e-3)(4, 16, 2)
     assert not np.array_equal(small, other)
 
 
 def test_stream_draws_are_the_increments():
     # one run's stream resets its counter at every draw: steps out of order
     # and a draw of another width in between change no row
-    draw = dv._stream(42, 1e-3)
+    draw = dv.increments(42, 1e-3)
     for step, paths, width in ((5, 64, 2), (0, 64, 2), (3, 16, 3), (5, 64, 2), (2, 7, 2)):
-        want = dv.increments(seed=42, step=step, paths=paths, width=width, dt=1e-3)
+        want = dv.increments(seed=42, dt=1e-3)(step, paths, width)
         assert draw(step, paths, width).tobytes() == want.tobytes()
 
 
@@ -380,8 +380,9 @@ def test_sde_lift_independence():
     def run(h0):
         q = np.tile(np.asarray(q0, dtype=float), (config.paths, 1))
         h = np.tile(h0, (config.paths, 1, 1))
+        draw = dv.increments(config.seed, config.dt)
         for s in range(config.steps):
-            dw = dv.increments(config.seed, s, config.paths, k1, config.dt)
+            dw = draw(s, config.paths, k1)
             if h0 is not base_h0:
                 dw = dw @ r.T
             # Lie-group Heun: h~ moves by Cayley transforms of so(2) increments
@@ -389,7 +390,7 @@ def test_sde_lift_independence():
             dq2, a2 = batch_flow(sys, q + dq1, dv.cayley_move(h, a1), dw)
             q = q + 0.5 * (dq1 + dq2)
             h = dv.cayley_move(h, 0.5 * (a1 + a2))
-            q = frame.chart.wrap(q)
+            q[:, 2] %= mf.TAU                                  # t1 is periodic
         return q
 
     base_h0 = np.eye(2)
@@ -515,7 +516,7 @@ def test_sde_step_is_each_paths_scalar_step():
     config = dv.SDEConfig(dt=0.01, T=0.01, seed=17, paths=64)
     path = dv.develop_sde(frame, st, gamma, q0, config, record="full")
     sys_ = dv._DevelopSystem(frame, st, gamma)
-    dw = dv.increments(config.seed, 0, config.paths, 2, config.dt)
+    dw = dv.increments(config.seed, config.dt)(0, config.paths, 2)
 
     def flow(q, h, u):
         dq, s, _, _ = sys_.point(q, h.ravel().tolist(), u)
@@ -617,9 +618,10 @@ def _c_order_lift(alg, config):
         return out + b(x, xe) / 12.0 if alg.step >= 3 else out
 
     x = np.zeros((config.paths, alg.dim))
+    draw = dv.increments(config.seed, config.dt)
     for s in range(config.steps):
         dw = np.zeros((config.paths, alg.dim))
-        dw[:, :k1] = dv.increments(config.seed, s, config.paths, k1, config.dt)
+        dw[:, :k1] = draw(s, config.paths, k1)
         a = field(x, dw)
         x = x + 0.5 * (a + field(x + a, dw))
     return x
@@ -650,7 +652,7 @@ def test_carnot_lift_column_major_is_bitwise_c_order(name):
     x, y = rng.normal(size=(2, 25, alg.dim))
     f = g.bracket(np.asfortranarray(x), np.asfortranarray(y))
     c = g.bracket(np.ascontiguousarray(x), np.ascontiguousarray(y))
-    assert f.flags.f_contiguous and g.embed(x[:, :alg.growth[0]]).flags.f_contiguous
+    assert f.flags.f_contiguous
     assert np.ascontiguousarray(f).tobytes() == np.ascontiguousarray(c).tobytes()
 
 
@@ -703,6 +705,30 @@ def test_recording_step_indices_are_rows_of_full(name):
     for bad in ((), (0, 31), (-1,), (1.5,)):
         with pytest.raises(MalformedSpec):
             simulate(config, bad)
+
+
+def test_periodic_coordinates_are_wrapped_at_every_step():
+    # a periodic coordinate is reduced mod 2 pi after every step: paths
+    # started just below 2 pi cross the seam, and every recorded value lies
+    # in [0, 2 pi)
+    frame, st, gamma, _ = sde_setup("contact-halfplane")
+    sphere = bi.frame("sphere-patch")
+    config = dv.SDEConfig(dt=1e-3, T=0.05, seed=3, paths=64)
+    start = mf.TAU - 1e-2
+    runs = {
+        "popp": (dv.simulate_popp(sphere, mf.StructureField(sphere), [1.5, start], config,
+                                  record="full"), 1),
+        "develop": (dv.develop_sde(frame, st, gamma, [0.0, 1.5, start], config,
+                                   record="full"), 2),
+        # X1 = d/dt1 at h~ = I: the control (1, 0) moves the curve along t1
+        "curve": (dv.develop_curve(frame, st, gamma, ["1", "0"], [0.0, 1.5, start],
+                                   1e-2, 0.2), 2),
+    }
+    for name, (path, i) in runs.items():
+        t = path.points[..., i]
+        assert np.all(t[0] == start), name
+        assert np.all((t >= 0.0) & (t < mf.TAU)), name
+        assert (t < 1.0).any(), name                        # crossed the seam
 
 
 @pytest.mark.parametrize("dt,T", [(3e-3, 0.01), (0.1, 0.04), (1e-2, 0.0), (0.0, 1.0)])

@@ -25,14 +25,6 @@ def test_chart_sampling_respects_box():
     assert pts[:, 1].min() >= 0.5 and pts[:, 1].max() <= 2.5
 
 
-def test_chart_wrap_periodic():
-    chart = mf.Chart(coords=("x", "t"), periodic=("t",))
-    out = chart.wrap(np.array([[0.5, 7.0], [-1.0, -0.5]]))
-    assert np.allclose(out[:, 0], [0.5, -1.0])
-    assert np.all((out[:, 1] >= 0.0) & (out[:, 1] < 2 * np.pi))
-    assert np.isclose(out[0, 1], 7.0 - 2 * np.pi)
-
-
 def test_chart_rejects_bad_periodic():
     with pytest.raises(MalformedSpec):
         mf.Chart(coords=("x",), periodic=("t",))
@@ -159,17 +151,17 @@ def test_field_values_match_the_tree_walk(name):
 
 @pytest.mark.parametrize("name", bi.FRAME_NAMES)
 def test_one_point_geometry_is_a_batch_row(name):
-    # a single point is evaluated on scalars: every bit must be that of its
-    # row in a batch (with ** for powers, sphere-patch differs at 2 of these
-    # 2000 points)
+    # a traced curve step runs the horizontal program on one point's
+    # np.float64 scalars: every bit must be that of its row in a batch
+    # (with ** for powers, sphere-patch differs at 2 of these 2000 points)
     frame = bi.frame(name)
     st = mf.StructureField(frame)
     pts = frame.chart.sample_points(2000)
-    x, div = st.horizontal(pts)
+    batch = mf._evaluate(st._horizontal, frame.chart, pts)
     for i in range(len(pts)):
-        xi, di = st.horizontal(pts[i:i + 1])
-        assert xi.tobytes() == x[i:i + 1].tobytes()
-        assert di.tobytes() == div[i:i + 1].tobytes()
+        vals = st._horizontal(dict(zip(frame.chart.coords, pts[i])))
+        assert all(isinstance(v, float) for v in vals)
+        assert np.array(vals).tobytes() == batch[:, i].tobytes()
     pairs = [(i, j) for i in range(frame.n) for j in range(i + 1, frame.n)]
     fields = frame.fields + tuple(
         mf.lie_bracket(frame.fields[i], frame.fields[j], frame.chart) for i, j in pairs)
@@ -189,7 +181,7 @@ def test_compiled_geometry_rejects_singular_points():
 @pytest.mark.parametrize("row,col", [(0, 0), (1, 1), (2, 0)])
 def test_literal_division_by_zero_is_a_singular_frame(row, col):
     # a component 1/0 is +inf: the finiteness checks see it, at one point
-    # (scalars) and at several (arrays)
+    # and at several
     spec = bi.frame("contact-halfplane").to_spec()
     spec["frame"][row][col] = "1/0"
     frame = mf.build_frame(spec)
