@@ -401,11 +401,6 @@ class Cohomology:
             out[key] = out[key] + x if key in out else x
         return {key: x for key, x in out.items() if x}
 
-    def h_action(self, alpha, elem):
-        """Induced symmetry action on hom(^2 n, g), monomial by monomial."""
-        return hom_element(2, [(b, js, c * w) for m, c in elem.coeffs.items()
-                               for (b, js), w in self._act(alpha, m).items()])
-
     def _check_h_invariant(self, rows, monos):
         """Whether the span of sparse rows over monos is h-invariant.
 

@@ -31,10 +31,10 @@ import numpy as np
 
 from . import expr as ex
 from . import manifold as mf
-from .errors import DimensionMismatch, MalformedSpec, NonFinite, StepTooLarge
+from .errors import MalformedSpec, NonFinite, StepTooLarge
 
-# Dynkin coefficients of the group law through step 4:
-# x.y = x + y + [x,y]/2 + ([x,[x,y]] + [y,[y,x]])/12 - [y,[x,[x,y]]]/24
+# V(x, e) = e + [x, e]/2 + [x, [x, e]]/12 is exact through step 4: the
+# [x, [x, [x, e]]] term of the differential of left translation vanishes
 MAX_STEP = 4
 
 
@@ -275,11 +275,12 @@ def _simulate(flow, move, state, d, width, config, record, name, chart=None):
 
 
 # ---------------------------------------------------------------------------
-# Carnot group law
+# Carnot group lift
 # ---------------------------------------------------------------------------
 
 class CarnotGroup:
-    """Exponential coordinates of the first kind with the truncated group law.
+    """The left-invariant fields of a Carnot group of step <= 4 in
+    exponential coordinates of the first kind, which its lift follows.
 
     Brackets run through plans built once: a plan keeps, in order, the
     products of the sparse terms whose factors are not structurally zero
@@ -290,7 +291,7 @@ class CarnotGroup:
     def __init__(self, alg):
         if alg.step > MAX_STEP:
             raise StepTooLarge(
-                f"group-law operations support step <= {MAX_STEP}, "
+                f"left-invariant fields support step <= {MAX_STEP}, "
                 f"algebra has step {alg.step}")
         self.alg = alg
         # sparse bracket terms (i < j): [x, y]_k += v (x_i y_j - x_j y_i)
@@ -298,7 +299,6 @@ class CarnotGroup:
                        for (i, j), row in alg.brackets.items()
                        for k, v in row.items()]
         k1 = alg.growth[0]
-        self._full = self._plan(())
         self._horizontal = self._plan(range(k1, alg.dim))   # [x, e], e horizontal
         self._vertical = self._plan(range(k1))              # [x, [x, e]]
 
@@ -324,7 +324,9 @@ class CarnotGroup:
         return out
 
     def _field(self, x, e):
-        """V(x, e) on coordinate sequences: x's dim and e's first k1 (see left_invariant_field)."""
+        """V(x, e) = e + [x, e]/2 + [x, [x, e]]/12, the left-invariant extension
+        of a horizontal e, on coordinate sequences: x's dim and e's first k1,
+        which are V's first k1 ([x, e] has degree >= 2, [x, [x, e]] >= 3)."""
         k1 = self.alg.growth[0]
         xe = self._bracket(self._horizontal, x, e)
         out = [*e[:k1], *(c / 2.0 for c in xe[k1:])]
@@ -333,46 +335,6 @@ class CarnotGroup:
             xxe = self._bracket(self._vertical, x, xe)
             out[k2:] = [c + t / 12.0 for c, t in zip(out[k2:], xxe[k2:])]
         return out
-
-    def _array(self, columns, *operands):
-        """The coordinate list columns as an array shaped like the broadcast
-        operands, column-major, so that each coordinate is contiguous."""
-        out = np.zeros(np.broadcast_shapes(*map(np.shape, operands)), order="F")
-        for k, c in enumerate(columns):
-            out[..., k] = c
-        return out
-
-    def bracket(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        columns = self._bracket(self._full, np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0))
-        return self._array(columns, x, y)
-
-    def bch(self, x, y):
-        """Truncated group product in the Lie algebra coordinates."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape[-1] != self.alg.dim or y.shape[-1] != self.alg.dim:
-            raise DimensionMismatch(
-                f"expected vectors of length {self.alg.dim}")
-        b = self.bracket
-        xy = b(x, y)
-        out = x + y + xy / 2.0
-        if self.alg.step >= 3:
-            out = out + (b(x, xy) + b(y, b(y, x))) / 12.0
-        if self.alg.step >= 4:
-            out = out - b(y, b(x, xy)) / 24.0
-        return out
-
-    def left_invariant_field(self, x, e):
-        """V(x, e): the left-invariant extension of a horizontal e in these coordinates.
-
-        V(x, e) = e + [x, e]/2 + [x, [x, e]]/12; the step-4 term of the
-        differential of left translation vanishes in this direction. e is
-        zero beyond its first k1 columns, so [x, e] has degree >= 2 and
-        [x, [x, e]] degree >= 3: the first k1 columns of V are e itself.
-        """
-        x, e = np.asarray(x, dtype=float), np.asarray(e, dtype=float)
-        return self._array(self._field(np.moveaxis(x, -1, 0), np.moveaxis(e, -1, 0)), x, e)
 
 
 def simulate_carnot_lift(alg, config, record="endpoints"):
@@ -498,7 +460,7 @@ class _DevelopSystem:
         in a fixed order, starting from 0, so a path's bits do not depend on
         how many paths run. The geometry (StructureField._horizontal_at) is
         read unchecked, so the caller suppresses floating-point warnings, as
-        horizontal does. cast, when given, converts the drift first: Python
+        divergence does. cast, when given, converts the drift first: Python
         floats have the same bits and cheaper arithmetic than np.float64 (a
         traced step records the float calls); None keeps a batch's columns.
         """

@@ -258,12 +258,17 @@ def mul(a, b):
     return Mul(a, b)
 
 
+def _fold(fn, *values):
+    """fn on np.float64 constants, with evaluation's bits: c/0 and overflows
+    give inf or nan, for the finiteness checks to catch, not a Python
+    exception, and a power has np.power's bits, not those of **."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return Const(float(fn(*map(np.float64, values))))
+
+
 def div(a, b):
     if _is_const(a) and _is_const(b):
-        # the IEEE quotient: c/0 is +-inf or nan, for the finiteness checks
-        # to catch, not a Python ZeroDivisionError at evaluation
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return Const(float(np.float64(a.value) / b.value))
+        return _fold(operator.truediv, a.value, b.value)
     if _is_const(a, 0.0):
         return Const(0.0)
     if _is_const(b, 1.0):
@@ -277,7 +282,7 @@ def pow_(a, k):
     if k == 1:
         return a
     if _is_const(a):
-        return Const(a.value ** k)
+        return _fold(np.power, a.value, k)
     return Pow(a, k)
 
 
@@ -671,7 +676,7 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 if _is_const(arg):
-                    return Const(float(_FUNCS[val](arg.value)))
+                    return _fold(_FUNCS[val], arg.value)
                 return Call(val, arg)
             return Var(val)
         if kind == "op" and val == "(":

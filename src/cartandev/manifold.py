@@ -10,9 +10,10 @@ one shared-subexpression ``expr.Compiled`` call (``field_values``). What the
 simulators need at every step, the horizontal fields X_1..X_k1 and the Popp
 drift div_i = sum_l c_li^l, is compiled once per StructureField (the drift
 in the closed form d_a X_i^a - X_i(det X)/det X), and so are the frame
-and its brackets. The full structure functions c_ij^k come from a batched
-linear solve of the evaluated brackets in the evaluated frame and serve the
-one-off checks: growth, nilpotentization and model comparison.
+and its brackets; a step reads the drift unchecked, ``divergence`` checked.
+The full structure functions c_ij^k come from a batched linear solve of
+the evaluated brackets in the evaluated frame and serve the one-off checks:
+growth, nilpotentization and model comparison.
 
 The connection is affine in the drift, Gamma = div P^T + offset
 (ChristoffelField). Development is feasible exactly when div annihilates
@@ -262,9 +263,9 @@ class StructureField:
     Every evaluation goes through programs compiled once, on first use. The
     horizontal fields and the Popp drift sum_l c_li^l, from the closed form
     of _popp_divergence, are one shared-subexpression evaluation
-    (``horizontal``). The full c_ij^k (``at``) evaluate the frame and the
-    symbolic brackets in one more and expand the brackets in the frame by a
-    batched linear solve at each point.
+    (``_horizontal_at`` in a step, ``divergence`` on points). The full c_ij^k
+    (``at``) evaluate the frame and the symbolic brackets in one more and
+    expand the brackets in the frame by a batched linear solve at each point.
     """
 
     def __init__(self, frame):
@@ -287,7 +288,7 @@ class StructureField:
         # built on first use: checks that only call at / residual never need it
         div, det = _popp_divergence(self.frame)
         return ex.Compiled(_components(self.frame.fields[:self.frame.k1]) + div + [det],
-                           "StructureField.horizontal")
+                           "StructureField._horizontal")
 
     @functools.cached_property
     def _frame_and_brackets(self):
@@ -302,20 +303,6 @@ class StructureField:
         k1 = self.frame.k1
         dk = len(vals) - k1 - 1
         return [vals[a:a + k1] for a in range(0, dk, k1)], vals[dk:-1], vals[-1]
-
-    def horizontal(self, points):
-        """X_1..X_k1 and the Popp drift at points: shapes (P, d, k1), (P, k1).
-
-        One compiled call gives every output; they are packed into one
-        array and the determinant and the drift are checked once each.
-        Raises SingularFrame where det X vanishes or the drift is not finite.
-        """
-        chart, k1 = self.frame.chart, self.frame.k1
-        dk = chart.dim * k1
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = _evaluate(self._horizontal, chart, points)
-        check_horizontal(vals[-1], vals[dk:-1])
-        return vals[:dk].T.reshape(-1, chart.dim, k1), np.ascontiguousarray(vals[dk:-1].T)
 
     def _solve(self, points):
         """Frame matrix X, bracket columns B (one per i < j) and X^-1 B at points."""
@@ -346,8 +333,15 @@ class StructureField:
         return float(np.abs(recon - rhs).max() / scale)
 
     def divergence(self, points):
-        """div_i = sum_l c_li^l for i <= k1, shape (P, k1)."""
-        return self.horizontal(points)[1]
+        """div_i = sum_l c_li^l for i <= k1 at points, shape (P, k1).
+
+        Raises SingularFrame where det X vanishes or the drift is not finite.
+        """
+        dk = self.frame.chart.dim * self.frame.k1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = _evaluate(self._horizontal, self.frame.chart, points)
+        check_horizontal(vals[-1], vals[dk:-1])
+        return np.ascontiguousarray(vals[dk:-1].T)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +406,7 @@ def adapted_growth(frame, structure, points=None, tol=1e-9):
                         max_graded_variation=max_var)
 
 
-def nilpotentization(frame, structure, points=None, tol=1e-9, max_den=10 ** 6):
+def nilpotentization(frame, structure, points=None, tol=1e-9):
     """Extract the graded constants and build the nilpotent model algebra.
 
     The graded structure functions must be constant (use adapted_growth
@@ -430,7 +424,7 @@ def nilpotentization(frame, structure, points=None, tol=1e-9, max_den=10 ** 6):
             raise RankDrop(
                 f"graded constant c_{i+1}{j+1}^{k+1} varies across "
                 f"sample points (spread {np.ptp(vals):.2e})")
-        v = Fraction(float(vals.mean())).limit_denominator(max_den)
+        v = Fraction(float(vals.mean())).limit_denominator(10 ** 6)
         if v != 0:
             brackets.setdefault((i, j), {})[k] = v
     n = frame.n
@@ -449,7 +443,7 @@ def second_order(frame, f, points, drift):
     """(sum_{i<=k1} X_i^2 f + drift_i X_i f) at points; f an Expr over the chart.
 
     drift, shape (P, k1), is the operator's first-order coefficient: the Popp
-    drift div_i = sum_l c_li^l (StructureField.horizontal) for the Popp
+    drift div_i = sum_l c_li^l (StructureField.divergence) for the Popp
     sub-Laplacian, div + generator_defect for the generator of a connection.
     The 2*k1 trees X_i f and X_i(X_i f) are evaluated in one compiled call.
     """
@@ -536,7 +530,7 @@ class ChristoffelField:
     def at(self, points, div=None):
         """Gamma values of shape (P, dimH, k1).
 
-        div, when given, is the Popp drift at points (StructureField.horizontal
+        div, when given, is the Popp drift at points (StructureField.divergence
         of the same frame), so a caller that has it is spared its evaluation.
         """
         if div is None:
@@ -623,19 +617,19 @@ def levi_civita_check(frame, structure, points=None):
 # Prolongation
 # ---------------------------------------------------------------------------
 
-def prolong(frame, angle=None, points=None):
+def prolong(frame):
     """Prolong two horizontal fields by an angle coordinate.
 
     Produces Y_1 = d/d(angle), Y_2 = cos(angle) X_1 + sin(angle) X_2 on
     chart x S^1 and completes to an adapted frame by iterated brackets,
-    adding each bracket that raises the pointwise rank.
+    adding each bracket that raises the pointwise rank at 40 sample points.
+    The angle is the first of t1, t2, ... not in the chart.
     """
     chart = frame.chart
-    if angle is None:
-        k = 1
-        while f"t{k}" in chart.coords:
-            k += 1
-        angle = f"t{k}"
+    k = 1
+    while f"t{k}" in chart.coords:
+        k += 1
+    angle = f"t{k}"
     new_chart = Chart(coords=chart.coords + (angle,),
                       periodic=chart.periodic + (angle,),
                       box=chart.bounds() + ((0.0, TAU),))
@@ -650,9 +644,7 @@ def prolong(frame, angle=None, points=None):
     y2 = tuple(ex.add(ex.mul(cos_a, a), ex.mul(sin_a, b))
                for a, b in zip(x1, x2))
 
-    if points is None:
-        points = new_chart.sample_points(40, seed=6)
-
+    points = new_chart.sample_points(40, seed=6)
     fields = [y1, y2]
     growth = [2]
     frontier = [y1, y2]

@@ -249,6 +249,20 @@ def test_simulate_popp_infinite_non_horizontal_component_is_an_error(capsys, tmp
     assert out == "" and err.startswith("error: X3 has the non-finite constant")
 
 
+def test_manifold_check_overflowing_constant_is_an_error(capsys, tmp_path):
+    # a constant power or exp that overflows folds to inf, as its evaluation
+    # would, and the frame check reports it: no OverflowError or
+    # RuntimeWarning out of the parser
+    spec = bi.frame("contact-halfplane").to_spec()
+    path = tmp_path / "frame.json"
+    for text in ("(10*10*10*10*10*10*10*10*10*10)^40", "exp(1000)"):
+        spec["frame"][2][2] = text
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "manifold", "check", str(path))
+        assert code == 2
+        assert out == "" and err == "error: X3 has the non-finite constant component t1 = inf\n"
+
+
 def test_simulate_bad_q0(capsys):
     code, _, err = run(capsys, "simulate", "popp", "--builtin", "heisenberg3",
                        "--q0", "0.1,0.2")

@@ -26,10 +26,36 @@ def heisenberg():
 # -- group law -----------------------------------------------------------------
 
 
+class GroupLaw:
+    """The truncated group law through step 4 on (..., dim) arrays, from the
+    dense bracket: the oracle for CarnotGroup's left-invariant fields.
+    x.y = x + y + [x,y]/2 + ([x,[x,y]] + [y,[y,x]])/12 - [y,[x,[x,y]]]/24"""
+
+    def __init__(self, alg):
+        self.step = alg.step
+        self.terms = [(i, j, k, float(v))
+                      for (i, j), row in alg.brackets.items() for k, v in row.items()]
+
+    def bracket(self, x, y):
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        for i, j, k, v in self.terms:
+            out[..., k] += v * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
+        return out
+
+    def bch(self, x, y):
+        b = self.bracket
+        xy = b(x, y)
+        out = x + y + xy / 2.0
+        if self.step >= 3:
+            out = out + (b(x, xy) + b(y, b(y, x))) / 12.0
+        if self.step >= 4:
+            out = out - b(y, b(x, xy)) / 24.0
+        return out
+
+
 def test_bch_heisenberg_product():
     alg = heisenberg()
-    z = dv.CarnotGroup(alg).bch(np.array([1.0, 0.0, 0.0]),
-                                np.array([0.0, 1.0, 0.0]))
+    z = GroupLaw(alg).bch(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     assert np.allclose(z, [1.0, 1.0, 0.5])
 
 
@@ -38,7 +64,7 @@ def test_bch_identity_and_inverse():
     rng = np.random.default_rng(0)
     x = rng.normal(size=5)
     e = np.zeros(5)
-    g = dv.CarnotGroup(alg)
+    g = GroupLaw(alg)
     assert np.allclose(g.bch(x, e), x)
     assert np.allclose(g.bch(e, x), x)
     assert np.allclose(g.bch(x, -x), e, atol=1e-14)
@@ -47,7 +73,7 @@ def test_bch_identity_and_inverse():
 @pytest.mark.parametrize("name", ["heisenberg3", "free23", "free24"])
 def test_bch_associativity(name):
     alg = bi.algebra(name)
-    g = dv.CarnotGroup(alg)
+    g = GroupLaw(alg)
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):
@@ -59,14 +85,14 @@ def test_bch_associativity(name):
 
 
 def test_bch_rejects_step_five():
-    alg = al.free_nilpotent(2, 5)
+    # V(x, e) needs a [x, [x, [x, [x, e]]]] term at step 5
     with pytest.raises(StepTooLarge):
-        dv.CarnotGroup(alg).bch(np.zeros(alg.dim), np.zeros(alg.dim))
+        dv.CarnotGroup(al.free_nilpotent(2, 5))
 
 
 def test_bch_batched():
     alg = heisenberg()
-    g = dv.CarnotGroup(alg)
+    g = GroupLaw(alg)
     rng = np.random.default_rng(2)
     x, y = rng.normal(size=(2, 7, 3))
     batch = g.bch(x, y)
@@ -81,7 +107,7 @@ def test_left_invariant_field_heisenberg():
     # V(x, e_1) = e_1 + [x, e_1]/2 = e_1 - (x_2/2) e_3
     alg = heisenberg()
     x = np.array([0.3, 0.7, -0.2])
-    v = dv.CarnotGroup(alg).left_invariant_field(x, np.array([1.0, 0.0, 0.0]))
+    v = dv.CarnotGroup(alg)._field(x, np.array([1.0, 0.0, 0.0]))
     assert np.allclose(v, [1.0, 0.0, -0.35])
 
 
@@ -89,15 +115,15 @@ def test_left_invariant_field_heisenberg():
 def test_left_invariant_field_matches_group_law(name):
     # V(x, e) = d/ds bch(x, s e) at s = 0, by central differences
     alg = bi.algebra(name)
-    g = dv.CarnotGroup(alg)
+    g, law = dv.CarnotGroup(alg), GroupLaw(alg)
     rng = np.random.default_rng(3)
     x = rng.normal(size=alg.dim)
     s = 1e-5
     for i in range(alg.growth[0]):
         e = np.zeros(alg.dim)
         e[i] = 1.0
-        fd = (g.bch(x, s * e) - g.bch(x, -s * e)) / (2 * s)
-        assert np.allclose(g.left_invariant_field(x, e), fd, atol=1e-9)
+        fd = (law.bch(x, s * e) - law.bch(x, -s * e)) / (2 * s)
+        assert np.allclose(g._field(x, e), fd, atol=1e-9)
 
 
 # -- deterministic development ------------------------------------------------------
@@ -183,25 +209,27 @@ def test_curve_rkmk4_order_and_defect(name):
 
 
 class RowGeometry:
-    """StructureField.horizontal of one point as row 0 of a two-row batch."""
+    """StructureField.divergence of one point as row 0 of a two-row batch."""
 
     def __init__(self, structure):
+        self.frame = structure.frame
         self.structure = structure
 
-    def horizontal(self, q):
-        x, div = self.structure.horizontal(np.concatenate([q, q]))
-        return x[:1], div[:1]
+    def divergence(self, q):
+        return self.structure.divergence(np.concatenate([q, q]))[:1]
 
 
 def batch_flow(sys, q, h, u):
     """Increments (dq, A) of the development system for a batch of paths, on
     arrays: the oracle of the traced steps. dq = (u^T h~ X)(q) and
     A = sum_alpha (u^T h~ Gamma^alpha(q)) A_alpha, by einsum and by the BLAS
-    products of ChristoffelField.at and s @ blocks."""
+    products of ChristoffelField.at and s @ blocks. X comes from
+    field_values, the drift from divergence."""
+    frame = sys.structure.frame
     v = np.einsum("pji,pj->pi", h, u)                 # h~^T u
-    x, div = sys.structure.horizontal(q)
+    x = mf.field_values(frame.fields[:frame.k1], frame.chart, q)
     dq = np.einsum("pdi,pi->pd", x, v)
-    s = np.einsum("pai,pi->pa", sys.gamma.at(q, div), v)
+    s = np.einsum("pai,pi->pa", sys.gamma.at(q, sys.structure.divergence(q)), v)
     return dq, (s @ sys.gamma.blocks).reshape(len(q), sys.k1, sys.k1)
 
 
@@ -602,15 +630,10 @@ def test_carnot_lift_runs_and_records():
 
 
 def _c_order_lift(alg, config):
-    """Reference Heun lift on C-ordered arrays, the group law written out."""
-    terms = dv.CarnotGroup(alg)._terms
+    """Reference Heun lift on C-ordered arrays, V(x, e) written out over
+    GroupLaw's dense bracket."""
+    b = GroupLaw(alg).bracket
     k1 = alg.growth[0]
-
-    def b(x, y):
-        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-        for i, j, k, v in terms:
-            out[..., k] += v * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
-        return out
 
     def field(x, e):
         xe = b(x, e)
@@ -646,14 +669,6 @@ def test_carnot_lift_column_major_is_bitwise_c_order(name):
     ref = _c_order_lift(alg, config)
     assert ref.flags.c_contiguous
     assert np.ascontiguousarray(ends).tobytes() == ref.tobytes()
-
-    g = dv.CarnotGroup(alg)
-    rng = np.random.default_rng(13)
-    x, y = rng.normal(size=(2, 25, alg.dim))
-    f = g.bracket(np.asfortranarray(x), np.asfortranarray(y))
-    c = g.bracket(np.ascontiguousarray(x), np.ascontiguousarray(y))
-    assert f.flags.f_contiguous
-    assert np.ascontiguousarray(f).tobytes() == np.ascontiguousarray(c).tobytes()
 
 
 def _simulators():

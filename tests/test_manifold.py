@@ -98,7 +98,7 @@ def test_popp_divergence_is_built_on_first_use(monkeypatch):
     st.residual(pts)
     assert built == []
     st.divergence(pts)
-    st.horizontal(pts)
+    st._horizontal_at(dict(zip(frame.chart.coords, pts[0])))
     assert built == [frame]
 
 
@@ -107,8 +107,7 @@ def test_compiled_geometry_matches_solve(name):
     frame = bi.frame(name)
     st = mf.StructureField(frame)
     pts = frame.chart.sample_points(200)
-    x, div = st.horizontal(pts)
-    assert np.array_equal(x, mf.field_values(frame.fields, frame.chart, pts)[:, :, :frame.k1])
+    div = st.divergence(pts)
     solved = np.einsum("plil->pi", st.at(pts))[:, :frame.k1]
     assert np.abs(div - solved).max() <= 1e-12
     env = frame.chart.env(pts)
@@ -175,7 +174,7 @@ def test_compiled_geometry_rejects_singular_points():
     frame = bi.frame("hyperbolic-plane")
     st = mf.StructureField(frame)
     with pytest.raises(SingularFrame):
-        st.horizontal([[0.0, 1.0], [0.0, 0.0]])
+        st.divergence([[0.0, 1.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("row,col", [(0, 0), (1, 1), (2, 0)])
@@ -187,7 +186,7 @@ def test_literal_division_by_zero_is_a_singular_frame(row, col):
     frame = mf.build_frame(spec)
     for count in (1, 4):
         with pytest.raises(SingularFrame):
-            mf.StructureField(frame).horizontal(frame.chart.sample_points(count, seed=0))
+            mf.StructureField(frame).divergence(frame.chart.sample_points(count, seed=0))
 
 
 def test_structure_programs_are_compiled_once(monkeypatch):
