@@ -1,11 +1,12 @@
 """Deterministic and stochastic development, and the Carnot-group lift.
 
 Every simulator runs through one driver, ``_run``: it traces the
-simulator's step once into one expr.Compiled program, runs that program at
-every step of one time loop, ``_integrate``, under one np.errstate, and
-checks each step's stages with ``_check_stages``. The state is a flat list
-of columns: one (paths,) array per coordinate and frame entry, or, for the
-one path of a model curve, one scalar. The three SDEs take
+simulator's step once into one expr.Compiled program, which checks the
+step's stages itself, and runs that program at every step of one time
+loop, ``_integrate``, under one np.errstate. The state is a flat list of
+columns: one (paths,) array per coordinate and frame entry, or, for the
+one path of a model curve, one Python float, on which the program is
+lowered to Python float arithmetic. The three SDEs take
 Stratonovich-Heun steps over path columns (``_simulate``), the developed
 one moving its frame h~ by Cayley transforms of so(k1) increments; every
 sum runs in a fixed order, so a path's bits do not depend on the batch or
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import expr as ex
 from . import manifold as mf
-from .errors import MalformedSpec, NonFinite, StepTooLarge
+from .errors import MalformedSpec, NonFinite, SingularFrame, StepTooLarge
 
 # V(x, e) = e + [x, e]/2 + [x, [x, e]]/12 is exact through step 4: the
 # [x, [x, [x, e]]] term of the differential of left translation vanishes
@@ -220,39 +221,29 @@ def _integrate(advance, state, d, steps, dt, record, chart=None):
                 ortho_defect=defect)
 
 
-def _check_stages(checked, k1):
-    """SingularFrame at the first stage of a step whose det X vanishes or
-    whose drift is not finite; checked holds (det X, *drift) per stage,
-    each a path's scalar, a batch's column or a folded constant. A path's
-    scalars are first tested all at once, which every regular step passes.
-    """
-    if (all(isinstance(c, float) for c in checked) and all(checked[::k1 + 1])
-            and all(map(math.isfinite, checked))):
-        return
-    for i in range(0, len(checked), k1 + 1):
-        mf.check_horizontal(checked[i], checked[i + 1:i + k1 + 1])
-
-
 def _run(step, width, inputs, k1, state, d, steps, dt, record, name, chart=None):
     """Run the step function step over _integrate's column list state.
 
     step maps [*x, *w], x the state's values and w the width values
     inputs(s) gives for step s, to [*x', *checked], checked holding
     (det X, *drift) of k1 fields at each stage it evaluated. It is traced
-    once into an expr.Compiled program, which every step runs; after each
-    step its stages are checked in order (_check_stages).
+    once into an expr.Compiled program, on Python floats for one path's
+    scalars, which every step runs: it checks the stages in order, raising
+    SingularFrame at the first singular one, and returns x'.
     """
     n = len(state)
-    program = ex.Compiled.trace(step, n + width, name)
 
-    def advance(s, x):
-        out = program([*x, *inputs(s)])
-        _check_stages(out[n:], k1)
-        return out[:n]
+    def checks(out):
+        checked = out[n:]
+        return out[:n], [check for i in range(0, len(checked), k1 + 1) for check in (
+            ("nonzero", checked[i:i + 1], SingularFrame(mf.FRAME_SINGULAR)),
+            ("finite", checked[i + 1:i + k1 + 1], SingularFrame(mf.DRIFT_NOT_FINITE)))]
 
+    program = ex.Compiled.trace(step, n + width, name, checks, scalars=np.ndim(state[0]) == 0)
     # a stage may divide by zero at a singular point, which its check reports
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _integrate(advance, state, d, steps, dt, record, chart)
+        return _integrate(lambda s, x: program([*x, *inputs(s)]), state, d, steps, dt,
+                          record, chart)
 
 
 def _simulate(flow, move, state, d, width, config, record, name, chart=None):
@@ -395,7 +386,7 @@ def _frame_move(k1):
         columns = np.ndim(h[0]) > 0
         h, a = (np.stack(np.broadcast_arrays(*x), axis=-1).reshape(-1, k1, k1) for x in (h, a))
         out = cayley_move(h, a).reshape(-1, k1 * k1).T
-        return tuple(out if columns else out[:, 0])
+        return tuple(out if columns else out[:, 0].tolist())
 
     return ex.opaque(move, k1 * k1)
 
@@ -415,7 +406,7 @@ def _cayley_velocity(k1):
 
     def velocity(omega, a):
         omega, a = np.reshape(omega, (k1, k1)), np.reshape(a, (k1, k1))
-        return tuple(((eye + 0.5 * omega) @ a @ (eye - 0.5 * omega)).ravel())
+        return tuple(((eye + 0.5 * omega) @ a @ (eye - 0.5 * omega)).ravel().tolist())
 
     return ex.opaque(velocity, k1 * k1)
 
@@ -424,9 +415,6 @@ def ortho_defect(h):
     k = h.shape[-1]
     hth = np.swapaxes(h, -1, -2) @ h
     return float(np.abs(hth - np.eye(k)).max())
-
-
-_float = ex.opaque(float)
 
 
 class _DevelopSystem:
@@ -449,29 +437,26 @@ class _DevelopSystem:
         offset = np.broadcast_to(gamma.offset, (1, len(gamma.blocks), self.k1))
         self._offset = offset.ravel().tolist()
 
-    def point(self, q, h, u, cast=_float):
+    def point(self, q, h, u):
         """dq, the coordinates s_alpha of A in the basis A_alpha, and det X and
         the drift, which the caller checks, for control increment u.
 
         dq = (u^T h~ X)(q): move along sum_i (h~^T u)_i X_i;
         A = sum_alpha (u^T h~ Gamma^alpha(q)) A_alpha in so(k1), so that
-        dh~ = h~ A. q (np.float64 scalars or columns), row-major h~ and u are
-        sequences of values, or of values traced into a step. Each sum runs
-        in a fixed order, starting from 0, so a path's bits do not depend on
-        how many paths run. The geometry (StructureField._horizontal_at) is
-        read unchecked, so the caller suppresses floating-point warnings, as
-        divergence does. cast, when given, converts the drift first: Python
-        floats have the same bits and cheaper arithmetic than np.float64 (a
-        traced step records the float calls); None keeps a batch's columns.
+        dh~ = h~ A. q, row-major h~ and u are sequences of values (scalars
+        or columns), or of values traced into a step. Each sum runs in a
+        fixed order, starting from 0, so a path's bits do not depend on how
+        many paths run. The geometry (StructureField._horizontal_at) is read
+        unchecked, so the caller suppresses floating-point warnings, as
+        divergence does.
         """
         k1 = self.k1
         v = [_dot(h[i::k1], u) for i in range(k1)]                    # h~^T u
         rows, drift, det = self.structure._horizontal_at(dict(zip(self.coords, q)))
-        div = drift if cast is None else [*map(cast, drift)]
         dq = [_dot(row, v) for row in rows]
-        gamma = [_dot(div, p) + c for p, c in zip(self._p, self._offset)]
+        gamma = [_dot(drift, p) + c for p, c in zip(self._p, self._offset)]
         gen = [_dot(gamma[a:a + k1], v) for a in range(0, len(gamma), k1)]
-        return dq, gen, det, div
+        return dq, gen, det, drift
 
 
 def _prepare_h0(h0, k1):
@@ -497,7 +482,7 @@ def develop_sde(frame, structure, gamma, q0, config, record="endpoints"):
     coordinates, move = _generator_coordinates(gamma.blocks, k1), _frame_move(k1)
 
     def flow(x, dw):
-        dq, gen, det, drift = sys.point(x[:d], x[d:], dw, cast=None)
+        dq, gen, det, drift = sys.point(x[:d], x[d:], dw)
         return [*dq, *coordinates(gen)], [det, *drift]
 
     def step_move(x, k):
@@ -566,8 +551,8 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
     evaluated once per curve, at every RK4 time, before the first step. The
     step (_rkmk4_step over _DevelopSystem.point, the geometry program and
     the Cayley moves) is traced once per curve into one expr.Compiled
-    program, which every step runs on the path's scalars: no step makes a
-    one-row array. After each step the four stages are checked in order, so
+    program, which every step runs on the path's Python floats: no step
+    makes a one-row array. The program checks the four stages in order, so
     the first singular one raises.
     """
     sys = _DevelopSystem(frame, structure, gamma)
@@ -577,9 +562,8 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
         raise MalformedSpec(f"need {k1} control components, got {len(u)}")
     steps = _step_count(dt, T)
     control = _control_table(u, steps, dt).reshape(steps, 3 * k1)
-    # q stays np.float64, as the chart geometry needs; h~ and u are Python
-    # floats (the same bits, cheaper)
-    state = [*np.asarray(q0, dtype=float), *_prepare_h0(h0, k1).ravel().tolist()]
+    # Python floats: one path's step program is lowered to them
+    state = [*np.asarray(q0, dtype=float).tolist(), *_prepare_h0(h0, k1).ravel().tolist()]
     return _run(_rkmk4_step(sys, dt), 3 * k1, lambda s: control[s].tolist(), k1, state, d,
                 steps, dt, record, "develop_curve step", frame.chart)
 

@@ -320,7 +320,13 @@ class Compiled:
     The ops become straight-line Python generated once per program, one line
     per op: an IEEE operator is written as its operator (``v7 = v3 * v5``),
     any other fn, a ufunc or an opaque call, as a call of a bound name, and
-    constants are bound names too. Its source is registered in linecache
+    constants are bound names too; an operator or ufunc that nothing reads,
+    even transitively, gets no line, and a check is an ``if`` line. Lowered
+    to Python floats, whose operators cost less than np.float64's, a program
+    binds constants as floats, passes each ufunc result through float()
+    (keeping its bits) and writes a division by a computed or zero b as
+    ``a / b if b else _div(a, b)``, so x/0 is numpy's inf or nan, not
+    ZeroDivisionError. The source is registered in linecache
     under a filename that names the program, so tracebacks show its lines.
     """
 
@@ -330,7 +336,7 @@ class Compiled:
         self._finish([self._lower(r, memo) for r in roots], name)
 
     @classmethod
-    def trace(cls, fn, arity, name):
+    def trace(cls, fn, arity, name, checks=None, scalars=False):
         """The program of fn(inputs), run once on recorded values.
 
         fn takes a list of arity inputs and returns a flat list of outputs.
@@ -339,12 +345,26 @@ class Compiled:
         it, with any other operand as a constant; the rest of fn (arithmetic
         on constants, its control flow) runs once, here. So fn must not branch
         on an input. The program takes env as a sequence of arity values and
-        returns fn's outputs for them bit for bit.
+        returns fn's outputs for them bit for bit, on Python floats with
+        scalars. checks, if given, maps fn's outputs to those returned and the
+        checks made, in order: (test, values, error) raises error if test is
+        "nonzero" and a value is zero, or "finite" and one is inf or nan.
         """
         self = cls.__new__(cls)
         self._start()
         inputs = [Traced(self, self._var(i)) for i in range(arity)]
-        self._finish([self._operand(o) for o in fn(inputs)], name)
+        outputs, tests = checks(fn(inputs)) if checks else (fn(inputs), ())
+        # a check is an op ((), (test, error), values), placed in order after
+        # the op making the last of its values, so that they can be freed
+        made = {s: n for n, (slot, _, _) in enumerate(self.ops) for s in _flatten([slot])}
+        placed, n = [], -1
+        for test, values, error in tests:
+            args = tuple(map(self._operand, values))
+            n = max([n, *(made.get(a, -1) for a in args)])
+            placed.append((n + 1, ((), (test, error), args)))
+        for n, op in reversed(placed):
+            self.ops.insert(n, op)
+        self._finish([self._operand(o) for o in outputs], name, scalars)
         return self
 
     def _start(self):
@@ -415,29 +435,33 @@ class Compiled:
             return Traced(self, slot)
         return [Traced(self, s) for s in slot]
 
-    def _finish(self, outputs, name):
+    def _finish(self, outputs, name, scalars=False):
         del self._slots
         self.outputs = outputs
         self.name = name
-        self._run = self._generate()
+        self._run = self._generate(scalars)
 
-    def _generate(self):
+    def _generate(self, scalars):
         """Compile the ops into one function env -> list of output values.
 
         Each computed value is deleted after the op that reads it last (or
         at once when nothing reads it), so a program on arrays holds only
         the values it still needs.
         """
-        computed = {s for s, _ in self.names}
-        for slot, _, _ in self.ops:
-            computed.update(slot if isinstance(slot, tuple) else (slot,))
+        live, ops = set(self.outputs), []   # an opaque call or a check stays
+        for slot, fn, args in reversed(self.ops):
+            pure = fn in _INFIX or fn is operator.neg or isinstance(fn, np.ufunc)
+            if not pure or not live.isdisjoint(_flatten([slot])):
+                live.update(_flatten(args))
+                ops.insert(0, (slot, fn, args))
+        computed = {s for s, _ in self.names} | set(_flatten(s for s, _, _ in ops))
         last = {}                      # computed slot -> index of the op reading it last
-        for n, (_, _, args) in enumerate(self.ops):
+        for n, (_, _, args) in enumerate(ops):
             for a in _flatten(args):
                 if a in computed:
                     last[a] = n
         for a in self.outputs:
-            last[a] = len(self.ops)    # returned: never freed
+            last[a] = len(ops)         # returned: never freed
         bound = {}                     # bound name -> object, in order
         fn_names = {}
 
@@ -447,7 +471,8 @@ class Compiled:
             if a in computed:
                 return f"v{a}"
             if f"c{a}" not in bound:
-                bound[f"c{a}"] = self.values[a]
+                v = self.values[a]
+                bound[f"c{a}"] = float(v) if scalars and isinstance(v, np.floating) else v
             return f"c{a}"
 
         def fn_name(fn):
@@ -470,21 +495,39 @@ class Compiled:
             return [f"del {', '.join(f'v{a}' for a in dead)}"] if dead else []
 
         body = []
-        if self.names:
+        if self.names and isinstance(self.names[0][1], str):
             body += ["try:"]
             body += [f"    v{slot} = env[{name!r}]" for slot, name in self.names]
             body += ["except KeyError as e:",
                      "    raise UnknownIdentifier(f'unknown variable {e.args[0]!r}') from None"]
-            body += freed(-1, [slot for slot, _ in self.names], ())
-        for n, (slot, fn, args) in enumerate(self.ops):
+        elif self.names:
+            body += ["".join(f"v{slot}, " for slot, _ in self.names) + "= env"]
+        body += freed(-1, [slot for slot, _ in self.names], ())
+        for n, (slot, fn, args) in enumerate(ops):
+            if isinstance(fn, tuple):                   # a check
+                test, error = fn
+                raised = f"raise {fn_name(type(error))}({', '.join(map(repr, error.args))})"
+                for a in args:
+                    column = not scalars and a in computed      # a constant is a float
+                    tested = ref(a) if test == "nonzero" else \
+                        f"{fn_name(np.isfinite if column else math.isfinite)}({ref(a)})"
+                    body.append(f"if not {tested}{'.all()' if column else ''}: {raised}")
+                body += freed(n, (), args)
+                continue
             lhs = f"v{slot}" if not isinstance(slot, tuple) else \
                 "".join(f"v{s}, " for s in slot)
             if fn in _INFIX and len(args) == 2:
-                rhs = f"{ref(args[0])} {_INFIX[fn]} {ref(args[1])}"
+                a, b = map(ref, args)
+                rhs = f"{a} {_INFIX[fn]} {b}"
+                if scalars and fn is operator.truediv and (
+                        args[1] in computed or not self.values[args[1]]):
+                    rhs += f" if {b} else {fn_name(_div)}({a}, {b})"
             elif fn is operator.neg:
                 rhs = f"-{ref(args[0])}"
             else:
                 rhs = f"{fn_name(fn)}({', '.join(map(ref, args))})"
+                if scalars and isinstance(fn, np.ufunc):
+                    rhs = f"float({rhs})"
             body.append(f"{lhs} = {rhs}")
             body += freed(n, slot if isinstance(slot, tuple) else (slot,), args)
         body.append(f"return [{', '.join(map(ref, self.outputs))}]")
@@ -501,6 +544,11 @@ class Compiled:
         """Values of the outputs, in order, with env as for Expr.__call__
         (a sequence of the inputs for a traced program)."""
         return self._run(env)
+
+
+def _div(a, b):
+    """a / b for a Python float divisor b == 0: numpy's inf or nan, not ZeroDivisionError."""
+    return float(np.float64(a) / b)
 
 
 def _flatten(args):

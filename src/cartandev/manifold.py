@@ -35,6 +35,9 @@ from .errors import (Inconsistent, MalformedSpec, ModelMismatch, RankDrop,
                      SingularFrame, UnknownIdentifier)
 
 TAU = 2.0 * math.pi
+# the SingularFrame messages of the checks on det X and the Popp drift
+FRAME_SINGULAR = "frame matrix singular at a sample point"
+DRIFT_NOT_FINITE = "Popp drift not finite at a sample point"
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +247,6 @@ def _popp_divergence(frame):
     return out, det
 
 
-def check_horizontal(det, drift):
-    """Raise SingularFrame where det X vanishes or the Popp drift is not finite.
-
-    det and drift are outputs of StructureField._horizontal: one point's
-    scalars, or a batch's rows or columns, any of which may be a constant
-    where its expression folds to one.
-    """
-    if not np.asarray(det).all():
-        raise SingularFrame("frame matrix singular at a sample point")
-    if not all(np.isfinite(d).all() for d in drift):
-        raise SingularFrame("Popp drift not finite at a sample point")
-
-
 class StructureField:
     """Pointwise structure functions c_ij^k with [X_i, X_j] = sum_k c_ij^k X_k.
 
@@ -311,7 +301,7 @@ class StructureField:
         try:
             return frame_m, rhs, np.linalg.solve(frame_m, rhs)
         except np.linalg.LinAlgError:
-            raise SingularFrame("frame matrix singular at a sample point") from None
+            raise SingularFrame(FRAME_SINGULAR) from None
 
     def at(self, points):
         """c array of shape (P, n, n, n), antisymmetric in the first two."""
@@ -340,7 +330,10 @@ class StructureField:
         dk = self.frame.chart.dim * self.frame.k1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = _evaluate(self._horizontal, self.frame.chart, points)
-        check_horizontal(vals[-1], vals[dk:-1])
+        if not vals[-1].all():
+            raise SingularFrame(FRAME_SINGULAR)
+        if not np.isfinite(vals[dk:-1]).all():
+            raise SingularFrame(DRIFT_NOT_FINITE)
         return np.ascontiguousarray(vals[dk:-1].T)
 
 

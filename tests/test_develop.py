@@ -344,6 +344,43 @@ def test_curve_traces_and_compiles_once_per_call(name, monkeypatch):
     assert sum("develop_curve step" in f for f in compiled) == 1
 
 
+@pytest.mark.parametrize("name", ["contact-halfplane", "exp-frame", "free32-model"])
+def test_curve_program_runs_on_python_floats_with_unlowered_bits(name, monkeypatch):
+    # the step program develop_curve runs is lowered to Python floats: at
+    # 1000 random states (q, h~, u) it returns floats with the new state's
+    # bits of the same RKMK4 step traced without lowering, run on np.float64
+    # q (for k1 = 3 the frame move and the velocity are opaque calls)
+    frame, st, gamma, q0 = affine_curve_setup(exp_frame() if name == "exp-frame" else name)
+    k1, d, dt = frame.k1, frame.chart.dim, 1e-2
+    programs, trace = [], ex.Compiled.trace
+    monkeypatch.setattr(ex.Compiled, "trace",
+                        lambda *args, **kw: programs.append(trace(*args, **kw)) or programs[-1])
+    dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)", "1"][:k1], q0, dt, 0.05)
+    [program] = programs
+    plain = trace(dv._rkmk4_step(dv._DevelopSystem(frame, st, gamma), dt),
+                  d + k1 * k1 + 3 * k1, "unlowered step")
+    rng = np.random.default_rng(29)
+    for q in frame.chart.sample_points(1000, seed=29):
+        h = np.linalg.qr(rng.normal(size=(k1, k1)))[0].ravel().tolist()
+        u = rng.normal(size=3 * k1).tolist()
+        got = program([*q.tolist(), *h, *u])
+        want = plain([*q, *h, *u])[:d + k1 * k1]
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_curve_dividing_by_a_coordinate_raises_singular_frame():
+    # X1 = (y/x) d/dx: at x = 0 a Python float division would raise
+    # ZeroDivisionError; the lowered program gives numpy's inf, which the
+    # stage check reports
+    frame = mf.build_frame({"chart": {"coords": ["x", "y"], "box": [[0.5, 2.5], [0.5, 2.5]]},
+                            "growth": [2], "frame": [["y/x", "0"], ["0", "y"]]})
+    frame, st, _, sym = ck.context(frame)
+    gamma = mf.ChristoffelField(st, sym)
+    with pytest.raises(SingularFrame):
+        dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)"], [0.0, 1.0], 1e-2, 0.1)
+
+
 @pytest.mark.parametrize("u,first_bad", [(["1/(t-0.5)", "0"], "t=0.5"),
                                           (["exp(1000*t)", "0"], "t=0.75"),
                                           (["1/0", "0"], "t=0.0")])

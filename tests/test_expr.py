@@ -296,6 +296,23 @@ def test_generated_lines_show_in_tracebacks_and_source():
     assert "v4 = v3 / v1" in inspect.getsource(tb.tb_frame.f_code)
 
 
+def test_unread_operator_results_get_no_line():
+    # a product and a ufunc nobody reads are left out, and the sum only
+    # they read with them; an opaque call stays though its result is unread
+    calls = []
+
+    def fn(v):
+        np.sin(v[0] * v[1] + 1.0)
+        ex.opaque(calls.append)(v[1])
+        return [v[0] - v[1]]
+
+    prog = ex.Compiled.trace(fn, 2, "dead ops")
+    source = inspect.getsource(prog._run)
+    assert "v0, v1, = env" in source and "_append(v1)" in source
+    assert not any(op in source for op in ("*", "+", "_sin"))
+    assert prog([2.0, 0.5]) == fn([2.0, 0.5]) == [1.5] and calls == [0.5, 0.5]
+
+
 def test_program_frees_each_value_after_its_last_use():
     # a 30-op chain on 10^6-element arrays holds the value it reads and the
     # one it makes, not every intermediate until it returns
