@@ -8,8 +8,9 @@ columns: one (paths,) array per coordinate and frame entry, or, for the
 one path of a model curve, one Python float, on which the program is
 lowered to Python float arithmetic. The three SDEs take
 Stratonovich-Heun steps over path columns (``_simulate``), the developed
-one moving its frame h~ by Cayley transforms of so(k1) increments; every
-sum runs in a fixed order, so a path's bits do not depend on the batch or
+one moving its frame h~ by Cayley transforms of so(k1) increments, traced
+as arithmetic on the k1^2 entries like the rest of the step; every sum
+runs in a fixed order, so a path's bits do not depend on the batch or
 the BLAS build. Their noise is ``increments(seed, dt)``, a run's draw
 function over one counter-based Philox generator keyed by seed, whose
 counter is set to the step at every draw; path p consumes row p of each
@@ -345,17 +346,6 @@ def simulate_carnot_lift(alg, config, record="endpoints"):
 # Development on a chart
 # ---------------------------------------------------------------------------
 
-def cayley_move(h, a):
-    """h cay(A), cay(A) = (I - A/2)^-1 (I + A/2), for batches of frames and so(k) A.
-
-    For k = 2, A = sigma J and cay(A) is _rotate's rotation: no solve.
-    """
-    if h.shape[-1] != 2:
-        eye = np.eye(h.shape[-1])
-        return h @ np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a)
-    return np.stack(_rotate(h.reshape(-1, 4).T, a[:, 1, 0]), axis=-1).reshape(h.shape)
-
-
 def _rotate(h, sigma):
     """h~ cay(sigma J), J = [[0, -1], [1, 0]], for the row-major entries h of a
     2x2 h~: scalars, columns or traced values. cay(sigma J) is the rotation
@@ -374,21 +364,38 @@ def _generator_coordinates(blocks, k1):
     return lambda s: [_dot(s, c) for c in columns]
 
 
+def _eye_plus(k1, c, x):
+    """The rows of I + c X, for the row-major entries x of a k1 x k1 matrix X."""
+    rows = [[c * x[i * k1 + j] for j in range(k1)] for i in range(k1)]
+    for i in range(k1):
+        rows[i][i] = 1.0 + rows[i][i]
+    return rows
+
+
 def _frame_move(k1):
     """move(h, a) = h~ cay(A) for the row-major entries h of h~ and the
-    coordinates a of A (as _generator_coordinates lists them): scalars or
-    columns. For k1 = 2 it is cayley_move's rotation, all arithmetic;
-    otherwise cayley_move's solve, one opaque op of a traced step."""
+    coordinates a of A (as _generator_coordinates lists them): scalars,
+    columns or traced values. For k1 = 2 it is _rotate's rotation.
+    Otherwise cay(A) = 2 (I - A/2)^-1 - I, and h~ (I - A/2)^-1 is the
+    transpose of the solution Y of (I + A/2) Y = h~^T, which Gauss-Jordan
+    elimination gives without pivoting: the leading minors of I + A/2 are
+    det(I + S) >= 1 for skew S, so no pivot is zero."""
     if k1 == 2:
         return lambda h, a: _rotate(h, a[0])
 
     def move(h, a):
-        columns = np.ndim(h[0]) > 0
-        h, a = (np.stack(np.broadcast_arrays(*x), axis=-1).reshape(-1, k1, k1) for x in (h, a))
-        out = cayley_move(h, a).reshape(-1, k1 * k1).T
-        return tuple(out if columns else out[:, 0].tolist())
+        # the rows of [I + A/2 | h~^T], reduced column by column to [I | Y]
+        rows = [row + list(h[i::k1]) for i, row in enumerate(_eye_plus(k1, 0.5, a))]
+        for j, pivot_row in enumerate(rows):
+            pivot = pivot_row[j]
+            pivot_row[j + 1:] = [x / pivot for x in pivot_row[j + 1:]]
+            for row in rows:
+                if row is not pivot_row:
+                    f = row[j]
+                    row[j + 1:] = [x - f * p for x, p in zip(row[j + 1:], pivot_row[j + 1:])]
+        return [2.0 * rows[c][k1 + r] - h[r * k1 + c] for r in range(k1) for c in range(k1)]
 
-    return ex.opaque(move, k1 * k1)
+    return move
 
 
 def _cayley_velocity(k1):
@@ -397,18 +404,18 @@ def _cayley_velocity(k1):
 
     h~ cay(Omega(t)) solves dh~ = h~ A for Omega(0) = 0 and Omega' =
     (I + Omega/2) A (I - Omega/2). For k1 = 2, Omega = omega J and omega' =
-    sigma (1 + omega^2/4) with sigma = A[1, 0], scalar arithmetic; otherwise
-    the matrix product is one opaque op of a traced step.
+    sigma (1 + omega^2/4) with sigma = A[1, 0]; otherwise both products are
+    _dot sums over the row-major entries.
     """
     if k1 == 2:
         return lambda omega, a: [a[0] * (1.0 + 0.25 * omega[0] * omega[0])]
-    eye = np.eye(k1)
 
     def velocity(omega, a):
-        omega, a = np.reshape(omega, (k1, k1)), np.reshape(a, (k1, k1))
-        return tuple(((eye + 0.5 * omega) @ a @ (eye - 0.5 * omega)).ravel().tolist())
+        left = [[_dot(row, a[j::k1]) for j in range(k1)] for row in _eye_plus(k1, 0.5, omega)]
+        right = list(zip(*_eye_plus(k1, -0.5, omega)))      # the columns of I - Omega/2
+        return [_dot(row, column) for row in left for column in right]
 
-    return ex.opaque(velocity, k1 * k1)
+    return velocity
 
 
 def ortho_defect(h):

@@ -17,14 +17,13 @@ scalars gives bit for bit the values an env of arrays gives at each point.
 
 A ``Compiled`` program runs as one straight-line Python function generated
 from its op list. ``Compiled.trace`` records such a program from Python code
-run once on ``Traced`` values (with ``opaque`` functions as single ops), as
-every simulator does with its step. A program deletes each value after its
-last use.
+run once on ``Traced`` values, as every simulator does with its step, so a
+traced program too is made only of IEEE operators, ufuncs and the checks it
+is given. A program deletes each value after its last use.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import linecache
 import math
@@ -319,15 +318,15 @@ class Compiled:
 
     The ops become straight-line Python generated once per program, one line
     per op: an IEEE operator is written as its operator (``v7 = v3 * v5``),
-    any other fn, a ufunc or an opaque call, as a call of a bound name, and
-    constants are bound names too; an operator or ufunc that nothing reads,
-    even transitively, gets no line, and a check is an ``if`` line. Lowered
-    to Python floats, whose operators cost less than np.float64's, a program
-    binds constants as floats, passes each ufunc result through float()
-    (keeping its bits) and writes a division by a computed or zero b as
-    ``a / b if b else _div(a, b)``, so x/0 is numpy's inf or nan, not
-    ZeroDivisionError. The source is registered in linecache
-    under a filename that names the program, so tracebacks show its lines.
+    a ufunc as a call of a bound name, and constants are bound names too; an
+    operator or ufunc that nothing reads, even transitively, gets no line,
+    and a check is an ``if`` line. Lowered to Python floats, whose operators
+    cost less than np.float64's, a program binds constants as floats, passes
+    each ufunc result through float() (keeping its bits) and writes a
+    division by a computed or zero b as ``a / b if b else _div(a, b)``, so
+    x/0 is numpy's inf or nan, not ZeroDivisionError. The source is
+    registered in linecache under a filename that names the program, so
+    tracebacks show its lines.
     """
 
     def __init__(self, roots, name="expr"):
@@ -340,11 +339,11 @@ class Compiled:
         """The program of fn(inputs), run once on recorded values.
 
         fn takes a list of arity inputs and returns a flat list of outputs.
-        Each operator, ufunc or ``opaque`` call applied to an input, or to a
-        value computed from one, is recorded as an op in the order fn applies
-        it, with any other operand as a constant; the rest of fn (arithmetic
-        on constants, its control flow) runs once, here. So fn must not branch
-        on an input. The program takes env as a sequence of arity values and
+        Each operator or ufunc applied to an input, or to a value computed
+        from one, is recorded as an op in the order fn applies it, with any
+        other operand as a constant; the rest of fn (arithmetic on constants,
+        its control flow) runs once, here. So fn must not branch on an
+        input. The program takes env as a sequence of arity values and
         returns fn's outputs for them bit for bit, on Python floats with
         scalars. checks, if given, maps fn's outputs to those returned and the
         checks made, in order: (test, values, error) raises error if test is
@@ -356,7 +355,7 @@ class Compiled:
         outputs, tests = checks(fn(inputs)) if checks else (fn(inputs), ())
         # a check is an op ((), (test, error), values), placed in order after
         # the op making the last of its values, so that they can be freed
-        made = {s: n for n, (slot, _, _) in enumerate(self.ops) for s in _flatten([slot])}
+        made = {slot: n for n, (slot, _, _) in enumerate(self.ops)}
         placed, n = [], -1
         for test, values, error in tests:
             args = tuple(map(self._operand, values))
@@ -387,15 +386,11 @@ class Compiled:
             self.names.append((self._slot(key), name))
         return self._slots[key]
 
-    def _op(self, fn, args, outputs=None):
-        """The slot of fn(*args), or the outputs slots its result unpacks into."""
-        key = (fn, args, outputs)
-        slot = self._slots.get(key)
-        if slot is None:
-            first = len(self.values)
-            self.values += [None] * (outputs or 1)
-            slot = first if outputs is None else tuple(range(first, first + outputs))
-            self._slots[key] = slot
+    def _op(self, fn, args):
+        """The slot of fn(*args)."""
+        new = len(self.values)
+        slot = self._slot((fn, args))
+        if slot == new:
             self.ops.append((slot, fn, args))
         return slot
 
@@ -419,21 +414,15 @@ class Compiled:
         return slot
 
     def _operand(self, x):
-        """The slot of a traced value or a constant; a list or tuple of them
-        becomes a tuple of slots, passed to its op as a tuple."""
+        """The slot of a traced value or a constant."""
         if isinstance(x, Traced):
             if x.program is not self:
                 raise ValueError("a value traced by another program")
             return x.slot
-        if isinstance(x, (list, tuple)):
-            return tuple(map(self._operand, x))
         return self._const(x)
 
-    def _record(self, fn, args, outputs=None):
-        slot = self._op(fn, tuple(map(self._operand, args)), outputs)
-        if outputs is None:
-            return Traced(self, slot)
-        return [Traced(self, s) for s in slot]
+    def _record(self, fn, args):
+        return Traced(self, self._op(fn, tuple(map(self._operand, args))))
 
     def _finish(self, outputs, name, scalars=False):
         del self._slots
@@ -448,16 +437,16 @@ class Compiled:
         at once when nothing reads it), so a program on arrays holds only
         the values it still needs.
         """
-        live, ops = set(self.outputs), []   # an opaque call or a check stays
+        live, ops = set(self.outputs), []   # a check stays
         for slot, fn, args in reversed(self.ops):
-            pure = fn in _INFIX or fn is operator.neg or isinstance(fn, np.ufunc)
-            if not pure or not live.isdisjoint(_flatten([slot])):
-                live.update(_flatten(args))
+            if isinstance(fn, tuple) or slot in live:
+                live.update(args)
                 ops.insert(0, (slot, fn, args))
-        computed = {s for s, _ in self.names} | set(_flatten(s for s, _, _ in ops))
+        computed = {s for s, _ in self.names} | {
+            s for s, fn, _ in ops if not isinstance(fn, tuple)}
         last = {}                      # computed slot -> index of the op reading it last
         for n, (_, _, args) in enumerate(ops):
-            for a in _flatten(args):
+            for a in args:
                 if a in computed:
                     last[a] = n
         for a in self.outputs:
@@ -466,8 +455,6 @@ class Compiled:
         fn_names = {}
 
         def ref(a):
-            if isinstance(a, tuple):
-                return "(" + "".join(ref(x) + ", " for x in a) + ")"
             if a in computed:
                 return f"v{a}"
             if f"c{a}" not in bound:
@@ -490,7 +477,7 @@ class Compiled:
 
         def freed(n, slots, args):
             """del lines for the values op n reads for the last time and its unread results."""
-            dead = [a for a in dict.fromkeys(_flatten(args)) if last.get(a) == n]
+            dead = [a for a in dict.fromkeys(args) if last.get(a) == n]
             dead += [s for s in slots if s not in last]
             return [f"del {', '.join(f'v{a}' for a in dead)}"] if dead else []
 
@@ -514,8 +501,6 @@ class Compiled:
                     body.append(f"if not {tested}{'.all()' if column else ''}: {raised}")
                 body += freed(n, (), args)
                 continue
-            lhs = f"v{slot}" if not isinstance(slot, tuple) else \
-                "".join(f"v{s}, " for s in slot)
             if fn in _INFIX and len(args) == 2:
                 a, b = map(ref, args)
                 rhs = f"{a} {_INFIX[fn]} {b}"
@@ -528,8 +513,8 @@ class Compiled:
                 rhs = f"{fn_name(fn)}({', '.join(map(ref, args))})"
                 if scalars and isinstance(fn, np.ufunc):
                     rhs = f"float({rhs})"
-            body.append(f"{lhs} = {rhs}")
-            body += freed(n, slot if isinstance(slot, tuple) else (slot,), args)
+            body.append(f"v{slot} = {rhs}")
+            body += freed(n, (slot,), args)
         body.append(f"return [{', '.join(map(ref, self.outputs))}]")
         source = "\n".join([f"def _bind({', '.join(bound)}):", "    def run(env):",
                             *("        " + line for line in body), "    return run", ""])
@@ -551,15 +536,6 @@ def _div(a, b):
     return float(np.float64(a) / b)
 
 
-def _flatten(args):
-    """The slots of an op's arguments, tuples of slots unpacked."""
-    for a in args:
-        if isinstance(a, tuple):
-            yield from _flatten(a)
-        else:
-            yield a
-
-
 def _recorded(fn, reflected=False):
     """The method of Traced that records fn(self, other), or fn(other, self)."""
     def method(self, other):
@@ -570,9 +546,9 @@ def _recorded(fn, reflected=False):
 class Traced:
     """A value of a program being traced: each operation on it is recorded.
 
-    Python operators record themselves, numpy ufuncs through
-    ``__array_ufunc__``, and ``opaque`` functions as one call. A traced value
-    has no truth value, so code that branches on an input cannot be traced.
+    Python operators record themselves and numpy ufuncs through
+    ``__array_ufunc__``. A traced value has no truth value, so code that
+    branches on an input cannot be traced.
     """
 
     __slots__ = ("program", "slot")
@@ -595,24 +571,6 @@ class Traced:
 
     def __bool__(self):
         raise TypeError("a traced value has no truth value: traced code must not branch on it")
-
-
-def opaque(fn, outputs=None):
-    """fn as one op of a traced program.
-
-    Called with a traced value among its arguments, or in a list or tuple
-    argument, it records one call of fn, whose result unpacks into
-    ``outputs`` values when outputs is given; called on anything else, it is
-    fn.
-    """
-    @functools.wraps(fn)
-    def call(*args):
-        for a in args:
-            for x in (a if isinstance(a, (list, tuple)) else (a,)):
-                if isinstance(x, Traced):
-                    return x.program._record(fn, args, outputs)
-        return fn(*args)
-    return call
 
 
 # -- parser -------------------------------------------------------------------

@@ -59,16 +59,18 @@ def generator_family_test(frame, structure, gamma, sym, fs, q0, config):
     drift div + defect, the Popp sub-Laplacian when gamma solves the
     divergence system. fs is a list of (label, Expr), compiled once: f(q0)
     and the moments at t/2 and t are read from the one program. The process
-    runs once to t and is recorded at t/2 and t (both whole numbers of steps
-    dt). A function passes when its t discrepancy is within 3 stderr/t plus
-    twice an empirical O(t) bias allowance extrapolated from the two times;
+    runs once to t and is recorded at t/2 and t, so T/dt must be even. A
+    function passes when its t discrepancy is within 3 stderr/t plus twice
+    an empirical O(t) bias allowance extrapolated from the two times;
     bias_shrinks reports whether the bias estimate shrinks with t. sym is
     not read: gamma carries its symmetry algebra.
     """
     chart = frame.chart
     q0v = np.asarray(q0, dtype=float)
-    half = dv.SDEConfig(dt=config.dt, T=config.T / 2.0).steps
-    path = dv.develop_sde(frame, structure, gamma, q0v, config, record=(half, config.steps))
+    if config.steps % 2:
+        raise MalformedSpec(f"T/dt must be even to record t/2, got dt={config.dt}, T={config.T}")
+    path = dv.develop_sde(frame, structure, gamma, q0v, config,
+                          record=(config.steps // 2, config.steps))
     q = q0v[None]
     program, moments = _moments(fs, chart)
     f0s = mf._evaluate(program, chart, q)[:, 0]

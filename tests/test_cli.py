@@ -279,6 +279,14 @@ def test_verify_levi_civita(capsys):
     assert rep["pass"] is True and rep["max_difference"] < 1e-9
 
 
+def test_verify_generator_odd_step_count_is_an_error(capsys):
+    # the t/2 record needs an even T/dt; the message names the T given
+    code, out, err = run(capsys, "verify", "generator", "--builtin", "contact-halfplane",
+                         "--dt", "1e-3", "--T", "0.003")
+    assert code == 2
+    assert out == "" and "0.003" in err and "even" in err
+
+
 def test_verify_equivalence_small(capsys):
     code, rep, _ = run_json(capsys, "verify", "equivalence", "--builtin",
                             "heisenberg3", "--paths", "2000", "--T", "0.1",

@@ -194,7 +194,7 @@ def test_curve_rkmk4_order_and_defect(name):
     # RKMK4 in Cayley coordinates keeps order 4 on both Cayley branches:
     # halving dt cuts the endpoint error about 16x, and the frames stay
     # orthogonal. The affine field turns the frames; for k1 = 3 every stage
-    # moves them by cayley_move's solve
+    # moves them by the traced Gauss-Jordan elimination
     frame, st, _, sym = ck.context(free32_model_frame() if name == "free32-model" else name)
     gamma = mf.ChristoffelField(st, sym, np.full((sym.dimH * frame.k1, frame.k1), 0.1), 0.2)
     q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
@@ -217,6 +217,18 @@ class RowGeometry:
 
     def divergence(self, q):
         return self.structure.divergence(np.concatenate([q, q]))[:1]
+
+
+def cayley_move(h, a):
+    """h cay(A), cay(A) = (I - A/2)^-1 (I + A/2), for batches of frames and so(k) A:
+    the array oracle of develop._frame_move.
+
+    For k = 2, A = sigma J and cay(A) is _rotate's rotation: no solve.
+    """
+    if h.shape[-1] != 2:
+        eye = np.eye(h.shape[-1])
+        return h @ np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a)
+    return np.stack(dv._rotate(h.reshape(-1, 4).T, a[:, 1, 0]), axis=-1).reshape(h.shape)
 
 
 def batch_flow(sys, q, h, u):
@@ -246,7 +258,7 @@ def per_stage_curve(frame, st, gamma, u, q0, dt, T):
 
     def flow(q, omega, t, h):
         u_t = np.array([[float(c) for c in control({"t": t})]])
-        dq, a = batch_flow(sys, q, dv.cayley_move(h, omega), u_t)
+        dq, a = batch_flow(sys, q, cayley_move(h, omega), u_t)
         w = omega[:, 1:, :1]
         return dq, a * (1.0 + 0.25 * w * w)
 
@@ -260,7 +272,7 @@ def per_stage_curve(frame, st, gamma, u, q0, dt, T):
         k4 = flow(*(x + dt * k for x, k in zip(y, k3)), t + dt, h)
         q, omega = (x + dt * (a + 2 * b + 2 * c + d) / 6.0
                     for x, a, b, c, d in zip(y, k1, k2, k3, k4))
-        return [*q.T, *dv.cayley_move(h, omega).reshape(1, 4).T]
+        return [*q.T, *cayley_move(h, omega).reshape(1, 4).T]
 
     state = [np.array([c]) for c in [*q0, 1.0, 0.0, 0.0, 1.0]]
     return dv._integrate(advance, state, d, round(T / dt), dt, "full", chart=frame.chart)
@@ -297,8 +309,8 @@ def affine_curve_setup(name):
 @pytest.mark.parametrize("name", ["contact-halfplane", "engel-halfplane", "free32-model"])
 def test_compiled_step_equals_the_untraced_step(name):
     # the traced program is the step _rk4, point, move and velocity take on
-    # plain values, output for output and byte for byte (for k1 = 3, move
-    # and velocity are opaque ops of the program)
+    # plain values, output for output and byte for byte (for k1 = 3 too,
+    # whose move and velocity are traced arithmetic like the rest)
     frame, st, gamma, q0 = affine_curve_setup(name)
     k1, d, dt = frame.k1, frame.chart.dim, 0.05
     step = dv._rkmk4_step(dv._DevelopSystem(frame, st, gamma), dt)
@@ -349,7 +361,7 @@ def test_curve_program_runs_on_python_floats_with_unlowered_bits(name, monkeypat
     # the step program develop_curve runs is lowered to Python floats: at
     # 1000 random states (q, h~, u) it returns floats with the new state's
     # bits of the same RKMK4 step traced without lowering, run on np.float64
-    # q (for k1 = 3 the frame move and the velocity are opaque calls)
+    # q (for k1 = 3 the frame move and the velocity are traced arithmetic)
     frame, st, gamma, q0 = affine_curve_setup(exp_frame() if name == "exp-frame" else name)
     k1, d, dt = frame.k1, frame.chart.dim, 1e-2
     programs, trace = [], ex.Compiled.trace
@@ -452,9 +464,9 @@ def test_sde_lift_independence():
                 dw = dw @ r.T
             # Lie-group Heun: h~ moves by Cayley transforms of so(2) increments
             dq1, a1 = batch_flow(sys, q, h, dw)
-            dq2, a2 = batch_flow(sys, q + dq1, dv.cayley_move(h, a1), dw)
+            dq2, a2 = batch_flow(sys, q + dq1, cayley_move(h, a1), dw)
             q = q + 0.5 * (dq1 + dq2)
-            h = dv.cayley_move(h, 0.5 * (a1 + a2))
+            h = cayley_move(h, 0.5 * (a1 + a2))
             q[:, 2] %= mf.TAU                                  # t1 is periodic
         return q
 
@@ -591,9 +603,9 @@ def test_sde_step_is_each_paths_scalar_step():
     for p in range(config.paths):
         q, h, u = [np.float64(c) for c in q0], np.eye(2)[None], dw[p].tolist()
         dq1, a1 = flow(q, h, u)
-        dq2, a2 = flow([x + k for x, k in zip(q, dq1)], dv.cayley_move(h, a1), u)
+        dq2, a2 = flow([x + k for x, k in zip(q, dq1)], cayley_move(h, a1), u)
         q = [x + 0.5 * (a + b) for x, a, b in zip(q, dq1, dq2)]
-        h = dv.cayley_move(h, 0.5 * (a1 + a2))
+        h = cayley_move(h, 0.5 * (a1 + a2))
         assert path.points[1, p].tobytes() == np.array(q).tobytes()
         assert path.frames[1, p].tobytes() == h[0].tobytes()
     assert np.abs(path.frames[1] - np.eye(2)).max() > 1e-3
@@ -621,40 +633,72 @@ def _skew(rng, paths, k, scale):
     return a - np.swapaxes(a, 1, 2)
 
 
+def _columns(x):
+    """The row-major entries of a batch of k x k matrices, one column each."""
+    return list(x.reshape(len(x), -1).T)
+
+
 def test_cayley_closed_form_matches_solve():
-    # for k1 = 2 the rotation formula is cay(A) = (I - A/2)^-1 (I + A/2)
+    # _frame_move on columns is h~ cay(A) with cay(A) = (I - A/2)^-1 (I + A/2):
+    # for k1 = 2 by the rotation formula, for k1 = 3, 4 by Gauss-Jordan
+    # elimination
     rng = np.random.default_rng(8)
-    eye = np.eye(2)
-    for scale in (0.03, 1.0, 10.0):
-        a = _skew(rng, 500, 2, scale)
-        h = dv.cayley_move(np.tile(eye, (500, 1, 1)), _skew(rng, 500, 2, 1.0))
-        want = h @ np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a)
-        assert np.abs(dv.cayley_move(h, a) - want).max() <= 1e-15
+    for k, bound in ((2, 1e-15), (3, 1e-13), (4, 1e-13)):
+        eye, move = np.eye(k), dv._frame_move(k)
+        for scale in (0.03, 1.0, 10.0):
+            a = _skew(rng, 500, k, scale)
+            h = cayley_move(np.tile(eye, (500, 1, 1)), _skew(rng, 500, k, 1.0))
+            want = h @ np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a)
+            got = move(_columns(h), [a[:, 1, 0]] if k == 2 else _columns(a))
+            assert np.abs(np.stack(got, axis=-1).reshape(h.shape) - want).max() <= bound
 
 
 def test_cayley_keeps_so3_frames_orthogonal():
-    # the k1 > 2 branch: 10^3 steps of random so(3) increments stay in O(3)
+    # the k1 > 2 move: 10^3 steps of random so(k) increments stay in O(k)
     rng = np.random.default_rng(9)
-    h = np.tile(np.eye(3), (64, 1, 1))
-    for _ in range(1000):
-        h = dv.cayley_move(h, _skew(rng, 64, 3, 0.1))
-    assert dv.ortho_defect(h) <= 1e-13
-    assert np.abs(h - np.eye(3)).max() > 0.5        # the frames did move
+    for k in (3, 4):
+        move = dv._frame_move(k)
+        h = _columns(np.tile(np.eye(k), (64, 1, 1)))
+        for _ in range(1000):
+            h = move(h, _columns(_skew(rng, 64, k, 0.1)))
+        h = np.stack(h, axis=-1).reshape(64, k, k)
+        assert dv.ortho_defect(h) <= 1e-13
+        assert np.abs(h - np.eye(k)).max() > 0.5        # the frames did move
+
+
+def test_cayley_velocity_moves_the_frame_by_a():
+    # h~ cay(Omega(t)) solves dh~ = h~ A when Omega' is the k1 > 2 velocity:
+    # a central difference of cay(Omega) along it is cay(Omega) A
+    rng = np.random.default_rng(10)
+    for k in (3, 4):
+        omega, a = _skew(rng, 200, k, 0.5), _skew(rng, 200, k, 1.0)
+        v = dv._cayley_velocity(k)(_columns(omega), _columns(a))
+        v = np.stack(v, axis=-1).reshape(omega.shape)
+        eye, eps = np.tile(np.eye(k), (200, 1, 1)), 1e-6
+        slope = (cayley_move(eye, omega + eps * v) - cayley_move(eye, omega - eps * v)) / (2 * eps)
+        assert np.abs(slope - cayley_move(eye, omega) @ a).max() <= 1e-8
 
 
 def test_sde_step_makes_no_linear_solve(monkeypatch):
-    # k1 = 2: the frame moves by closed-form rotations, with no inverse or solve
-    frame, st, gamma, q0 = sde_setup("contact-halfplane")
+    # the frame moves by closed-form rotations for k1 = 2 and by traced
+    # Gauss-Jordan elimination for k1 = 3: no step makes an inverse or a solve
+    setups = [sde_setup("contact-halfplane"), affine_curve_setup("free32-model")]
     config = dv.SDEConfig(dt=1e-3, T=0.05, seed=6, paths=32)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg called in an SDE step")
+        raise AssertionError("np.linalg called in a step")
 
     monkeypatch.setattr(np.linalg, "inv", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
-    path = dv.develop_sde(frame, st, gamma, q0, config, record="full")
-    assert path.ortho_defect < 1e-13
-    assert np.abs(path.frames[-1] - np.eye(2)).max() > 1e-3
+    for frame, st, gamma, q0 in setups:
+        k1 = frame.k1
+        path = dv.develop_sde(frame, st, gamma, q0, config, record="full")
+        assert path.ortho_defect < 1e-13
+        assert np.abs(path.frames[-1] - np.eye(k1)).max() > 1e-3
+        curve = dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)", "1"][:k1], q0,
+                                 1e-2, 0.5)
+        assert curve.ortho_defect < 1e-13
+        assert np.abs(curve.frames[-1] - np.eye(k1)).max() > 1e-3
 
 
 def test_carnot_lift_runs_and_records():
