@@ -21,10 +21,11 @@ ZERO = Fraction(0)
 def _frac(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise MalformedSpec(f"not a rational coefficient: {x!r}")
 
 
@@ -190,7 +191,10 @@ def build_algebra(spec):
             raise MalformedSpec(f"bracket key {key!r} must satisfy 1 <= i < j <= dim")
         entry = {}
         for sk, coeff in row.items():
-            k = int(sk) - 1
+            try:
+                k = int(sk) - 1
+            except ValueError:
+                raise MalformedSpec(f"bad bracket target {sk!r} in {key!r}") from None
             if not 0 <= k < dim:
                 raise MalformedSpec(f"bracket target {sk} out of range in {key!r}")
             v = _frac(coeff)

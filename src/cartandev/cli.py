@@ -68,7 +68,10 @@ def _load_frame(args):
 
 def _q0(args, frame):
     if args.q0:
-        q = [float(x) for x in args.q0.split(",")]
+        try:
+            q = [float(x) for x in args.q0.split(",")]
+        except ValueError:
+            raise MalformedSpec(f"--q0 must be comma-separated numbers, got {args.q0!r}") from None
         if len(q) != frame.chart.dim:
             raise MalformedSpec(
                 f"--q0 needs {frame.chart.dim} components, got {len(q)}")

@@ -1,21 +1,21 @@
 """Deterministic and stochastic development, and the Carnot-group lift.
 
 Every simulator runs through one driver, ``_run``: it traces the
-simulator's step once into one expr.Compiled program, which checks the
-step's stages itself, and runs that program at every step of one time
-loop, ``_integrate``, under one np.errstate. The state is a flat list of
-columns: one (paths,) array per coordinate and frame entry, or, for the
-one path of a model curve, one Python float, on which the program is
-lowered to Python float arithmetic. The three SDEs take
-Stratonovich-Heun steps over path columns (``_simulate``), the developed
-one moving its frame h~ by Cayley transforms of so(k1) increments, traced
-as arithmetic on the k1^2 entries like the rest of the step; every sum
-runs in a fixed order, so a path's bits do not depend on the batch or
-the BLAS build. Their noise is ``increments(seed, dt)``, a run's draw
-function over one counter-based Philox generator keyed by seed, whose
-counter is set to the step at every draw; path p consumes row p of each
-step's draw, so a batch of P paths reproduces the first P paths of any
-larger batch at the same seed.
+simulator's step once into one expr.Compiled program and runs that program
+at every step of one time loop, ``_integrate``, under one np.errstate; the
+chart geometry of each stage checks itself where it is evaluated
+(StructureField._horizontal_at). The state is a flat list of columns: one
+(paths,) array per coordinate and frame entry, or, for the one path of a
+model curve, one Python float, on which the program is lowered to Python
+float arithmetic. The three SDEs take Stratonovich-Heun steps over path
+columns (``_simulate``), the developed one moving its frame h~ by Cayley
+transforms of so(k1) increments, traced as arithmetic on the k1^2 entries
+like the rest of the step; every sum runs in a fixed order, so a path's
+bits do not depend on the batch or the BLAS build. Their noise is
+``increments(seed, dt)``, a run's draw function over one counter-based
+Philox generator keyed by seed, whose counter is set to the step at every
+draw; path p consumes row p of each step's draw, so a batch of P paths
+reproduces the first P paths of any larger batch at the same seed.
 
 A model curve is one path, stepped on scalars by RKMK4 in Cayley
 coordinates (Munthe-Kaas 1999): classical RK4 on (q, Omega) with the frame
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import expr as ex
 from . import manifold as mf
-from .errors import MalformedSpec, NonFinite, SingularFrame, StepTooLarge
+from .errors import MalformedSpec, NonFinite, StepTooLarge
 
 # V(x, e) = e + [x, e]/2 + [x, [x, e]]/12 is exact through step 4: the
 # [x, [x, [x, e]]] term of the differential of left translation vanishes
@@ -144,13 +144,11 @@ def _dot(a, b):
 def _heun(flow, move, x):
     """Stratonovich-Heun step of the value list x.
 
-    flow(x) returns the increment list and the values the caller checks;
-    move(x, k) applies increment k. Returns the new list and both stages'
-    checked values.
+    flow(x) returns the increment list and move(x, k) applies increment k.
     """
-    k1, checked1 = flow(x)
-    k2, checked2 = flow(move(x, k1))
-    return move(x, [0.5 * (a + b) for a, b in zip(k1, k2)]), checked1 + checked2
+    k1 = flow(x)
+    k2 = flow(move(x, k1))
+    return move(x, [0.5 * (a + b) for a, b in zip(k1, k2)])
 
 
 def _rk4(flow, state, u, dt):
@@ -222,25 +220,15 @@ def _integrate(advance, state, d, steps, dt, record, chart=None):
                 ortho_defect=defect)
 
 
-def _run(step, width, inputs, k1, state, d, steps, dt, record, name, chart=None):
+def _run(step, width, inputs, state, d, steps, dt, record, name, chart=None):
     """Run the step function step over _integrate's column list state.
 
     step maps [*x, *w], x the state's values and w the width values
-    inputs(s) gives for step s, to [*x', *checked], checked holding
-    (det X, *drift) of k1 fields at each stage it evaluated. It is traced
-    once into an expr.Compiled program, on Python floats for one path's
-    scalars, which every step runs: it checks the stages in order, raising
-    SingularFrame at the first singular one, and returns x'.
+    inputs(s) gives for step s, to x'. It is traced once into an
+    expr.Compiled program, on Python floats for one path's scalars, which
+    every step runs, with the checks of the geometry it evaluates.
     """
-    n = len(state)
-
-    def checks(out):
-        checked = out[n:]
-        return out[:n], [check for i in range(0, len(checked), k1 + 1) for check in (
-            ("nonzero", checked[i:i + 1], SingularFrame(mf.FRAME_SINGULAR)),
-            ("finite", checked[i + 1:i + k1 + 1], SingularFrame(mf.DRIFT_NOT_FINITE)))]
-
-    program = ex.Compiled.trace(step, n + width, name, checks, scalars=np.ndim(state[0]) == 0)
+    program = ex.Compiled.trace(step, len(state) + width, name, scalars=np.ndim(state[0]) == 0)
     # a stage may divide by zero at a singular point, which its check reports
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _integrate(lambda s, x: program([*x, *inputs(s)]), state, d, steps, dt,
@@ -251,18 +239,16 @@ def _simulate(flow, move, state, d, width, config, record, name, chart=None):
     """A Stratonovich-Heun run of flow on path columns, driven by increments.
 
     state is _integrate's column list and flow(x, dw) returns the increment
-    of the value list x for the width noise columns dw, and det X and the
-    drift of the width fields it evaluated, if any; move(x, k) applies an
-    increment. _run traces the step _heun takes and checks both stages.
+    of the value list x for the width noise columns dw; move(x, k) applies
+    an increment. _run traces the step _heun takes.
     """
     n = len(state)
 
     def step(inputs):
-        x, checked = _heun(lambda y: flow(y, inputs[n:]), move, inputs[:n])
-        return [*x, *checked]
+        return _heun(lambda y: flow(y, inputs[n:]), move, inputs[:n])
 
     draw = increments(config.seed, config.dt)
-    return _run(step, width, lambda s: draw(s, config.paths, width).T, width, state, d,
+    return _run(step, width, lambda s: draw(s, config.paths, width).T, state, d,
                 config.steps, config.dt, record, name, chart)
 
 
@@ -338,8 +324,8 @@ def simulate_carnot_lift(alg, config, record="endpoints"):
     """
     group = CarnotGroup(alg)
     state = [np.zeros(config.paths)] * alg.dim
-    return _simulate(lambda x, dw: (group._field(x, dw), []), _add, state, alg.dim,
-                     alg.growth[0], config, record, "simulate_carnot_lift step")
+    return _simulate(group._field, _add, state, alg.dim, alg.growth[0], config, record,
+                     "simulate_carnot_lift step")
 
 
 # ---------------------------------------------------------------------------
@@ -445,25 +431,25 @@ class _DevelopSystem:
         self._offset = offset.ravel().tolist()
 
     def point(self, q, h, u):
-        """dq, the coordinates s_alpha of A in the basis A_alpha, and det X and
-        the drift, which the caller checks, for control increment u.
+        """dq and the coordinates s_alpha of A in the basis A_alpha for control
+        increment u.
 
         dq = (u^T h~ X)(q): move along sum_i (h~^T u)_i X_i;
         A = sum_alpha (u^T h~ Gamma^alpha(q)) A_alpha in so(k1), so that
         dh~ = h~ A. q, row-major h~ and u are sequences of values (scalars
         or columns), or of values traced into a step. Each sum runs in a
         fixed order, starting from 0, so a path's bits do not depend on how
-        many paths run. The geometry (StructureField._horizontal_at) is read
-        unchecked, so the caller suppresses floating-point warnings, as
-        divergence does.
+        many paths run. The geometry (StructureField._horizontal_at) checks
+        det X and the drift, which it may compute with a division by zero, so
+        the caller suppresses floating-point warnings, as divergence does.
         """
         k1 = self.k1
         v = [_dot(h[i::k1], u) for i in range(k1)]                    # h~^T u
-        rows, drift, det = self.structure._horizontal_at(dict(zip(self.coords, q)))
+        rows, drift = self.structure._horizontal_at(dict(zip(self.coords, q)))
         dq = [_dot(row, v) for row in rows]
         gamma = [_dot(drift, p) + c for p, c in zip(self._p, self._offset)]
         gen = [_dot(gamma[a:a + k1], v) for a in range(0, len(gamma), k1)]
-        return dq, gen, det, drift
+        return dq, gen
 
 
 def _prepare_h0(h0, k1):
@@ -489,8 +475,8 @@ def develop_sde(frame, structure, gamma, q0, config, record="endpoints"):
     coordinates, move = _generator_coordinates(gamma.blocks, k1), _frame_move(k1)
 
     def flow(x, dw):
-        dq, gen, det, drift = sys.point(x[:d], x[d:], dw)
-        return [*dq, *coordinates(gen)], [det, *drift]
+        dq, gen = sys.point(x[:d], x[d:], dw)
+        return [*dq, *coordinates(gen)]
 
     def step_move(x, k):
         return [*_add(x[:d], k[:d]), *move(x[d:], k[d:])]
@@ -525,8 +511,7 @@ def _rkmk4_step(sys, dt):
     """One RKMK4 step of a model curve, on flat lists: the function develop_curve traces.
 
     The input is [*q, *h~, *u], with h~ row-major and u the control at the
-    step's start, midpoint and end; the output is [*q', *h~'] followed by
-    det X and the drift of each of the four stages, for the caller to check.
+    step's start, midpoint and end; the output is [*q', *h~'].
     """
     k1, d = sys.k1, len(sys.coords)
     coordinates = _generator_coordinates(sys.gamma.blocks, k1)
@@ -535,15 +520,13 @@ def _rkmk4_step(sys, dt):
 
     def step(inputs):
         q, h, c = inputs[:d], inputs[d:d + k1 * k1], inputs[d + k1 * k1:]
-        stages = []
 
         def flow(y, u):                                 # y = [*q, *Omega]
-            dq, gen, det, drift = sys.point(y[:d], move(h, y[d:]), u)
-            stages.extend((det, *drift))
+            dq, gen = sys.point(y[:d], move(h, y[d:]), u)
             return [*dq, *velocity(y[d:], coordinates(gen))]
 
         y = _rk4(flow, [*q, *zero], [c[:k1], c[k1:2 * k1], c[2 * k1:]], dt)
-        return [*y[:d], *move(h, y[d:]), *stages]
+        return [*y[:d], *move(h, y[d:])]
 
     return step
 
@@ -559,8 +542,8 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
     step (_rkmk4_step over _DevelopSystem.point, the geometry program and
     the Cayley moves) is traced once per curve into one expr.Compiled
     program, which every step runs on the path's Python floats: no step
-    makes a one-row array. The program checks the four stages in order, so
-    the first singular one raises.
+    makes a one-row array. Each stage checks its geometry, so the first
+    singular one raises.
     """
     sys = _DevelopSystem(frame, structure, gamma)
     k1, d = frame.k1, frame.chart.dim
@@ -571,7 +554,7 @@ def develop_curve(frame, structure, gamma, u, q0, dt, T, h0=None, record="full")
     control = _control_table(u, steps, dt).reshape(steps, 3 * k1)
     # Python floats: one path's step program is lowered to them
     state = [*np.asarray(q0, dtype=float).tolist(), *_prepare_h0(h0, k1).ravel().tolist()]
-    return _run(_rkmk4_step(sys, dt), 3 * k1, lambda s: control[s].tolist(), k1, state, d,
+    return _run(_rkmk4_step(sys, dt), 3 * k1, lambda s: control[s].tolist(), state, d,
                 steps, dt, record, "develop_curve step", frame.chart)
 
 
@@ -586,9 +569,9 @@ def simulate_popp(frame, structure, q0, config, record="endpoints"):
     k1, d = frame.k1, frame.chart.dim
 
     def flow(q, dw):
-        rows, drift, det = structure._horizontal_at(dict(zip(frame.chart.coords, q)))
+        rows, drift = structure._horizontal_at(dict(zip(frame.chart.coords, q)))
         w = [b + 0.5 * c * config.dt for b, c in zip(dw, drift)]
-        return [_dot(row, w) for row in rows], [det, *drift]
+        return [_dot(row, w) for row in rows]
 
     state = [np.full(config.paths, c) for c in np.asarray(q0, dtype=float)]
     return _simulate(flow, _add, state, d, k1, config, record, "simulate_popp step",

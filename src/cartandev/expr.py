@@ -18,8 +18,8 @@ scalars gives bit for bit the values an env of arrays gives at each point.
 A ``Compiled`` program runs as one straight-line Python function generated
 from its op list. ``Compiled.trace`` records such a program from Python code
 run once on ``Traced`` values, as every simulator does with its step, so a
-traced program too is made only of IEEE operators, ufuncs and the checks it
-is given. A program deletes each value after its last use.
+traced program too is made only of IEEE operators, ufuncs and the checks
+``check`` records. A program deletes each value after its last use.
 """
 
 from __future__ import annotations
@@ -335,35 +335,22 @@ class Compiled:
         self._finish([self._lower(r, memo) for r in roots], name)
 
     @classmethod
-    def trace(cls, fn, arity, name, checks=None, scalars=False):
+    def trace(cls, fn, arity, name, scalars=False):
         """The program of fn(inputs), run once on recorded values.
 
         fn takes a list of arity inputs and returns a flat list of outputs.
         Each operator or ufunc applied to an input, or to a value computed
         from one, is recorded as an op in the order fn applies it, with any
-        other operand as a constant; the rest of fn (arithmetic on constants,
-        its control flow) runs once, here. So fn must not branch on an
-        input. The program takes env as a sequence of arity values and
-        returns fn's outputs for them bit for bit, on Python floats with
-        scalars. checks, if given, maps fn's outputs to those returned and the
-        checks made, in order: (test, values, error) raises error if test is
-        "nonzero" and a value is zero, or "finite" and one is inf or nan.
+        other operand as a constant, and so is each ``check`` fn makes of a
+        traced value; the rest of fn (arithmetic on constants, its control
+        flow) runs once, here. So fn must not branch on an input. The
+        program takes env as a sequence of arity values and returns fn's
+        outputs for them bit for bit, on Python floats with scalars.
         """
         self = cls.__new__(cls)
         self._start()
         inputs = [Traced(self, self._var(i)) for i in range(arity)]
-        outputs, tests = checks(fn(inputs)) if checks else (fn(inputs), ())
-        # a check is an op ((), (test, error), values), placed in order after
-        # the op making the last of its values, so that they can be freed
-        made = {slot: n for n, (slot, _, _) in enumerate(self.ops)}
-        placed, n = [], -1
-        for test, values, error in tests:
-            args = tuple(map(self._operand, values))
-            n = max([n, *(made.get(a, -1) for a in args)])
-            placed.append((n + 1, ((), (test, error), args)))
-        for n, op in reversed(placed):
-            self.ops.insert(n, op)
-        self._finish([self._operand(o) for o in outputs], name, scalars)
+        self._finish([self._operand(o) for o in fn(inputs)], name, scalars)
         return self
 
     def _start(self):
@@ -494,11 +481,10 @@ class Compiled:
             if isinstance(fn, tuple):                   # a check
                 test, error = fn
                 raised = f"raise {fn_name(type(error))}({', '.join(map(repr, error.args))})"
-                for a in args:
-                    column = not scalars and a in computed      # a constant is a float
+                for a in args:              # computed: a constant was checked while tracing
                     tested = ref(a) if test == "nonzero" else \
-                        f"{fn_name(np.isfinite if column else math.isfinite)}({ref(a)})"
-                    body.append(f"if not {tested}{'.all()' if column else ''}: {raised}")
+                        f"{fn_name(math.isfinite if scalars else np.isfinite)}({ref(a)})"
+                    body.append(f"if not {tested}{'' if scalars else '.all()'}: {raised}")
                 body += freed(n, (), args)
                 continue
             if fn in _INFIX and len(args) == 2:
@@ -571,6 +557,22 @@ class Traced:
 
     def __bool__(self):
         raise TypeError("a traced value has no truth value: traced code must not branch on it")
+
+
+def check(test, values, error):
+    """Raise error if a value is zero (test "nonzero") or inf or nan ("finite").
+
+    Traced values are checked by their program, which records the check as
+    an op ((), (test, error), slots) after its ops so far. Any other value,
+    a scalar or an array, is checked at once: a constant while tracing.
+    """
+    traced = [v for v in values if isinstance(v, Traced)]
+    if traced:
+        program = traced[0].program
+        program.ops.append(((), (test, error), tuple(map(program._operand, traced))))
+    for v in values:
+        if not isinstance(v, Traced) and not np.all(v if test == "nonzero" else np.isfinite(v)):
+            raise error
 
 
 # -- parser -------------------------------------------------------------------

@@ -10,7 +10,8 @@ one shared-subexpression ``expr.Compiled`` call (``field_values``). What the
 simulators need at every step, the horizontal fields X_1..X_k1 and the Popp
 drift div_i = sum_l c_li^l, is compiled once per StructureField (the drift
 in the closed form d_a X_i^a - X_i(det X)/det X), and so are the frame
-and its brackets; a step reads the drift unchecked, ``divergence`` checked.
+and its brackets. Where the drift is evaluated, in a step or in
+``divergence``, det X and the drift are checked (``expr.check``).
 The full structure functions c_ij^k come from a batched linear solve of
 the evaluated brackets in the evaluated frame and serve the one-off checks:
 growth, nilpotentization and model comparison.
@@ -44,6 +45,15 @@ DRIFT_NOT_FINITE = "Popp drift not finite at a sample point"
 # Charts and frames
 # ---------------------------------------------------------------------------
 
+def _is_interval(bounds):
+    """Whether bounds is a pair (lo, hi) of finite numbers with lo < hi."""
+    try:
+        lo, hi = map(float, bounds)
+    except (TypeError, ValueError):
+        return False
+    return -math.inf < lo < hi < math.inf
+
+
 @dataclass(frozen=True)
 class Chart:
     """A single coordinate chart with a sampling box for numeric checks."""
@@ -56,8 +66,9 @@ class Chart:
         for p in self.periodic:
             if p not in self.coords:
                 raise MalformedSpec(f"periodic coordinate {p!r} not in chart")
-        if self.box is not None and len(self.box) != len(self.coords):
-            raise MalformedSpec("box must give one (lo, hi) per coordinate")
+        if self.box is not None and (len(self.box) != len(self.coords)
+                                     or not all(map(_is_interval, self.box))):
+            raise MalformedSpec("box must give one (lo, hi) per coordinate, finite, lo < hi")
         object.__setattr__(self, "_periodic_cols", tuple(
             i for i, name in enumerate(self.coords) if name in self.periodic))
 
@@ -198,19 +209,20 @@ def build_frame(spec):
         chart_spec = spec["chart"]
         coords = tuple(chart_spec["coords"])
         periodic = tuple(chart_spec.get("periodic", ()))
-        box = chart_spec.get("box")
+        box = tuple(map(tuple, chart_spec.get("box") or ())) or None
         growth = tuple(int(k) for k in spec["growth"])
-        rows = spec["frame"]
-    except (KeyError, TypeError) as e:
-        raise MalformedSpec(f"manifold spec missing field: {e}") from None
-    chart = Chart(coords=coords, periodic=periodic,
-                  box=tuple(tuple(b) for b in box) if box else None)
+        rows = [list(row) for row in spec["frame"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise MalformedSpec(f"manifold spec missing or invalid field: {e}") from None
+    chart = Chart(coords=coords, periodic=periodic, box=box)
     fields = []
     for r, row in enumerate(rows):
         if len(row) != len(coords):
             raise MalformedSpec(
                 f"frame row {r + 1} has {len(row)} components, chart has "
                 f"{len(coords)} coordinates")
+        if not all(isinstance(t, str) for t in row):
+            raise MalformedSpec(f"frame row {r + 1}: components must be strings, got {row}")
         fields.append(tuple(parse_component(t, chart) for t in row))
     return FrameField(chart=chart, fields=tuple(fields), growth=growth)
 
@@ -286,13 +298,16 @@ class StructureField:
                            "StructureField frame and brackets")
 
     def _horizontal_at(self, env):
-        """The outputs of _horizontal at env, unchecked: the d rows of
-        X_1..X_k1 (row a holds their a-th components), the k1 drift values
-        and det X."""
+        """The d rows of X_1..X_k1 at env (row a holds their a-th components)
+        and the k1 drift values, from _horizontal. It checks det X nonzero
+        and the drift finite with ex.check: on traced values the program
+        raises SingularFrame, on any other at once."""
         vals = self._horizontal(env)
         k1 = self.frame.k1
         dk = len(vals) - k1 - 1
-        return [vals[a:a + k1] for a in range(0, dk, k1)], vals[dk:-1], vals[-1]
+        ex.check("nonzero", vals[-1:], SingularFrame(FRAME_SINGULAR))
+        ex.check("finite", vals[dk:-1], SingularFrame(DRIFT_NOT_FINITE))
+        return [vals[a:a + k1] for a in range(0, dk, k1)], vals[dk:-1]
 
     def _solve(self, points):
         """Frame matrix X, bracket columns B (one per i < j) and X^-1 B at points."""
@@ -330,10 +345,8 @@ class StructureField:
         dk = self.frame.chart.dim * self.frame.k1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = _evaluate(self._horizontal, self.frame.chart, points)
-        if not vals[-1].all():
-            raise SingularFrame(FRAME_SINGULAR)
-        if not np.isfinite(vals[dk:-1]).all():
-            raise SingularFrame(DRIFT_NOT_FINITE)
+        ex.check("nonzero", vals[-1:], SingularFrame(FRAME_SINGULAR))
+        ex.check("finite", vals[dk:-1], SingularFrame(DRIFT_NOT_FINITE))
         return np.ascontiguousarray(vals[dk:-1].T)
 
 

@@ -269,6 +269,44 @@ def test_simulate_bad_q0(capsys):
     assert code == 2
 
 
+def _frame_spec(*keys, value):
+    """heisenberg3's manifold spec with the entry at keys set to value."""
+    spec = bi.frame("heisenberg3").to_spec()
+    functools.reduce(lambda d, k: d[k], keys[:-1], spec)[keys[-1]] = value
+    return "manifold", spec
+
+
+def _algebra_spec(brackets):
+    return "algebra", {**bi.algebra("heisenberg3").to_spec(), "brackets": brackets}
+
+
+SIMULATE = ("simulate", "popp", "--paths", "4", "--T", "0.01", "--dt", "0.005")
+
+
+@pytest.mark.parametrize("spec,argv", [
+    (None, (*SIMULATE, "--builtin", "heisenberg3", "--q0", "a,b,c")),
+    (None, (*SIMULATE, "--builtin", "heisenberg3", "--q0", "1,,2")),
+    (_frame_spec("frame", 0, 0, value=1), ("manifold", "check")),
+    (_frame_spec("growth", value=["a"]), ("manifold", "check")),
+    (_algebra_spec({"1,2": {"x": 1}}), ("algebra", "check")),
+    (_algebra_spec({"1,2": {"3": "abc"}}), ("algebra", "check")),
+    (_algebra_spec({"1,2": {"3": "1/0"}}), ("algebra", "check")),
+    (_frame_spec("chart", "box", value=[[1, -1], [-1, 1], [-1, 1]]), SIMULATE),
+    (_frame_spec("chart", "box", value=[[0, 1], [0], [0, 1]]), SIMULATE),
+], ids=["q0-letters", "q0-empty", "component-number", "growth-letter", "bracket-target",
+        "coefficient-letters", "coefficient-over-zero", "box-reversed", "box-ragged"])
+def test_malformed_input_exits_2(capsys, tmp_path, spec, argv):
+    # each is an input error, not a traceback (exit 1 means infeasible),
+    # and a reversed box is not a run whose every path left the chart
+    if spec:
+        path = tmp_path / f"{spec[0]}.json"
+        path.write_text(json.dumps(spec[1]))
+        argv = (*argv, str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("input error:")
+
+
 # -- verification ----------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Tests for the group law, left-invariant fields, and development dynamics."""
 
+import inspect
 import operator
 import os
 import subprocess
@@ -189,14 +190,20 @@ def free32_model_frame():
                            "growth": [3, 6], "frame": model + vertical})
 
 
-@pytest.mark.parametrize("name", ["contact-halfplane", "free32-model"])
+# an offset Gamma^alpha_i with distinct entries: A(t) then changes direction
+# in so(3) and stops commuting with the Cayley coordinates Omega
+NONCOMMUTING = np.array([[0.3, -0.1, 0.2], [0.1, 0.4, -0.2], [-0.3, 0.2, 0.1]])
+
+
+@pytest.mark.parametrize("name", ["contact-halfplane", "free32-model", "free32-model-noncommuting"])
 def test_curve_rkmk4_order_and_defect(name):
     # RKMK4 in Cayley coordinates keeps order 4 on both Cayley branches:
     # halving dt cuts the endpoint error about 16x, and the frames stay
     # orthogonal. The affine field turns the frames; for k1 = 3 every stage
     # moves them by the traced Gauss-Jordan elimination
-    frame, st, _, sym = ck.context(free32_model_frame() if name == "free32-model" else name)
-    gamma = mf.ChristoffelField(st, sym, np.full((sym.dimH * frame.k1, frame.k1), 0.1), 0.2)
+    frame, st, _, sym = ck.context(free32_model_frame() if name.startswith("free32") else name)
+    offset = NONCOMMUTING if name.endswith("noncommuting") else 0.2
+    gamma = mf.ChristoffelField(st, sym, np.full((sym.dimH * frame.k1, frame.k1), 0.1), offset)
     q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
     u = ["cos(t)", "sin(t)", "0.5*cos(2*t)"][:frame.k1]
     paths = {dt: dv.develop_curve(frame, st, gamma, u, q0, dt, 1.0) for dt in (1e-3, 2e-2, 4e-2)}
@@ -576,6 +583,41 @@ def test_curve_raises_singular_frame_under_python_optimize():
         "SingularFrame Popp drift not finite at a sample point"]
 
 
+def test_constant_geometry_is_checked_while_tracing(monkeypatch):
+    # heisenberg3's det X is 1 and its drift 0 everywhere: both fold to
+    # constants, checked once while tracing, so no step program has an if
+    frame, st, _, gamma = ck.connection("heisenberg3")
+    programs, trace = [], ex.Compiled.trace
+    monkeypatch.setattr(ex.Compiled, "trace",
+                        lambda *args, **kw: programs.append(trace(*args, **kw)) or programs[-1])
+    config = dv.SDEConfig(dt=1e-2, T=0.02, seed=0, paths=4)
+    dv.develop_sde(frame, st, gamma, [0.1, 0.2, 0.3], config)
+    dv.simulate_popp(frame, st, [0.1, 0.2, 0.3], config)
+    dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)"], [0.1, 0.2, 0.3], 1e-2, 0.02)
+    assert [p.name for p in programs] == [
+        "develop_sde step", "simulate_popp step", "develop_curve step"]
+    for program in programs:
+        lines = inspect.getsource(program._run).splitlines()
+        assert not [line for line in lines if line.lstrip().startswith("if ")]
+
+
+def test_constant_singular_frame_raises_while_tracing():
+    # X1 = X2 = d/dx: det X folds to the constant 0, which every simulator
+    # reports, at one path and at several
+    frame = mf.build_frame({"chart": {"coords": ["x", "y"]}, "growth": [2],
+                            "frame": [["1", "0"], ["1", "0"]]})
+    st = mf.StructureField(frame)
+    gamma = mf.ChristoffelField(st, ck.context("hyperbolic-plane")[3])
+    for paths in (1, 4):
+        config = dv.SDEConfig(dt=1e-2, T=0.1, seed=0, paths=paths)
+        with pytest.raises(SingularFrame, match=f"^{mf.FRAME_SINGULAR}$"):
+            dv.develop_sde(frame, st, gamma, [0.0, 0.0], config)
+        with pytest.raises(SingularFrame, match=f"^{mf.FRAME_SINGULAR}$"):
+            dv.simulate_popp(frame, st, [0.0, 0.0], config)
+    with pytest.raises(SingularFrame, match=f"^{mf.FRAME_SINGULAR}$"):
+        dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)"], [0.0, 0.0], 1e-2, 0.1)
+
+
 def exp_frame():
     """X1 = exp(y) d/dx, X2 = exp(x) d/dy: a Riemannian frame whose Popp
     drift, (-exp(y), -exp(x)), has two nonzero components everywhere."""
@@ -596,7 +638,7 @@ def test_sde_step_is_each_paths_scalar_step():
     dw = dv.increments(config.seed, config.dt)(0, config.paths, 2)
 
     def flow(q, h, u):
-        dq, s, _, _ = sys_.point(q, h.ravel().tolist(), u)
+        dq, s = sys_.point(q, h.ravel().tolist(), u)
         sigma = sum(map(operator.mul, s, gamma.blocks[:, 2]))        # A[1, 0]
         return dq, np.array([[[0.0, -sigma], [sigma, 0.0]]])
 

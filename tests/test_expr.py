@@ -280,6 +280,40 @@ def test_traced_program_records_operators_and_ufuncs():
         ex.Compiled.trace(lambda v: [v[0] if v[1] else v[0]], 2, "branch")
 
 
+def test_check_is_recorded_on_traced_values_and_made_at_once_on_others():
+    # a traced value is checked by its program when it runs, in the order
+    # of the checks; a scalar or an array, a constant while tracing included,
+    # is checked at once and never reaches the program
+    def fn(v):
+        ex.check("nonzero", [v[0], 1.0], ValueError("zero"))
+        ex.check("finite", [np.ones(2), v[1], v[0]], ValueError("not finite"))
+        return [v[0] * v[1]]
+
+    prog = ex.Compiled.trace(fn, 2, "checked", scalars=True)
+    checks = [(op[0], args) for _, op, args in prog.ops if isinstance(op, tuple)]
+    [(x, _), (y, _)] = prog.names
+    assert checks == [("nonzero", (x,)), ("finite", (y, x))]
+    assert prog([2.0, 3.0]) == [6.0]
+    with pytest.raises(ValueError, match="^zero$"):
+        prog([0.0, math.nan])
+    with pytest.raises(ValueError, match="^not finite$"):
+        prog([2.0, math.inf])
+    columns = ex.Compiled.trace(fn, 2, "checked columns")
+    assert columns([np.ones(2), np.full(2, 3.0)])[0].tolist() == [3.0, 3.0]
+    with pytest.raises(ValueError, match="^zero$"):
+        columns([np.array([1.0, 0.0]), np.ones(2)])
+    with pytest.raises(ValueError, match="^not finite$"):
+        columns([np.ones(2), np.array([1.0, math.nan])])
+    with pytest.raises(ValueError, match="^zero$"):
+        ex.Compiled.trace(lambda v: ex.check("nonzero", [v[0], 0.0], ValueError("zero")), 1, "x")
+    for test, values in (("nonzero", [1.0, np.array([2.0, 0.0])]), ("finite", [0.0, math.nan]),
+                         ("finite", [np.array([[1.0], [-math.inf]])])):
+        with pytest.raises(ValueError):
+            ex.check(test, values, ValueError())
+    ex.check("nonzero", [-1.0, np.array([2.0, 3.0])], ValueError())
+    ex.check("finite", [0.0, np.zeros((2, 3))], ValueError())
+
+
 def test_generated_lines_show_in_tracebacks_and_source():
     # a Python float divided by zero raises inside the generated function
     prog = ex.Compiled.trace(lambda v: [v[0] * 3.0 / v[1]], 2, "ratio step")
