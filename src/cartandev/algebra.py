@@ -29,6 +29,14 @@ def _frac(x):
     raise MalformedSpec(f"not a rational coefficient: {x!r}")
 
 
+def whole_number(x):
+    """x as an int; a float that is not a whole number raises ValueError,
+    where int() would truncate it."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"not a whole number: {x!r}")
+    return int(x)
+
+
 class _SparseBrackets:
     """Basis brackets read from ``brackets``, which holds c_ij^k for i < j."""
 
@@ -60,14 +68,6 @@ class GradedLieAlgebra(_SparseBrackets):
         """Indices of the basis vectors spanning layer l (1-based)."""
         lo = 0 if l == 1 else self.growth[l - 2]
         return range(lo, self.growth[l - 1])
-
-    def layer_dims(self):
-        prev = 0
-        dims = []
-        for g in self.growth:
-            dims.append(g - prev)
-            prev = g
-        return tuple(dims)
 
     def c(self, i, j, k):
         if i == j:
@@ -171,8 +171,8 @@ def build_algebra(spec):
     with 1-based indices, i < j, coefficients int or "p/q" strings.
     """
     try:
-        dim = int(spec["dim"])
-        growth = tuple(int(g) for g in spec["growth"])
+        dim = whole_number(spec["dim"])
+        growth = tuple(whole_number(g) for g in spec["growth"])
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedSpec(f"missing or invalid dim/growth: {e}") from e
     if dim < 1 or not growth:
@@ -318,10 +318,6 @@ class ExtendedMetric:
 
     blocks: tuple        # one rational Gram matrix per layer
 
-    def gram(self):
-        """Full dim x dim Gram matrix."""
-        return rl.block_diagonal(self.blocks)
-
 
 def _tuples(k1, l):
     if l == 0:
@@ -441,8 +437,7 @@ def symmetry_algebra(alg, metric=None):
                 if coeffs:
                     add_row(coeffs)
 
-    sols = rl.nullspace(rows) if rows else rl.identity(len(slots))
-    sols = rl.row_basis(sols)
+    sols = rl.row_basis(rl.nullspace(rows))
     basis = []
     for sol in sols:
         a = [[ZERO] * n for _ in range(n)]

@@ -89,7 +89,7 @@ def goursat(count, seed):
 def levi_civita(frames):
     """The largest gap between the connection drift and the divergence drift
     over Riemannian frames."""
-    return max(mf.levi_civita_check(f, mf.StructureField(f)).max_difference for f in frames)
+    return max(mf.levi_civita_check(f, mf.StructureField(f)) for f in frames)
 
 
 def lift_independence(name, q0, h0, u_rotated, record):

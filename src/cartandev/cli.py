@@ -140,15 +140,15 @@ def cmd_manifold_check(args):
     # the nilpotent model exists only when the graded constants are constant
     nil = (mf.nilpotentization(frame, structure, points,
                                tol=max(args.tol, 1e-9)).to_spec()
-           if report.ok else None)
+           if report.graded_constant else None)
     return _emit({
         "growth": list(report.growth),
         "graded_constant": report.graded_constant,
         "max_graded_variation": report.max_graded_variation,
         "structure_residual": structure.residual(points),
         "nilpotentization": nil,
-        "ok": report.ok,
-    }, args, report.ok)
+        "ok": report.graded_constant,
+    }, args, report.graded_constant)
 
 
 def cmd_christoffel(args):

@@ -1,9 +1,9 @@
 """Lie algebra cohomology machinery for the ambient algebra g = n + h.
 
 Implements the Chevalley-Eilenberg differential on hom(^k n, g), its Gram
-form, and the two normal-module constructions, all in exact rational
-arithmetic: Morimoto's N_Morimoto = ker d* = (im d+)^perp, and the Popp
-module N = S^perp meet (S + N_Morimoto), orthogonal to the trace module S.
+form for k = 1, 2, and the two normal-module constructions, all in exact
+rational arithmetic: Morimoto's N_Morimoto = ker d* = (im d+)^perp, and the
+Popp module N = S^perp meet (S + N_Morimoto), orthogonal to the trace module S.
 
 Subspaces of hom(^2 n, g) are sparse rows over the positive monomials
 (``ratlinalg``'s {column: Fraction} dicts) from the image of the
@@ -77,22 +77,6 @@ class HomElement:
 
     def is_zero(self):
         return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, ZERO) + c
-        return HomElement(self.arity, out)
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, f):
-        return HomElement(self.arity, {m: f * c for m, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, HomElement) and self.arity == other.arity
-                and self.coeffs == other.coeffs)
 
     def serialize(self):
         """Monomial -> "p/q" map with 1-based indices, keys sorted."""
@@ -193,27 +177,14 @@ class Cohomology:
         return self._gram_n_dual
 
     def wedge_gram(self, js, ks):
-        """<e^{j_1}^...^e^{j_k}, e^{k_1}^...^e^{k_k}> = det(g^{j_r k_s}) / k!"""
+        """<e^{j_1}^...^e^{j_k}, e^{k_1}^...^e^{k_k}> = det(g^{j_r k_s}) / k!
+        at arity k = 1 or 2, the arities of hom(n, g) and hom(^2 n, g) whose
+        Gram forms are taken; any other arity raises ValueError."""
         gd = self.gram_n_dual()
-        k = len(js)
-        if k == 0:
-            return ONE
-        if k == 1:
+        if len(js) == 1:
             return gd[js[0]][ks[0]]
-        if k == 2:
-            return Fraction(1, 2) * (gd[js[0]][ks[0]] * gd[js[1]][ks[1]]
-                                     - gd[js[0]][ks[1]] * gd[js[1]][ks[0]])
-        total = ZERO
-        for perm in itertools.permutations(range(k)):
-            _, sign = _sort_sign(perm)
-            term = ONE
-            for r in range(k):
-                term *= gd[js[r]][ks[perm[r]]]
-            total += sign * term
-        fact = 1
-        for i in range(2, k + 1):
-            fact *= i
-        return total / fact
+        (j1, j2), (k1, k2) = js, ks
+        return Fraction(1, 2) * (gd[j1][k1] * gd[j2][k2] - gd[j1][k2] * gd[j2][k1])
 
     def _block_key(self, m):
         a, js = m
@@ -347,8 +318,6 @@ class Cohomology:
     def _ortho_complement(self, rows, monos):
         """Orthocomplement of the span of sparse rows within the span of monos,
         as sparse rows."""
-        if not rows:
-            return [{i: ONE} for i in range(len(monos))]
         return rl.kernel(rl.product(rows, self._gram_restricted(monos)), len(monos))
 
     def image_partial_plus(self):

@@ -32,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
+from .algebra import whole_number
 from .errors import (Inconsistent, MalformedSpec, ModelMismatch, RankDrop,
                      SingularFrame, UnknownIdentifier)
 
@@ -149,10 +150,6 @@ class FrameField:
     def k1(self):
         return self.growth[0]
 
-    @property
-    def step(self):
-        return len(self.growth)
-
     def degree(self, i):
         """Layer (1-based) of frame index i (0-based)."""
         for l, k in enumerate(self.growth):
@@ -210,7 +207,7 @@ def build_frame(spec):
         coords = tuple(chart_spec["coords"])
         periodic = tuple(chart_spec.get("periodic", ()))
         box = tuple(map(tuple, chart_spec.get("box") or ())) or None
-        growth = tuple(int(k) for k in spec["growth"])
+        growth = tuple(whole_number(k) for k in spec["growth"])
         rows = [list(row) for row in spec["frame"]]
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedSpec(f"manifold spec missing or invalid field: {e}") from None
@@ -357,13 +354,8 @@ class StructureField:
 @dataclass
 class GrowthReport:
     growth: tuple
-    declared: tuple
     graded_constant: bool
     max_graded_variation: float
-
-    @property
-    def ok(self):
-        return self.growth == self.declared and self.graded_constant
 
 
 def _graded(frame):
@@ -407,8 +399,7 @@ def adapted_growth(frame, structure, points=None, tol=1e-9):
 
     c = structure.at(points)
     max_var = max([0.0] + [float(np.ptp(c[:, i, j, k])) for i, j, k in _graded(frame)])
-    return GrowthReport(growth=growth, declared=frame.growth,
-                        graded_constant=max_var <= tol,
+    return GrowthReport(growth=growth, graded_constant=max_var <= tol,
                         max_graded_variation=max_var)
 
 
@@ -593,18 +584,13 @@ def generator_defect(gamma, points):
 # Riemannian cross-check
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LeviCivitaReport:
-    max_difference: float
-    drift_divergence: np.ndarray
-
-
 def levi_civita_check(frame, structure, points=None):
     """Compare the connection-drift and divergence-drift pipelines.
 
     Riemannian case (growth (n,)): the orthonormal-frame Christoffel symbols
     G^k_ij = (c^k_ij - c^i_jk + c^j_ki)/2 give drift_i = sum_j G^j_ji, which
-    must match the structure-constant drift sum_l c_li^l.
+    must match the structure-constant drift sum_l c_li^l. Returns the
+    largest difference of the two drifts over the points.
     """
     if len(frame.growth) != 1:
         raise ModelMismatch("the Riemannian cross-check needs growth (n,)")
@@ -614,9 +600,7 @@ def levi_civita_check(frame, structure, points=None):
     # G[p, i, j, k] = Gamma^k_{ij} with nabla_{X_i} X_j = Gamma^k_{ij} X_k
     g = 0.5 * (c - np.einsum("pbca->pabc", c) + np.einsum("pcab->pabc", c))
     drift1 = np.einsum("pjij->pi", g)
-    drift2 = structure.divergence(points)
-    diff = float(np.abs(drift1 - drift2).max())
-    return LeviCivitaReport(max_difference=diff, drift_divergence=drift2)
+    return float(np.abs(drift1 - structure.divergence(points)).max())
 
 
 # ---------------------------------------------------------------------------

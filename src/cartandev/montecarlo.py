@@ -25,15 +25,12 @@ def summarize(samples):
             float(samples.std(ddof=1) / np.sqrt(len(samples))))
 
 
-def default_test_functions(chart, squares=True, products=False):
-    """The fixed comparison family: coordinates, squares, pairwise products."""
+def default_test_functions(chart, squares=True):
+    """The fixed comparison family as (label, Expr) pairs: the coordinates,
+    then, with squares, their squares."""
     out = [(name, ex.Var(name)) for name in chart.coords]
     if squares:
         out += [(f"{name}^2", ex.Pow(ex.Var(name), 2)) for name in chart.coords]
-    if products:
-        names = chart.coords
-        out += [(f"{a}*{b}", ex.Mul(ex.Var(a), ex.Var(b)))
-                for i, a in enumerate(names) for b in names[i + 1:]]
     return out
 
 

@@ -19,7 +19,7 @@ from cartandev import cohomology as ch
 from cartandev import develop as dv
 from cartandev import manifold as mf
 from cartandev.errors import Inconsistent
-from test_algebra import free_layer_dims_oracle
+from test_algebra import free_layer_dims_oracle, layer_dims
 
 
 # the start point of the contact checks: the middle of the chart's box
@@ -92,7 +92,7 @@ def test_symmetry_dimensions_and_free_growth():
     assert dims["engel"] == 0
     free24 = al.free_nilpotent(2, 4)
     assert free24.growth == (2, 3, 5, 8)
-    assert free24.layer_dims() == free_layer_dims_oracle(2, 4)
+    assert layer_dims(free24) == free_layer_dims_oracle(2, 4)
 
 
 # -- the differential complex and the normal module -----------------------------

@@ -121,10 +121,11 @@ def test_algebra_free_then_symmetry(capsys, tmp_path):
 
 
 def test_normal_module_and_obstruction(capsys):
-    code, rep, _ = run_json(capsys, "normal-module", "--builtin", "free23")
+    code, rep, _ = run_json(capsys, "normal-module", "--builtin", "free23", "--basis")
     assert code == 0
     assert (rep["dim_hom_plus"], rep["dim_im_partial_plus"], rep["dim_N"]) \
         == (53, 13, 40)
+    assert len(rep["basis"]) == rep["dim_N"]
     code, rep, _ = run_json(capsys, "normal-module", "--builtin", "free23",
                             "--method", "morimoto")
     assert code == 0 and rep["dim_N"] == 40
@@ -276,8 +277,9 @@ def _frame_spec(*keys, value):
     return "manifold", spec
 
 
-def _algebra_spec(brackets):
-    return "algebra", {**bi.algebra("heisenberg3").to_spec(), "brackets": brackets}
+def _algebra_spec(**entries):
+    """heisenberg3's algebra spec with the given top-level entries replaced."""
+    return "algebra", {**bi.algebra("heisenberg3").to_spec(), **entries}
 
 
 SIMULATE = ("simulate", "popp", "--paths", "4", "--T", "0.01", "--dt", "0.005")
@@ -288,13 +290,18 @@ SIMULATE = ("simulate", "popp", "--paths", "4", "--T", "0.01", "--dt", "0.005")
     (None, (*SIMULATE, "--builtin", "heisenberg3", "--q0", "1,,2")),
     (_frame_spec("frame", 0, 0, value=1), ("manifold", "check")),
     (_frame_spec("growth", value=["a"]), ("manifold", "check")),
-    (_algebra_spec({"1,2": {"x": 1}}), ("algebra", "check")),
-    (_algebra_spec({"1,2": {"3": "abc"}}), ("algebra", "check")),
-    (_algebra_spec({"1,2": {"3": "1/0"}}), ("algebra", "check")),
+    (_algebra_spec(brackets={"1,2": {"x": 1}}), ("algebra", "check")),
+    (_algebra_spec(brackets={"1,2": {"3": "abc"}}), ("algebra", "check")),
+    (_algebra_spec(brackets={"1,2": {"3": "1/0"}}), ("algebra", "check")),
     (_frame_spec("chart", "box", value=[[1, -1], [-1, 1], [-1, 1]]), SIMULATE),
     (_frame_spec("chart", "box", value=[[0, 1], [0], [0, 1]]), SIMULATE),
+    # whole numbers are not truncated: int() would read these as [2, 3] and 3
+    (_algebra_spec(growth=[2.7, 3]), ("algebra", "check")),
+    (_frame_spec("growth", value=[2.9, 3.2]), ("manifold", "check")),
+    (_algebra_spec(dim=3.5), ("algebra", "check")),
 ], ids=["q0-letters", "q0-empty", "component-number", "growth-letter", "bracket-target",
-        "coefficient-letters", "coefficient-over-zero", "box-reversed", "box-ragged"])
+        "coefficient-letters", "coefficient-over-zero", "box-reversed", "box-ragged",
+        "algebra-growth-fraction", "manifold-growth-fraction", "dim-fraction"])
 def test_malformed_input_exits_2(capsys, tmp_path, spec, argv):
     # each is an input error, not a traceback (exit 1 means infeasible),
     # and a reversed box is not a run whose every path left the chart
@@ -315,6 +322,16 @@ def test_verify_levi_civita(capsys):
                             "hyperbolic-plane")
     assert code == 0
     assert rep["pass"] is True and rep["max_difference"] < 1e-9
+
+
+def test_verify_generator_report(capsys):
+    # a small run, its config fixed before it first ran: the exit code
+    # follows the report's pass, with one row per test function
+    code, rep, _ = run_json(capsys, "verify", "generator", "--builtin", "contact-halfplane",
+                            "--paths", "2000", "--dt", "1e-3", "--T", "0.01", "--seed", "1")
+    assert code == (0 if rep["pass"] else 1)
+    assert rep["pass"] == all(r["pass"] for r in rep["functions"])
+    assert [r["f"] for r in rep["functions"]] == ["x", "y", "t1", "x^2", "y^2", "t1^2"]
 
 
 def test_verify_generator_odd_step_count_is_an_error(capsys):

@@ -869,6 +869,19 @@ def test_periodic_coordinates_are_wrapped_at_every_step():
         assert (t < 1.0).any(), name                        # crossed the seam
 
 
+def test_one_path_that_leaves_the_box_is_marked_and_still_recorded():
+    # X1 = d/dx on y = 0 and the frames stay I: the control (1, 0) moves the
+    # curve along x at unit speed, exactly, in steps of 1/8. At x = 2 it is
+    # on the box's edge, still inside; past it the path is marked as having
+    # left the chart, and every step after the exit is recorded as before
+    frame, st, gamma, _ = sde_setup("heisenberg3")
+    for T, left in ((2.0, False), (3.0, True)):
+        path = dv.develop_curve(frame, st, gamma, ["1", "0"], [0.0, 0.0, 0.0], 0.125, T)
+        assert path.left_chart.tolist() == [left]
+        assert path.points.shape == (round(T / 0.125) + 1, 1, 3)
+        assert path.points[:, 0, 0].tolist() == path.times.tolist()
+
+
 @pytest.mark.parametrize("dt,T", [(3e-3, 0.01), (0.1, 0.04), (1e-2, 0.0), (0.0, 1.0)])
 def test_horizon_must_be_whole_steps(dt, T):
     # a rounded step count would simulate a horizon other than T

@@ -68,6 +68,7 @@ def test_unknown_identifier_at_evaluation():
         ("sin x", 4),        # call requires parentheses
         ("1 @ 2", 2),        # unknown character
         ("", 0),
+        ("foo(x)", 0),       # unknown function
     ],
 )
 def test_syntax_error_positions(text, position):

@@ -13,6 +13,13 @@ from cartandev import montecarlo as mc
 from cartandev.errors import MalformedSpec, NonFinite
 
 
+def pairwise_products(chart):
+    """(label, Expr) of each product of two distinct coordinates."""
+    names = chart.coords
+    return [(f"{a}*{b}", ex.Mul(ex.Var(a), ex.Var(b)))
+            for i, a in enumerate(names) for b in names[i + 1:]]
+
+
 def setup(name):
     frame, st, sym, gamma = ck.connection(name)
     q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
@@ -47,7 +54,7 @@ def test_stderr_scales_with_path_count():
 
 def test_default_test_functions():
     chart = mf.Chart(coords=("x", "y"))
-    fam = mc.default_test_functions(chart, squares=True, products=True)
+    fam = mc.default_test_functions(chart, squares=True) + pairwise_products(chart)
     labels = [name for name, _ in fam]
     assert labels == ["x", "y", "x^2", "y^2", "x*y"]
     env = {"x": 2.0, "y": 3.0}
@@ -157,7 +164,7 @@ def test_generator_report_is_that_of_two_runs(offset):
     frame, st, gamma, sym, q0 = setup("contact-halfplane")
     gamma = gamma.perturbed(offset)
     cfg = dv.SDEConfig(dt=1e-3, T=0.02, seed=21, paths=3000)
-    fam = mc.default_test_functions(frame.chart, squares=True, products=True)
+    fam = mc.default_test_functions(frame.chart, squares=True) + pairwise_products(frame.chart)
     rep = mc.generator_family_test(frame, st, gamma, sym, fam, q0, cfg)
     oracle = _two_run_report(frame, st, gamma, fam, q0, cfg)
     assert json.dumps(rep) == json.dumps(oracle)
