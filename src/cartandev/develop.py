@@ -131,13 +131,24 @@ def _add(x, k):
     return [a + b for a, b in zip(x, k)]
 
 
+def _zero(x):
+    """Whether x is a Python float 0.0: in a traced step, a constant zero."""
+    return type(x) is float and x == 0.0
+
+
+def _plus(a, b):
+    """a + b, or the other where one is _zero: bit for bit but a zero's sign."""
+    return b if _zero(a) else a if _zero(b) else a + b
+
+
 def _dot(a, b):
-    """0.0 + a_0 b_0 + a_1 b_1 + ..., one operation at a time in this order
-    (einsum's), so a path's scalars and its column in a batch get the same
-    bits (sum() may compensate a sum of floats)."""
+    """a_0 b_0 + a_1 b_1 + ... from its first term, one operation at a time
+    in this order (sum() may compensate), so a path's scalars and its column
+    get the same bits; a product with a _zero factor is left out."""
     out = 0.0
     for x, y in zip(a, b):
-        out = out + x * y
+        if not (_zero(x) or _zero(y)):
+            out = _plus(out, x * y)
     return out
 
 
@@ -158,10 +169,11 @@ def _rk4(flow, state, u, dt):
     """
     half = 0.5 * dt
     k1 = flow(state, u[0])
-    k2 = flow([x + half * k for x, k in zip(state, k1)], u[1])
-    k3 = flow([x + half * k for x, k in zip(state, k2)], u[1])
-    k4 = flow([x + dt * k for x, k in zip(state, k3)], u[2])
-    return [x + dt * (a + 2 * b + 2 * c + d) / 6.0 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    k2 = flow([_plus(x, half * k) for x, k in zip(state, k1)], u[1])
+    k3 = flow([_plus(x, half * k) for x, k in zip(state, k2)], u[1])
+    k4 = flow([_plus(x, dt * k) for x, k in zip(state, k3)], u[2])
+    return [_plus(x, dt * (a + 2 * b + 2 * c + d) / 6.0)
+            for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
 def _integrate(advance, state, d, steps, dt, record, chart=None):
@@ -177,11 +189,12 @@ def _integrate(advance, state, d, steps, dt, record, chart=None):
     they are written into one array allocated before the first step.
     """
     named = {"full": range(steps + 1), "endpoints": (0, steps)}
-    keep = named.get(record) if isinstance(record, str) else sorted(set(record))
-    if keep is None or not keep or not all(
-            isinstance(s, (int, np.integer)) and 0 <= s <= steps for s in keep):
+    keep = named.get(record) if isinstance(record, str) else list(record)
+    if not keep or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                           and 0 <= s <= steps for s in keep):
         raise MalformedSpec(
             f"record must be 'full', 'endpoints' or step indices in [0, {steps}], got {record!r}")
+    keep = sorted(set(keep))
     batch, paths = np.ndim(state[0]) > 0, np.size(state[0])
     # each path's values in a row, as a (paths, d) array keeps them, so that
     # reductions over paths add in the same order
@@ -260,10 +273,10 @@ class CarnotGroup:
     """The left-invariant fields of a Carnot group of step <= 4 in
     exponential coordinates of the first kind, which its lift follows.
 
-    Brackets run through plans built once: a plan keeps, in order, the
-    products of the sparse terms whose factors are not structurally zero
-    for a known zero pattern of y. Skipping a product with a zero factor, or
-    a multiplication by v = 1, leaves every bit of a finite result as it is.
+    A bracket sums each coordinate's sparse terms v (x_i y_j - x_j y_i) in
+    order from the first (_plus), 0.0 where none lands, leaving out products
+    with a _zero factor of y (e past its first k1, [x, e] below degree 2):
+    no bit of a finite result changes but the sign of a zero one.
     """
 
     def __init__(self, alg):
@@ -273,32 +286,20 @@ class CarnotGroup:
                 f"algebra has step {alg.step}")
         self.alg = alg
         # sparse bracket terms (i < j): [x, y]_k += v (x_i y_j - x_j y_i)
-        self._terms = [(i, j, k, float(v))
-                       for (i, j), row in alg.brackets.items()
+        self._terms = [(i, j, k, float(v)) for (i, j), row in alg.brackets.items()
                        for k, v in row.items()]
-        k1 = alg.growth[0]
-        self._horizontal = self._plan(range(k1, alg.dim))   # [x, e], e horizontal
-        self._vertical = self._plan(range(k1))              # [x, [x, e]]
 
-    def _plan(self, zero):
-        """Entries (k, v, pos, neg): [x, y]_k += v x_i y_j for pos = (i, j),
-        -= v x_j y_i for neg = (j, i); a product is None where y is zero."""
-        return [(k, v, (i, j) if j not in zero else None,
-                 (j, i) if i not in zero else None)
-                for i, j, k, v in self._terms if i not in zero or j not in zero]
-
-    def _bracket(self, plan, x, y):
-        """[x, y] by plan, on coordinate sequences (the columns of an array,
-        or traced values): the list of its dim coordinates, 0.0 where no term lands."""
+    def _bracket(self, x, y):
+        """[x, y] on coordinate sequences (the columns of an array, or
+        traced values): the list of its dim coordinates."""
         out = [0.0] * self.alg.dim
-        for k, v, pos, neg in plan:
-            a, b = pos or neg
-            w = x[a] * y[b]
-            if pos and neg:
-                w = w - x[neg[0]] * y[neg[1]]
-            if v != 1.0:
-                w = w * v
-            out[k] = out[k] + w if pos else out[k] - w
+        for i, j, k, v in self._terms:
+            pos, neg = not _zero(y[j]), not _zero(y[i])
+            if pos or neg:
+                w = x[i] * y[j] if pos else x[j] * y[i]
+                if pos and neg:
+                    w = w - x[j] * y[i]
+                out[k] = _plus(out[k], w * v) if pos else out[k] - w * v
         return out
 
     def _field(self, x, e):
@@ -306,11 +307,12 @@ class CarnotGroup:
         of a horizontal e, on coordinate sequences: x's dim and e's first k1,
         which are V's first k1 ([x, e] has degree >= 2, [x, [x, e]] >= 3)."""
         k1 = self.alg.growth[0]
-        xe = self._bracket(self._horizontal, x, e)
+        e = [*e[:k1], *[0.0] * (self.alg.dim - k1)]
+        xe = self._bracket(x, e)
         out = [*e[:k1], *(c / 2.0 for c in xe[k1:])]
         if self.alg.step >= 3:
             k2 = self.alg.growth[1]
-            xxe = self._bracket(self._vertical, x, xe)
+            xxe = self._bracket(x, xe)
             out[k2:] = [c + t / 12.0 for c, t in zip(out[k2:], xxe[k2:])]
         return out
 
@@ -318,9 +320,9 @@ class CarnotGroup:
 def simulate_carnot_lift(alg, config, record="endpoints"):
     """Lift of Brownian motion on R^{k1} to the Carnot group (Heun scheme).
 
-    The step is traced from the bracket plans on the dim coordinate columns,
-    in the order of their products, so each column gets the bits of the
-    same arithmetic on (paths, dim) arrays.
+    The step is traced from the bracket terms on the dim coordinate columns,
+    in their order, so each column gets the bits of the same arithmetic on
+    (paths, dim) arrays.
     """
     group = CarnotGroup(alg)
     state = [np.zeros(config.paths)] * alg.dim
@@ -352,10 +354,7 @@ def _generator_coordinates(blocks, k1):
 
 def _eye_plus(k1, c, x):
     """The rows of I + c X, for the row-major entries x of a k1 x k1 matrix X."""
-    rows = [[c * x[i * k1 + j] for j in range(k1)] for i in range(k1)]
-    for i in range(k1):
-        rows[i][i] = 1.0 + rows[i][i]
-    return rows
+    return [[_plus(float(i == j), c * x[i * k1 + j]) for j in range(k1)] for i in range(k1)]
 
 
 def _frame_move(k1):
@@ -423,12 +422,11 @@ class _DevelopSystem:
     def __init__(self, frame, structure, gamma):
         self.structure = structure
         self.gamma = gamma
-        self.k1 = frame.k1
+        self.k1 = k1 = frame.k1
         self.coords = frame.chart.coords
         # Gamma = div P^T + offset: the rows of P, one offset per (alpha, i)
         self._p = gamma.p.tolist()
-        offset = np.broadcast_to(gamma.offset, (1, len(gamma.blocks), self.k1))
-        self._offset = offset.ravel().tolist()
+        self._offset = np.broadcast_to(gamma.offset, (1, len(gamma.blocks), k1)).ravel().tolist()
 
     def point(self, q, h, u):
         """dq and the coordinates s_alpha of A in the basis A_alpha for control
@@ -437,28 +435,26 @@ class _DevelopSystem:
         dq = (u^T h~ X)(q): move along sum_i (h~^T u)_i X_i;
         A = sum_alpha (u^T h~ Gamma^alpha(q)) A_alpha in so(k1), so that
         dh~ = h~ A. q, row-major h~ and u are sequences of values (scalars
-        or columns), or of values traced into a step. Each sum runs in a
-        fixed order, starting from 0, so a path's bits do not depend on how
-        many paths run. The geometry (StructureField._horizontal_at) checks
-        det X and the drift, which it may compute with a division by zero, so
-        the caller suppresses floating-point warnings, as divergence does.
+        or columns), or of values traced into a step. Each sum (_dot) runs
+        in a fixed order, so a path's bits do not depend on how many paths
+        run. The geometry (StructureField._horizontal_at) checks det X and
+        the drift, which it may compute with a division by zero, so the
+        caller suppresses floating-point warnings, as divergence does.
         """
         k1 = self.k1
         v = [_dot(h[i::k1], u) for i in range(k1)]                    # h~^T u
         rows, drift = self.structure._horizontal_at(dict(zip(self.coords, q)))
         dq = [_dot(row, v) for row in rows]
-        gamma = [_dot(drift, p) + c for p, c in zip(self._p, self._offset)]
+        gamma = [_plus(_dot(drift, p), c) for p, c in zip(self._p, self._offset)]
         gen = [_dot(gamma[a:a + k1], v) for a in range(0, len(gamma), k1)]
         return dq, gen
 
 
 def _prepare_h0(h0, k1):
-    if h0 is None:
-        h0 = np.eye(k1)
-    h0 = np.asarray(h0, dtype=float)
+    h0 = np.asarray(np.eye(k1) if h0 is None else h0, dtype=float)
     if h0.shape != (k1, k1):
         raise MalformedSpec(f"h0 must be a {k1}x{k1} matrix, got {h0.shape}")
-    if ortho_defect(h0[None]) > 1e-8:
+    if not np.isfinite(h0).all() or ortho_defect(h0[None]) > 1e-8:
         raise MalformedSpec("h0 must be orthogonal")
     return h0
 
@@ -498,9 +494,7 @@ def _control_table(u, steps, dt):
     times = np.stack((start, start + 0.5 * dt, start + dt), axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = ex.Compiled(u, "develop_curve control")({"t": times})
-    table = np.empty((steps, 3, len(u)))
-    for i, v in enumerate(vals):
-        table[:, :, i] = v
+    table = np.stack(np.broadcast_arrays(times, *vals)[1:], axis=-1)
     bad = ~np.isfinite(table).all(axis=2)
     if bad.any():
         raise NonFinite(f"control not finite at t={float(times[bad][0])!r}")

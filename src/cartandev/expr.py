@@ -288,6 +288,8 @@ def pow_(a, k):
 # -- shared-subexpression evaluation -------------------------------------------
 
 _INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*", operator.truediv: "/"}
+_UNITS = {(operator.mul, 0): 1.0, (operator.mul, 1): 1.0, (operator.truediv, 1): 1.0,
+          (operator.sub, 1): 0.0}     # (op, side): the float there that gives the other operand
 _serial = itertools.count()
 
 
@@ -345,7 +347,9 @@ class Compiled:
         traced value; the rest of fn (arithmetic on constants, its control
         flow) runs once, here. So fn must not branch on an input. The
         program takes env as a sequence of arity values and returns fn's
-        outputs for them bit for bit, on Python floats with scalars.
+        outputs for them bit for bit, on Python floats with scalars. x * 1.0,
+        1.0 * x, x / 1.0 and x - 0.0 are x, bit for bit, and not recorded;
+        0.0 + x, x + 0.0 (+0.0 at -0.0), 0.0 - x, x * 0.0 and 0.0 * x are.
         """
         self = cls.__new__(cls)
         self._start()
@@ -409,6 +413,9 @@ class Compiled:
         return self._const(x)
 
     def _record(self, fn, args):
+        for i, x in enumerate(args):
+            if isinstance(x, float) and x == _UNITS.get((fn, i)) and math.copysign(1.0, x) > 0:
+                return Traced(self, self._operand(args[1 - i]))
         return Traced(self, self._op(fn, tuple(map(self._operand, args))))
 
     def _finish(self, outputs, name, scalars=False):
@@ -604,7 +611,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 

@@ -1,6 +1,7 @@
 """Tests for the group law, left-invariant fields, and development dynamics."""
 
 import inspect
+import math
 import operator
 import os
 import subprocess
@@ -653,6 +654,150 @@ def test_sde_step_is_each_paths_scalar_step():
     assert np.abs(path.frames[1] - np.eye(2)).max() > 1e-3
 
 
+def _factor(rng, size):
+    """A constant (0.0, -0.0, 1.0 or a normal) or a column with exact zeros of both signs."""
+    kind = rng.integers(5)
+    if kind < 4:
+        return (0.0, -0.0, 1.0, float(rng.normal()))[kind]
+    column = rng.normal(size=size)
+    column[rng.random(size) < 0.3] = 0.0
+    column[rng.random(size) < 0.15] = -0.0
+    return column
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dot_equals_the_zero_started_sum(seed):
+    # _dot sums from its first term and leaves out the products with a
+    # constant 0.0 factor; traced into a program, it equals 0.0 + a0 b0 +
+    # a1 b1 + ... on columns everywhere, byte for byte wherever that is
+    # nonzero (a zero one may have the other sign)
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        a, b = [_factor(rng, 16) for _ in range(n)], [_factor(rng, 16) for _ in range(n)]
+        want = 0.0
+        for x, y in zip(a, b):
+            want = want + x * y
+        columns = [x for x in a + b if isinstance(x, np.ndarray)]
+
+        def fn(v):
+            slots = iter(v)
+            a_, b_ = ([next(slots) if isinstance(x, np.ndarray) else x for x in f] for f in (a, b))
+            return [dv._dot(a_, b_)]
+
+        got = np.broadcast_to(ex.Compiled.trace(fn, len(columns), "dot")(columns)[0], 16)
+        want = np.broadcast_to(want, 16)
+        assert np.array_equal(got, want)
+        assert got[want != 0].tobytes() == want[want != 0].tobytes()
+        assert np.array_equal(np.broadcast_to(dv._dot(a, b), 16), want)
+
+
+def free32_drifting_frame():
+    """free32_model_frame with X1's a component 1 + exp(-1/a^2): at a = 0
+    det X is 1 and the drift nan (0 * inf in the a-derivative)."""
+    spec = free32_model_frame().to_spec()
+    spec["frame"][0][0] = "1 + exp(-1/(a*a))"
+    return mf.build_frame(spec)
+
+
+@pytest.mark.parametrize("name", ["contact-halfplane", "free32-model"])
+def test_products_left_out_of_sums_with_the_drift_leave_its_check_first(name):
+    # the zeros of P (Gamma = div P^T + offset), of the frame rows in
+    # simulate_popp (w = dw + drift dt/2) and, through Gamma, of the so(k1)
+    # blocks and of I + Omega/2 multiply the drift or values made from it:
+    # at a nan drift every simulator still raises the drift check first
+    if name == "contact-halfplane":
+        _, _, sym, gamma = ck.connection(name)
+        frame, p, q0 = nan_drift_frame(), gamma.p, [0.0, 1.0, 0.5]
+    else:
+        sym = ck.context(free32_model_frame())[3]
+        frame, q0 = free32_drifting_frame(), [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+        p = np.where(np.arange(sym.dimH * 9).reshape(-1, 3) % 2, 0.1, 0.0)
+    st = mf.StructureField(frame)
+    gamma = mf.ChristoffelField(st, sym, p, 0.2)
+    k1 = frame.k1
+    assert (gamma.p == 0).any() and (gamma.blocks == 0).any()
+    assert any(ex._is_const(c, 0.0) for field in frame.fields[:k1] for c in field)
+    message = f"^{mf.DRIFT_NOT_FINITE}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for paths in (1, 4):
+            config = dv.SDEConfig(dt=1e-2, T=0.1, seed=0, paths=paths)
+            with pytest.raises(SingularFrame, match=message):
+                dv.develop_sde(frame, st, gamma, q0, config)
+            with pytest.raises(SingularFrame, match=message):
+                dv.simulate_popp(frame, st, q0, config)
+        with pytest.raises(SingularFrame, match=message):
+            dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)", "1"][:k1], q0, 1e-2, 0.1)
+
+
+@pytest.mark.parametrize("name", ["flat-plane", "heisenberg3", "free32-model"])
+def test_products_left_out_of_sums_with_the_noise_leave_it_to_check_finite(name, monkeypatch):
+    # in develop_sde the zeros of the frame rows multiply v = h~^T u, and
+    # a constant-zero Gamma entry and the zeros of the so(k1) blocks values
+    # made from v (each frame's drift is 0, so Gamma is its offset): an
+    # infinite increment, which no draw is, still reaches the points
+    # through the nonzero components of the same field, and check_finite
+    # reports it
+    frame, st, _, sym = ck.context(free32_model_frame() if name == "free32-model" else name)
+    gamma = mf.ChristoffelField(st, sym, offset=np.linspace(0.0, 0.2, frame.k1))
+    assert (gamma.blocks == 0).any()
+    assert any(ex._is_const(c, 0.0) for field in frame.fields[:frame.k1] for c in field)
+    q0 = [0.5 * (lo + hi) for lo, hi in frame.chart.bounds()]
+    increments = dv.increments
+
+    def poisoned(seed, dt):
+        draw = increments(seed, dt)
+
+        def poisoned_draw(step, paths, width):
+            dw = draw(step, paths, width)
+            if step == 2:
+                dw[0, 0] = np.inf
+            return dw
+        return poisoned_draw
+
+    monkeypatch.setattr(dv, "increments", poisoned)
+    config = dv.SDEConfig(dt=1e-2, T=0.05, seed=0, paths=3)
+    for run in (dv.develop_sde(frame, st, gamma, q0, config),
+                dv.simulate_popp(frame, st, q0, config)):
+        assert np.isfinite(run.points[:, 1:]).all()
+        with pytest.raises(NonFinite, match="^simulation produced non-finite states$"):
+            dv.check_finite(run)
+
+
+def test_curve_rejects_a_nonfinite_h0():
+    # an h0 with a nan or inf entry is not orthogonal, though its defect,
+    # nan, compares False with any bound
+    frame, st, gamma, q0 = sde_setup("flat-plane")
+    for bad in (math.nan, math.inf):
+        h0 = np.eye(2)
+        h0[0, 0] = bad
+        with pytest.raises(MalformedSpec, match="^h0 must be orthogonal$"):
+            dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)"], q0, 1e-2, 0.1, h0=h0)
+
+
+# upper bounds of each step program's op count (contact-halfplane; the
+# free24 lift), about a fifth below the 180, 404, 106 and 120 of the same
+# steps traced without the tracer's unit identities and the first-term sums
+OP_BOUNDS = {"develop_sde step": 150, "develop_curve step": 330,
+             "simulate_popp step": 95, "simulate_carnot_lift step": 110}
+
+
+def test_step_programs_do_no_unit_or_zero_work(monkeypatch):
+    programs, trace = [], ex.Compiled.trace
+    monkeypatch.setattr(ex.Compiled, "trace",
+                        lambda *args, **kw: programs.append(trace(*args, **kw)) or programs[-1])
+    frame, st, gamma, q0 = sde_setup("contact-halfplane")
+    config = dv.SDEConfig(dt=1e-2, T=0.02, seed=0, paths=4)
+    dv.develop_sde(frame, st, gamma, q0, config)
+    dv.develop_curve(frame, st, gamma, ["cos(t)", "sin(t)"], q0, 1e-2, 0.02)
+    dv.simulate_popp(frame, st, q0, config)
+    dv.simulate_carnot_lift(bi.algebra("free24"), config)
+    counts = {program.name: len(program.ops) for program in programs}
+    assert counts.keys() == OP_BOUNDS.keys()
+    assert all(counts[name] <= bound for name, bound in OP_BOUNDS.items()), counts
+
+
 def test_sde_orthogonality_defect_small():
     frame, st, gamma, q0 = sde_setup("contact-halfplane")
     config = dv.SDEConfig(dt=1e-3, T=0.5, seed=1, paths=16)
@@ -842,6 +987,16 @@ def test_recording_step_indices_are_rows_of_full(name):
         assert part.ortho_defect == full.ortho_defect
     for bad in ((), (0, 31), (-1,), (1.5,)):
         with pytest.raises(MalformedSpec):
+            simulate(config, bad)
+
+
+@pytest.mark.parametrize("name", ["carnot", "develop", "popp", "curve"])
+def test_boolean_record_is_not_a_step_index(name):
+    # a bool is an int, but True is no step index
+    simulate = _simulators()[name]
+    config = dv.SDEConfig(dt=1e-2, T=0.3, seed=5, paths=4)
+    for bad in ([True, False], [True], (0, True), np.array([True])):
+        with pytest.raises(MalformedSpec, match="^record must be 'full', 'endpoints' or step"):
             simulate(config, bad)
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import struct
 import tracemalloc
 import traceback
 
@@ -279,6 +280,41 @@ def test_traced_program_records_operators_and_ufuncs():
             assert all(same_bytes(g, w) for g, w in zip(prog(env), fn(env)))
     with pytest.raises(TypeError, match="truth value"):
         ex.Compiled.trace(lambda v: [v[0] if v[1] else v[0]], 2, "branch")
+
+
+# a quiet nan with a payload, which an operation could lose
+PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_1234))[0]
+EDGE_VALUES = (0.3, -0.0, math.inf, PAYLOAD_NAN)
+
+
+def test_traced_unit_operands_record_no_op_and_keep_every_bit():
+    # x * 1.0, 1.0 * x, x / 1.0 and x - 0.0 are x itself, on scalars,
+    # columns and Python floats: the program returns its input's bytes
+    def fn(v):
+        return [v[0] * 1.0, 1.0 * v[0], v[0] / 1.0, v[0] - 0.0]
+
+    for scalars in (False, True):
+        prog = ex.Compiled.trace(fn, 1, "units", scalars=scalars)
+        assert prog.ops == []
+        for x in EDGE_VALUES:
+            for value in ((x,) if scalars else (np.float64(x), np.array([x, 2.0]))):
+                assert all(same_bytes(got, value) for got in prog([value]))
+
+
+@pytest.mark.parametrize("text", ["x + 0.0", "0.0 + x", "0.0 - x", "x * 0.0", "0.0 * x",
+                                  "x - -0.0", "x * 1", "x / 1"])
+def test_traced_zero_sums_and_products_are_recorded(text):
+    # these are not x at some input: each stays one op, with the bytes of
+    # the untraced expression (x + 0.0 is +0.0 at x = -0.0, x * 0.0 nan at
+    # inf); an int 1 is not folded either
+    def fn(v):
+        return [eval(text, {"x": v[0]})]
+
+    prog = ex.Compiled.trace(fn, 1, text)
+    assert len(prog.ops) == 1
+    with np.errstate(invalid="ignore"):
+        for x in EDGE_VALUES:
+            assert same_bytes(prog([np.float64(x)])[0], fn([np.float64(x)])[0])
 
 
 def test_check_is_recorded_on_traced_values_and_made_at_once_on_others():
