@@ -7,6 +7,7 @@ format is 1-based.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -319,15 +320,6 @@ class ExtendedMetric:
     blocks: tuple        # one rational Gram matrix per layer
 
 
-def _tuples(k1, l):
-    if l == 0:
-        yield ()
-        return
-    for rest in _tuples(k1, l - 1):
-        for i in range(k1):
-            yield (i,) + rest
-
-
 def extend_metric(alg):
     """Extended metric from least-norm preimages of iterated brackets.
 
@@ -339,7 +331,7 @@ def extend_metric(alg):
     for l in range(2, alg.step + 1):
         target = list(alg.layer(l))
         cols = []
-        for tup in _tuples(k1, l):
+        for tup in itertools.product(range(k1), repeat=l):
             # left-nested bracket [e_{t0}, [e_{t1}, ... [e_{t_{l-2}}, e_{t_{l-1}}]]]
             vec = [ZERO] * alg.dim
             vec[tup[-1]] = Fraction(1)

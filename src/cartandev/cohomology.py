@@ -1,8 +1,9 @@
 """Lie algebra cohomology machinery for the ambient algebra g = n + h.
 
-Implements the Chevalley-Eilenberg differential on hom(^k n, g), its Gram
-form for k = 1, 2, and the two normal-module constructions, all in exact
-rational arithmetic: Morimoto's N_Morimoto = ker d* = (im d+)^perp, and the
+Implements the Chevalley-Eilenberg differential on hom(^k n, g), which
+pushes each term of an element to the entries it reaches, its Gram form for
+k = 1, 2, and the two normal-module constructions, all in exact rational
+arithmetic: Morimoto's N_Morimoto = ker d* = (im d+)^perp, and the
 Popp module N = S^perp meet (S + N_Morimoto), orthogonal to the trace module S.
 
 Subspaces of hom(^2 n, g) are sparse rows over the positive monomials
@@ -13,9 +14,9 @@ reduced echelon basis; dense rows and HomElements are views of it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -127,8 +128,8 @@ class HomSubspace:
 class Cohomology:
     """All cohomological operations for one ambient algebra with its metric.
 
-    Caches monomial enumerations, Gram matrices, monomial differentials, im d+
-    and its orthocomplement (the Morimoto module), and d of the identity;
+    Caches monomial enumerations, Gram matrices, im d+ and its
+    orthocomplement (the Morimoto module), and d of the identity;
     callers share the two HomSubspaces and must not modify them.
     """
 
@@ -141,7 +142,6 @@ class Cohomology:
         self._gram_g = None
         self._gram_n_dual = None
         self._grams = {}
-        self._mono_diff = {}
         self._im = None
         self._morimoto = None
 
@@ -197,17 +197,6 @@ class Cohomology:
         """The identity of n as an arity-1 element: sum_j e_j (x) e^j."""
         return HomElement(1, {(j, (j,)): ONE for j in range(self.n)})
 
-    def evaluate(self, elem, args):
-        """elem evaluated on a tuple of n-basis indices; a sparse g-vector."""
-        js, sign = _sort_sign(args)
-        if sign == 0:
-            return {}
-        out = {}
-        for (a, ks), c in elem.coeffs.items():
-            if ks == js:
-                out[a] = out.get(a, ZERO) + sign * c
-        return out
-
     @functools.cached_property
     def _bracket_preimage(self):
         """l -> the pairs i < j of n-basis indices whose bracket has an e_l term."""
@@ -218,64 +207,41 @@ class Cohomology:
                     out.setdefault(l, []).append((i, j))
         return out
 
-    def _support(self, elem):
-        """The sorted (k+1)-tuples on which d(elem) can be nonzero.
-
-        A term of d(elem) on a tuple evaluates elem either on the tuple less
-        one index or on (l, rest), where e_l is a term of the bracket of two
-        indices of the tuple and rest is the tuple less those two. So the
-        tuple contains the index set of one of elem's monomials, or is that
-        set less l together with a pair whose bracket has an e_l term.
-        """
-        out = set()
-        for _, ks in elem.coeffs:
-            out.update(tuple(sorted(ks + (x,))) for x in range(self.n) if x not in ks)
-            for l in ks:
-                rest = tuple(j for j in ks if j != l)
-                out.update(tuple(sorted(rest + pair))
-                           for pair in self._bracket_preimage.get(l, ())
-                           if pair[0] not in rest and pair[1] not in rest)
-        return sorted(out)
-
     def differential(self, elem):
-        """Chevalley-Eilenberg differential hom(^k n, g) -> hom(^{k+1} n, g).
+        """Chevalley-Eilenberg differential hom(^k n, g) -> hom(^{k+1} n, g):
+        df(x_0..x_k) = sum_i (-1)^i [x_i, f(..^x_i..)]
+                       + sum_{i<j} (-1)^{i+j} f([x_i, x_j], ..^x_i..^x_j..).
 
-        Only the tuples of _support are evaluated, in the order of
-        itertools.combinations, so the result is the one a sweep over every
-        (k+1)-tuple gives, term for term.
+        Each term c e_a (x) e^J of f is pushed to the entries of df it
+        reaches. In the first sum f is evaluated on J: each x not in J, at
+        position i of J + {x}, adds (-1)^i c [e_x, e_a] there. In the second,
+        f(e_l, J - l) = (-1)^p c e_a for l at position p of J: each pair
+        x_i < x_j outside J - l whose bracket has an e_l term adds
+        (-1)^{i+j+p} c_{x_i x_j}^l c e_a on (J - l) + {x_i, x_j}, at its
+        positions i and j. The terms come sorted by (index tuple, a), an
+        order that does not depend on the order of f's terms.
         """
-        k = elem.arity
-        amb = self.amb
+        amb, brackets = self.amb, self.amb.nil.brackets
         out = {}
-        for tup in self._support(elem):
-            val = {}
-            for i in range(k + 1):
-                rest = tup[:i] + tup[i + 1:]
-                inner_val = self.evaluate(elem, rest)
-                if not inner_val:
-                    continue
-                # the sign (-1)^i by adding or subtracting: one product a term
-                sign = operator.add if i % 2 == 0 else operator.sub
-                for a, c in inner_val.items():
-                    for b, w in amb.bracket_basis(tup[i], a).items():
-                        val[b] = sign(val.get(b, ZERO), c * w)
-            for i in range(k + 1):
-                for j in range(i + 1, k + 1):
-                    rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
-                    sign = operator.sub if (i + j) % 2 == 1 else operator.add
-                    for l, c in amb.nil.bracket_basis(tup[i], tup[j]).items():
-                        for a, w in self.evaluate(elem, (l,) + rest).items():
-                            val[a] = sign(val.get(a, ZERO), c * w)
-            for a, c in val.items():
-                if c != 0:
-                    out[(a, tup)] = c
-        return HomElement(k + 1, out)
+        for (a, js), c in elem.coeffs.items():
+            for x in range(self.n):
+                if x not in js:
+                    i = bisect.bisect(js, x)
+                    tup = js[:i] + (x,) + js[i:]
+                    s = c if i % 2 == 0 else -c
+                    for b, w in amb.bracket_basis(x, a).items():
+                        out[tup, b] = out.get((tup, b), ZERO) + s * w
+            for p, l in enumerate(js):
+                rest = js[:p] + js[p + 1:]
+                for xi, xj in self._bracket_preimage.get(l, ()):
+                    if xi not in rest and xj not in rest:
+                        tup = tuple(sorted(rest + (xi, xj)))
+                        s = c if (tup.index(xi) + tup.index(xj) + p) % 2 == 0 else -c
+                        out[tup, a] = out.get((tup, a), ZERO) + s * brackets[xi, xj][l]
+        return HomElement(elem.arity + 1, {(a, tup): out[tup, a] for tup, a in sorted(out)})
 
     def _monomial_differential(self, arity, m):
-        key = (arity, m)
-        if key not in self._mono_diff:
-            self._mono_diff[key] = self.differential(HomElement(arity, {m: ONE}))
-        return self._mono_diff[key]
+        return self.differential(HomElement(arity, {m: ONE}))
 
     # -- subspaces of positive-degree hom(^2 n, g) ---------------------------
 

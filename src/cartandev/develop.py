@@ -189,7 +189,8 @@ def _integrate(advance, state, d, steps, dt, record, chart=None):
     they are written into one array allocated before the first step.
     """
     named = {"full": range(steps + 1), "endpoints": (0, steps)}
-    keep = named.get(record) if isinstance(record, str) else list(record)
+    keep = (named.get(record) if isinstance(record, str)
+            else list(record) if np.iterable(record) else None)
     if not keep or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
                            and 0 <= s <= steps for s in keep):
         raise MalformedSpec(
@@ -516,7 +517,9 @@ def _rkmk4_step(sys, dt):
         q, h, c = inputs[:d], inputs[d:d + k1 * k1], inputs[d + k1 * k1:]
 
         def flow(y, u):                                 # y = [*q, *Omega]
-            dq, gen = sys.point(y[:d], move(h, y[d:]), u)
+            # the first stage's Omega is the constant 0 and cay(0) = I
+            frame = h if all(map(_zero, y[d:])) else move(h, y[d:])
+            dq, gen = sys.point(y[:d], frame, u)
             return [*dq, *velocity(y[d:], coordinates(gen))]
 
         y = _rk4(flow, [*q, *zero], [c[:k1], c[k1:2 * k1], c[2 * k1:]], dt)

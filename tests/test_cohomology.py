@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,6 +29,18 @@ def inner(co, x, y):
                Fraction(0))
 
 
+def evaluate(elem, args):
+    """elem evaluated on a tuple of n-basis indices; a sparse g-vector."""
+    js, sign = ch._sort_sign(args)
+    if sign == 0:
+        return {}
+    out = {}
+    for (a, ks), c in elem.coeffs.items():
+        if ks == js:
+            out[a] = out.get(a, Fraction(0)) + sign * c
+    return out
+
+
 def codifferential(co, beta):
     """Gram-adjoint of the differential: <d a, b> = <a, d* b> exactly."""
     k = beta.arity - 1
@@ -37,8 +50,13 @@ def codifferential(co, beta):
     return ch.HomElement(k, dict(zip(monos, rl.solve(gram, y))))
 
 
+FREE_ALGEBRAS = {"free32": (3, 2), "free25": (2, 5), "free33": (3, 3)}     # (generators, step)
+
+
 def make_cohomology(name):
-    return cohomology_for(builtin_algebra(name))
+    """The Cohomology of a builtin algebra or of a free one of FREE_ALGEBRAS."""
+    free = FREE_ALGEBRAS.get(name)
+    return cohomology_for(al.free_nilpotent(*free) if free else builtin_algebra(name))
 
 
 # -- basic wedge bookkeeping -------------------------------------------------
@@ -90,21 +108,21 @@ def test_differential_squares_to_zero(name):
 
 
 def swept_differential(co, elem):
-    """The differential by a sweep over every (k+1)-tuple: the oracle of the
-    sparse differential, which evaluates only the tuples that can be nonzero."""
+    """The differential by a sweep over every (k+1)-tuple, evaluating elem on
+    each: the oracle of the differential, which pushes elem's terms forward."""
     k, amb, out = elem.arity, co.amb, {}
     for tup in itertools.combinations(range(co.n), k + 1):
         val = {}
         for i in range(k + 1):
             s = Fraction(1 if i % 2 == 0 else -1)
-            for a, c in co.evaluate(elem, tup[:i] + tup[i + 1:]).items():
+            for a, c in evaluate(elem, tup[:i] + tup[i + 1:]).items():
                 for b, w in amb.bracket_basis(tup[i], a).items():
                     val[b] = val.get(b, Fraction(0)) + s * c * w
         for i, j in itertools.combinations(range(k + 1), 2):
             rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
             s = Fraction(-1 if (i + j) % 2 == 1 else 1)
             for l, c in amb.nil.bracket_basis(tup[i], tup[j]).items():
-                for a, w in co.evaluate(elem, (l,) + rest).items():
+                for a, w in evaluate(elem, (l,) + rest).items():
                     val[a] = val.get(a, Fraction(0)) + s * c * w
         out.update(((a, tup), c) for a, c in val.items() if c != 0)
     return out
@@ -118,6 +136,60 @@ def test_differential_equals_the_full_sweep(name):
     elems = [ch.HomElement(k, {m: Fraction(1)}) for k in range(3) for m in co.monomials(k)]
     for e in elems + [co.identity_hom()]:
         assert list(co.differential(e).coeffs.items()) == list(swept_differential(co, e).items())
+
+
+def random_elements(co, rng, k, count):
+    """count elements of arity k, each of 2 to 6 terms (at most every monomial
+    of arity k) with coefficients p/q, 0 < |p| <= 9 and q <= 7. Where another
+    monomial's differential shares an entry with the first term's, the second
+    term is that monomial, with the coefficient that cancels the two on the
+    entry; each such pair is returned with its entry."""
+    monos = co.monomials(k)
+    swept = {m: swept_differential(co, ch.HomElement(k, {m: Fraction(1)})) for m in monos}
+    elems, pairs = [], []
+    for _ in range(count):
+        first = rng.choice(monos)
+        terms = {first: Fraction(rng.choice([-9, -5, -2, -1, 1, 3, 4, 7]), rng.randint(1, 7))}
+        entry = rng.choice(sorted(swept[first])) if swept[first] else None
+        partners = [m for m in monos if m != first and entry in swept[m]]
+        if partners:
+            m = rng.choice(partners)
+            terms[m] = -terms[first] * swept[first][entry] / swept[m][entry]
+            pairs.append((ch.HomElement(k, dict(terms)), entry))
+        size = min(rng.randint(2, 6), len(monos))
+        while len(terms) < size:
+            c = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+            terms.setdefault(rng.choice(monos), c)
+        elems.append(ch.HomElement(k, terms))
+    return elems, pairs
+
+
+PUSH_FORWARD_CASES = {"engel": 11, "free24": 12, "free32": 13}     # algebra: seed
+
+
+@pytest.mark.parametrize("name", sorted(PUSH_FORWARD_CASES))
+def test_differential_of_sums_equals_the_full_sweep(name):
+    # 20 elements of each arity 0 to 2: the term maps agree with the sweep's,
+    # and the term order is (index tuple, a) whatever the order of the terms
+    co = make_cohomology(name)
+    rng = random.Random(PUSH_FORWARD_CASES[name])
+    for k in range(3):
+        elems, pairs = random_elements(co, rng, k, 20)
+        # at arity 0 no sampled entry is shared by two differentials
+        assert len(pairs) >= (5 if k else 0)
+        for pair, entry in pairs:
+            assert entry not in co.differential(pair).coeffs
+        for e in elems + [pair for pair, _ in pairs]:
+            d = co.differential(e)
+            assert dict(d.coeffs) == swept_differential(co, e)
+            assert list(d.coeffs) == sorted(d.coeffs, key=lambda m: (m[1], m[0]))
+            items = list(e.coeffs.items())
+            rng.shuffle(items)
+            for reordered in (items, items[::-1]):
+                assert list(co.differential(ch.HomElement(k, dict(reordered))).coeffs.items()) \
+                    == list(d.coeffs.items())
+            if k:
+                assert co.differential(d).is_zero()
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "free23"])
@@ -280,13 +352,13 @@ def reference_h_action(co, alpha, elem):
     for p in range(co.n):
         for q in range(p + 1, co.n):
             val = {}
-            for a, c in co.evaluate(elem, (p, q)).items():
+            for a, c in evaluate(elem, (p, q)).items():
                 for b, w in amb.bracket_basis(ea, a).items():
                     val[b] = val.get(b, 0) + c * w
             for r in range(co.n):
-                for a, c in co.evaluate(elem, (r, q)).items():
+                for a, c in evaluate(elem, (r, q)).items():
                     val[a] = val.get(a, 0) - mat[r][p] * c
-                for a, c in co.evaluate(elem, (p, r)).items():
+                for a, c in evaluate(elem, (p, r)).items():
                     val[a] = val.get(a, 0) - mat[r][q] * c
             out.update(((a, (p, q)), c) for a, c in val.items())
     return ch.HomElement(2, out)
@@ -372,6 +444,50 @@ def test_free25_morimoto_module_is_a_complement():
     assert matrix_digest(n.matrix) == FREE25_MORIMOTO_DIGEST
 
 
+PRIME = 2 ** 61 - 1
+
+
+def rank_mod_p(rows):
+    """Rank mod PRIME of sparse rows {column: Fraction}, by forward elimination
+    on the lowest column in plain int arithmetic. It bounds the rank over the
+    rationals from below, so a full rank mod PRIME certifies a full rank."""
+    pivots = {}
+    for row in rows:
+        r = {c: x.numerator * pow(x.denominator, -1, PRIME) % PRIME for c, x in row.items()}
+        r = {c: x for c, x in r.items() if x}
+        while r:
+            c = min(r)
+            if c not in pivots:
+                inv = pow(r[c], -1, PRIME)
+                pivots[c] = {j: x * inv % PRIME for j, x in r.items()}
+                break
+            f = r[c]
+            for j, x in pivots[c].items():
+                y = (r.get(j, 0) - f * x) % PRIME
+                if y:
+                    r[j] = y
+                else:
+                    r.pop(j, None)
+    return len(pivots)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "engel", "free23", "free24", *FREE_ALGEBRAS])
+def test_dimensions_equal_the_ranks_mod_a_prime(name):
+    # im d+ from the sweep oracle's rows, reduced mod PRIME: shares no code with
+    # the differential or ratlinalg; each module and im d+ together span hom_+
+    co = make_cohomology(name)
+    monos = co.positive_monomials(2)
+    index = {m: i for i, m in enumerate(monos)}
+    units = [ch.HomElement(1, {m: Fraction(1)}) for m in co.positive_monomials(1)]
+    image = [{index[t]: c for t, c in swept_differential(co, u).items()} for u in units]
+    assert rank_mod_p(image) == co.image_partial_plus().dim
+    for module in (co.normal_module_popp(), co.normal_module_morimoto()):
+        assert module.monomials == monos
+        rows = list(module.echelon.values())
+        assert rank_mod_p(rows) == module.dim
+        assert rank_mod_p(image + rows) == len(monos)
+
+
 def test_popp_certificate_raises_when_not_h_invariant(monkeypatch):
     # the exact certificates are checks that raise, so they hold under python -O
     co = make_cohomology("heisenberg3")
@@ -451,9 +567,8 @@ def test_h3_degree_one_differential_bijective():
 
 
 def test_evaluate_matches_coefficients():
-    co = make_cohomology("free23")
     e = ch.hom_element(2, [(4, (0, 1), 3), (2, (0, 2), -2)])
-    assert co.evaluate(e, (0, 1)) == {4: Fraction(3)}
-    assert co.evaluate(e, (1, 0)) == {4: Fraction(-3)}
-    assert co.evaluate(e, (2, 0)) == {2: Fraction(2)}
-    assert co.evaluate(e, (1, 2)) == {}
+    assert evaluate(e, (0, 1)) == {4: Fraction(3)}
+    assert evaluate(e, (1, 0)) == {4: Fraction(-3)}
+    assert evaluate(e, (2, 0)) == {2: Fraction(2)}
+    assert evaluate(e, (1, 2)) == {}

@@ -798,6 +798,24 @@ def test_step_programs_do_no_unit_or_zero_work(monkeypatch):
     assert all(counts[name] <= bound for name, bound in OP_BOUNDS.items()), counts
 
 
+def test_curve_first_stage_reads_the_frame_without_a_move():
+    # the first RK stage's Omega is 0 and cay(0) = I, so it reads h~ itself:
+    # no rotation by 0 in the contact-halfplane curve step, and a non-finite
+    # entry of h~ still stops the step at the next stage's drift check
+    frame, st, gamma, q0 = sde_setup("contact-halfplane")
+    k1, d = frame.k1, frame.chart.dim
+    step = dv._rkmk4_step(dv._DevelopSystem(frame, st, gamma), 1e-2)
+    program = ex.Compiled.trace(step, d + k1 * k1 + 3 * k1, "develop_curve step", scalars=True)
+    assert len(program.ops) <= 303
+    for entry in range(k1 * k1):
+        for bad in (np.inf, -np.inf, np.nan):
+            h = np.eye(k1).ravel().tolist()
+            h[entry] = bad
+            with (np.errstate(divide="ignore", invalid="ignore", over="ignore"),
+                  pytest.raises(SingularFrame, match=f"^{mf.DRIFT_NOT_FINITE}$")):
+                program([*q0, *h, *[0.3, -0.7] * 3])
+
+
 def test_sde_orthogonality_defect_small():
     frame, st, gamma, q0 = sde_setup("contact-halfplane")
     config = dv.SDEConfig(dt=1e-3, T=0.5, seed=1, paths=16)
@@ -996,6 +1014,15 @@ def test_boolean_record_is_not_a_step_index(name):
     simulate = _simulators()[name]
     config = dv.SDEConfig(dt=1e-2, T=0.3, seed=5, paths=4)
     for bad in ([True, False], [True], (0, True), np.array([True])):
+        with pytest.raises(MalformedSpec, match="^record must be 'full', 'endpoints' or step"):
+            simulate(config, bad)
+
+
+@pytest.mark.parametrize("name", ["carnot", "develop", "popp", "curve"])
+def test_record_that_is_neither_a_name_nor_a_sequence(name):
+    simulate = _simulators()[name]
+    config = dv.SDEConfig(dt=1e-2, T=0.3, seed=5, paths=4)
+    for bad in (True, 5, 1.5, None, np.int64(3)):
         with pytest.raises(MalformedSpec, match="^record must be 'full', 'endpoints' or step"):
             simulate(config, bad)
 
