@@ -319,6 +319,11 @@ class ExtendedMetric:
 
     blocks: tuple        # one rational Gram matrix per layer
 
+    @property
+    def dual_blocks(self):
+        """The Gram blocks of the dual metric on n*: each block's inverse."""
+        return [rl.invert(b) for b in self.blocks]
+
 
 def extend_metric(alg):
     """Extended metric from least-norm preimages of iterated brackets.
@@ -429,7 +434,7 @@ def symmetry_algebra(alg, metric=None):
                 if coeffs:
                     add_row(coeffs)
 
-    sols = rl.row_basis(rl.nullspace(rows))
+    sols = rl.nullspace(rows)
     basis = []
     for sol in sols:
         a = [[ZERO] * n for _ in range(n)]
@@ -446,9 +451,7 @@ def symmetry_algebra(alg, metric=None):
         kerH = rl.nullspace(action)
     else:
         kerH = rl.identity(k1)
-    return SymmetryAlgebra(basis=tuple(basis),
-                           kerH=tuple(tuple(v) for v in rl.row_basis(kerH)),
-                           k1=k1)
+    return SymmetryAlgebra(basis=tuple(basis), kerH=tuple(map(tuple, kerH)), k1=k1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Implements the Chevalley-Eilenberg differential on hom(^k n, g), which
 pushes each term of an element to the entries it reaches, its Gram form for
-k = 1, 2, and the two normal-module constructions, all in exact rational
-arithmetic: Morimoto's N_Morimoto = ker d* = (im d+)^perp, and the
-Popp module N = S^perp meet (S + N_Morimoto), orthogonal to the trace module S.
+k = 1, 2, and the two normal modules, all in exact rational arithmetic:
+Morimoto's N_Morimoto = ker d* = (im d+)^perp, and the Popp module
+N = S^perp meet (S + N_Morimoto), orthogonal to the trace module S. Both are
+built one way, as the kernel {x : B G x = 0} of an annihilator B of
+dim im d+ rows and the Gram matrix G, and certified on B.
 
 Subspaces of hom(^2 n, g) are sparse rows over the positive monomials
 (``ratlinalg``'s {column: Fraction} dicts) from the image of the
@@ -128,9 +130,9 @@ class HomSubspace:
 class Cohomology:
     """All cohomological operations for one ambient algebra with its metric.
 
-    Caches monomial enumerations, Gram matrices, im d+ and its
-    orthocomplement (the Morimoto module), and d of the identity;
-    callers share the two HomSubspaces and must not modify them.
+    Caches monomial enumerations, Gram matrices, im d+, the symmetry
+    actions on hom_+ and d of the identity; callers share im d+ and must not
+    modify it.
     """
 
     def __init__(self, amb, metric):
@@ -143,7 +145,6 @@ class Cohomology:
         self._gram_n_dual = None
         self._grams = {}
         self._im = None
-        self._morimoto = None
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -173,7 +174,7 @@ class Cohomology:
     def gram_n_dual(self):
         """Gram matrix on n*: blockwise inverse of the metric on n."""
         if self._gram_n_dual is None:
-            self._gram_n_dual = rl.block_diagonal([rl.invert(b) for b in self.metric.blocks])
+            self._gram_n_dual = rl.block_diagonal(self.metric.dual_blocks)
         return self._gram_n_dual
 
     def wedge_gram(self, js, ks):
@@ -281,11 +282,6 @@ class Cohomology:
             self._grams[key] = gram
         return self._grams[key]
 
-    def _ortho_complement(self, rows, monos):
-        """Orthocomplement of the span of sparse rows within the span of monos,
-        as sparse rows."""
-        return rl.kernel(rl.product(rows, self._gram_restricted(monos)), len(monos))
-
     def image_partial_plus(self):
         """Basis of the differential's image of positive-degree hom(n, g)."""
         if self._im is None:
@@ -301,10 +297,7 @@ class Cohomology:
         monos = self.positive_monomials(2)
         sym = self.amb.sym
         k1 = sym.k1
-        if sym.kerH:
-            phis = rl.nullspace([list(v) for v in sym.kerH])
-        else:
-            phis = rl.identity(k1)
+        phis = rl.nullspace([list(v) for v in sym.kerH]) if sym.kerH else rl.identity(k1)
         index = _column_index(monos)
         rows = []
         for phi in phis:
@@ -336,86 +329,74 @@ class Cohomology:
             out[key] = out[key] + x if key in out else x
         return {key: x for key, x in out.items() if x}
 
-    def _check_h_invariant(self, rows, monos):
-        """Whether the span of sparse rows over monos is h-invariant.
-
-        Each symmetry generator acts as a sparse map from every monomial column
-        to its image; the image of every row of the span's reduced echelon
-        basis must reduce to 0 against that basis (ratlinalg.residual).
-        """
-        basis = rl.echelon(rows)
+    @functools.cached_property
+    def _actions(self):
+        """Each symmetry generator's action A on hom_+ as sparse rows over the
+        positive monomials: column m of A is _act of m."""
+        monos = self.positive_monomials(2)
         index = _column_index(monos)
-        for alpha in range(self.amb.sym.dimH):
-            images = [_coords(self._act(alpha, m), index) for m in monos]
-            if any(rl.residual(basis, r) for r in rl.product(basis.values(), images)):
-                return False
-        return True
+        return [rl.columns([_coords(self._act(alpha, m), index) for m in monos], len(monos))
+                for alpha in range(self.amb.sym.dimH)]
 
-    def _complements(self, rows, im, monos):
-        """Whether sparse rows are independent and span a complement of im
-        within hom_+: |rows| + dim im = |monos|, the echelon basis of rows
-        keeps every row, and the residuals of im's rows against it are
-        independent, so that rank(rows + im) = |monos|."""
-        if len(rows) + im.dim != len(monos):
-            return False
-        basis = rl.echelon(rows)
-        residuals = [rl.residual(basis, r) for r in im.echelon.values()]
-        return len(basis) == len(rows) and len(rl.echelon(residuals)) == im.dim
+    def _check_h_invariant(self, bg):
+        """Whether ker(B G) is h-invariant, for the sparse rows bg = B G over
+        the positive monomials: whether, for each generator A, every row of
+        B G A reduces to 0 against echelon(B G) (ratlinalg.residual)."""
+        basis = rl.echelon(bg)
+        return not any(rl.residual(basis, r) for a in self._actions for r in rl.product(bg, a))
+
+    def _complements(self, bg, im):
+        """Whether ker(B G) complements im d+ within hom_+, for the sparse rows
+        bg = B G: |B| = dim im and B G im^T is nonsingular. Then B G has rank
+        dim im, so ker(B G) has dimension |hom_+| - dim im, and no nonzero
+        combination of im's rows lies in it."""
+        imt = rl.columns(im.echelon.values(), len(im.monomials))
+        return len(bg) == im.dim and len(rl.echelon(rl.product(bg, imt))) == im.dim
+
+    def _module(self, annihilator, monos):
+        """The normal module {x : B G x = 0} for the annihilator B (sparse
+        rows over monos), by the reduced echelon basis rl.kernel gives.
+
+        Raises ClosureFailure unless it is an h-invariant complement of im d+.
+        """
+        bg = rl.product(annihilator, self._gram_restricted(monos))
+        if not self._complements(bg, self.image_partial_plus()) or not self._check_h_invariant(bg):
+            raise ClosureFailure("the normal module is not an h-invariant complement of im d+")
+        return HomSubspace(arity=2, echelon=rl.kernel(bg, len(monos)), monomials=monos)
 
     def normal_module_popp(self):
         """Normal module orthogonal to the trace module S:
         N = S^perp meet (S + N_Morimoto).
 
-        Its elements are the combinations of the rows of S and of the
-        Morimoto module O that are Gram-orthogonal to S. S G S^T is
-        invertible (G is positive definite), so there is one per row O[f]:
-        O[f] - c_f S with c_f = (S G S^T)^-1 S G O[f]^T; with S = 0 it is O.
-        Returns the HomSubspace. Raises IntersectionNonTrivial with a witness
-        when S meets O, the orthocomplement of the differential's image.
+        S + N_Morimoto is the orthocomplement of T = S^perp meet im d+, so N
+        is the kernel of B G for the annihilator B = S + T. T is spanned by
+        the combinations c of im's rows with c im G S^T = 0: the kernel of
+        the transposed pairings. Returns the HomSubspace. Raises
+        IntersectionNonTrivial with a witness when S meets N_Morimoto, the
+        orthocomplement of the differential's image.
         """
         monos = self.positive_monomials(2)
-        im = self.image_partial_plus()
+        im = list(self.image_partial_plus().echelon.values())
         s = list(self.s_module().echelon.values())
-        rows = [dict(r) for r in self.normal_module_morimoto().echelon.values()]
         sg = rl.product(s, self._gram_restricted(monos))
         # combinations of S orthogonal to im d+: an |im| x |S| kernel
-        pairings = [{i: x for i, a in enumerate(sg) if (x := rl.dot(r, a))}
-                    for r in im.echelon.values()]
+        pairings = [{i: x for i, a in enumerate(sg) if (x := rl.dot(r, a))} for r in im]
         meet = rl.kernel(pairings, len(s))
         if meet:
-            witness = self._subspace(2, rl.product(meet, s), monos).elements[0]
+            witness = self._subspace(2, rl.product(meet.values(), s), monos).elements[0]
             raise IntersectionNonTrivial(
                 "the trace module meets the orthocomplement of im d+", witness)
-        if s:
-            # O[f] - sum_i (S G O[f]^T)_i t_i, t = (S G S^T)^-T S: over S's nonzeros only
-            k = rl.invert([[rl.dot(a, b) for b in s] for a in sg])
-            t = rl.product(rl.sparse(rl.transpose(k)), s)
-            for row in rows:
-                for y, ti in zip([rl.dot(row, a) for a in sg], t):
-                    if y:
-                        rl.eliminate(row, y, ti)
-        module = self._subspace(2, rows, monos)
-        # exact verification on the echelon basis: N + im d+ = hom_+, N is h-invariant
-        basis = module.echelon.values()
-        if (not self._complements(basis, im, monos)
-                or not self._check_h_invariant(basis, monos)):
-            raise ClosureFailure("the Popp normal module is not an h-invariant complement")
-        return module
+        t = rl.product(rl.kernel(rl.columns(pairings, len(s)), len(im)).values(), im)
+        return self._module(s + t, monos)
 
     def normal_module_morimoto(self):
         """Morimoto's normal module: ker d* in positive degree.
 
-        Equals the orthocomplement of im d+ within hom_+ because the metric
-        blocks are degree-homogeneous. The Popp module starts from it.
+        Equals the orthocomplement of im d+ within hom_+, the kernel of
+        im G, because the metric blocks are degree-homogeneous.
         """
-        if self._morimoto is None:
-            monos = self.positive_monomials(2)
-            im = self.image_partial_plus()
-            module = self._subspace(2, self._ortho_complement(im.echelon.values(), monos), monos)
-            if not self._complements(module.echelon.values(), im, monos):
-                raise ClosureFailure("the Morimoto normal module is not a complement of im d+")
-            self._morimoto = module
-        return self._morimoto
+        return self._module(list(self.image_partial_plus().echelon.values()),
+                            self.positive_monomials(2))
 
     def morimoto_popp_obstruction(self, i):
         """The arity-3 element d(sum_j e_j (x) e^j) ^ e^i for a generator index i.

@@ -307,19 +307,22 @@ class StructureField:
         return [vals[a:a + k1] for a in range(0, dk, k1)], vals[dk:-1]
 
     def _solve(self, points):
-        """Frame matrix X, bracket columns B (one per i < j) and X^-1 B at points."""
-        vals = _field_array(self._frame_and_brackets, self.frame.chart, points)
-        frame_m, rhs = vals[:, :, :self.frame.n], vals[:, :, self.frame.n:]
-        try:
-            return frame_m, rhs, np.linalg.solve(frame_m, rhs)
-        except np.linalg.LinAlgError:
-            raise SingularFrame(FRAME_SINGULAR) from None
+        """Frame matrix X, bracket columns B (one per i < j) and X^-1 B at
+        points; SingularFrame where X is singular or X^-1 B is not finite."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = _field_array(self._frame_and_brackets, self.frame.chart, points)
+            frame_m, rhs = vals[:, :, :self.frame.n], vals[:, :, self.frame.n:]
+            try:
+                sol = np.linalg.solve(frame_m, rhs)
+            except np.linalg.LinAlgError:
+                raise SingularFrame(FRAME_SINGULAR) from None
+        if not np.all(np.isfinite(sol)):
+            raise SingularFrame("frame solve produced non-finite coefficients")
+        return frame_m, rhs, sol
 
     def at(self, points):
         """c array of shape (P, n, n, n), antisymmetric in the first two."""
         sol = self._solve(points)[2]
-        if not np.all(np.isfinite(sol)):
-            raise SingularFrame("frame solve produced non-finite coefficients")
         n = self.frame.n
         c = np.zeros((len(sol), n, n, n))
         for col, (i, j) in enumerate(self._pairs):

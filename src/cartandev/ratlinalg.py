@@ -7,8 +7,9 @@ nonzeros, and ``echelon`` keeps the reduced row echelon basis of a span as
 eliminated from the earlier ones, so the cost follows the nonzeros, not the
 matrix size. A reduced echelon basis is unique for its span, so every result
 is independent of the order of elimination. ``eliminate``, ``dot``,
-``product`` and ``kernel`` work on the same rows, and ``sparse`` / ``dense``
-convert.
+``product``, ``columns`` and ``kernel`` work on the same rows, and
+``sparse`` / ``dense`` convert. ``kernel`` eliminates with the columns
+reversed, which yields the kernel's reduced echelon basis directly.
 
 The public dense functions (``rref``, ``rank``, ``row_basis``, ``nullspace``,
 ``matmul``, ``invert``, ``solve``, ``span_intersection``, ``spans_equal``)
@@ -48,7 +49,7 @@ def eliminate(row, f, pivot):
     """row -= f * pivot in place, over the pivot's nonzeros; entries that
     cancel are dropped."""
     for c, x in pivot.items():
-        v = row.get(c, ZERO) - f * x
+        v = row[c] - f * x if c in row else -(f * x)
         if v:
             row[c] = v
         else:
@@ -100,21 +101,33 @@ def product(rows, m):
         acc = {}
         for j, x in r.items():
             for c, y in m[j].items():
-                acc[c] = acc.get(c, ZERO) + x * y
+                acc[c] = acc[c] + x * y if c in acc else x * y
         out.append({c: v for c, v in acc.items() if v})
     return out
 
 
+def columns(rows, cols):
+    """The transpose of sparse rows in Q^cols, as sparse rows."""
+    out = [{} for _ in range(cols)]
+    for i, r in enumerate(rows):
+        for c, x in r.items():
+            out[c][i] = x
+    return out
+
+
 def kernel(rows, cols):
-    """Basis of the right kernel {x : rows x = 0} in Q^cols: one vector per
-    non-pivot column f, 1 at f and -basis[p][f] at each pivot p."""
-    basis = echelon(rows)
-    out = {f: {f: ONE} for f in range(cols) if f not in basis}
-    for p, r in basis.items():
-        for f, x in r.items():
-            if f != p:
-                out[f][p] = -x
-    return list(out.values())
+    """The reduced echelon basis {f: v_f} of the right kernel {x : rows x = 0}
+    in Q^cols. With the columns reversed, echelon makes each pivot p the last
+    column of its row R[p]; v_f, for each non-pivot f, is 1 at f and -R[p][f]
+    at each pivot p > f, so it is 0 at every other non-pivot f'."""
+    last = cols - 1
+    basis = echelon([{last - c: x for c, x in r.items()} for r in rows])
+    out = {f: {f: ONE} for f in range(cols) if last - f not in basis}
+    for q, r in basis.items():
+        for c, x in r.items():
+            if c != q:
+                out[last - c][last - q] = -x
+    return out
 
 
 # -- the dense interface ----------------------------------------------------------
@@ -143,11 +156,11 @@ def row_basis(m):
 
 
 def nullspace(m):
-    """Basis of the right kernel {x : m x = 0}."""
+    """The reduced echelon basis of the right kernel {x : m x = 0}."""
     if not m:
         return []
     cols = len(m[0])
-    return dense(kernel(sparse(m), cols), cols)
+    return dense(kernel(sparse(m), cols).values(), cols)
 
 
 def matmul(a, b):
@@ -210,7 +223,7 @@ def span_intersection(a, b):
     if not a or not b:
         return []
     # x = c.a = d.b  <=>  (c, -d) is in the kernel of the transposed stack
-    k = kernel(sparse(transpose(a + b)), len(a) + len(b))
+    k = kernel(sparse(transpose(a + b)), len(a) + len(b)).values()
     rows = echelon(product([{i: x for i, x in v.items() if i < len(a)} for v in k], sparse(a)))
     return dense(rows.values(), len(a[0]))
 

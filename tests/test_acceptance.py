@@ -20,6 +20,7 @@ from cartandev import develop as dv
 from cartandev import manifold as mf
 from cartandev.errors import Inconsistent
 from test_algebra import free_layer_dims_oracle, layer_dims
+from test_cohomology import check_h_invariant
 
 
 # the start point of the contact checks: the middle of the chart's box
@@ -113,7 +114,7 @@ def test_normal_module_exact_complement(name):
     assert n.dim + im.dim == len(monos)
     from cartandev import ratlinalg as rl
     assert not rl.span_intersection(n.matrix, im.matrix)
-    assert co._check_h_invariant(list(n.echelon.values()), monos)
+    assert check_h_invariant(co, list(n.echelon.values()), monos)
 
 
 def test_h3_degree_one_bijective():

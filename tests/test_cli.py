@@ -4,6 +4,7 @@ import argparse
 import ast
 import csv
 import functools
+import hashlib
 import json
 import math
 import shlex
@@ -138,6 +139,46 @@ def test_normal_module_and_obstruction(capsys):
 
     code, rep, _ = run_json(capsys, "obstruction", "--builtin", "heisenberg3")
     assert code == 0 and rep["vanishes"] is True
+
+
+# sha256 of the stdout of each exact command, recorded before both normal
+# modules were built from their annihilators; every later engine must print
+# these bytes
+CLI_DIGESTS = {
+    "heisenberg3": {
+        "popp": "eafe3bf3c4daaee2f8963fe7b112454bae596da3a14752598da05e6c13cfc3d4",
+        "morimoto": "f811112400f56f9dae62300fa8e9ae9bbeaf9432e37307458e547cf5c10d9d22",
+        "obstruction": "7c7e72ff4bfe53d269e52a63f7dea4daefc009173b17f014b29c37ac71e0e9b9",
+        "symmetry": "792380a1944cab94bbb8269cd1d70b218fb626d1ca16f04c4621cf1514aa351b"},
+    "engel": {
+        "popp": "d682f07644c6fa01ab190510b5b90f90b776ad72b47fa3c17eff85d004352898",
+        "morimoto": "3c55d377b86581a15c75932fd56f1eaf6ba8ea2f830bc9b4305731716d64b229",
+        "obstruction": "fb6ea14599e550b80952ca12a02f8e9ccb656b0c33df77c06f862988d1eb6794",
+        "symmetry": "a5df2cda212a961545f674c6201044c865aba9adfa7dde696734e7ef44bdc15c"},
+    "free23": {
+        "popp": "2469656964d6d92b2089e2a91be275b8d6af047447b9b4cf642f5938baf358be",
+        "morimoto": "8628b72e655907b276e61320d0ec4d1462131847e4c0f8fcc9cead18456abe94",
+        "obstruction": "6387eba84675c2322e2281b93beaea429807c1d9e570f114cd65b4b61ed9fd06",
+        "symmetry": "0cd1114ec959393768e048da11c685836edb5ae2cc353949888536c4c6f2c797"},
+    "free24": {
+        "popp": "9f2add775c4893424f7e3cb2602b8ecf11ce16d0b5cb47a2886a108db49b0972",
+        "morimoto": "36eab92f02126a6c4840b53199a3d5bb65e8bf2e22bee26137a8b9f890a05f79",
+        "obstruction": "9eb9b23c7b7d778a9cd927ca21851699f4438df1547f8be012455470254ca81e",
+        "symmetry": "e598f497463817f6acccad81795e34097a4d35727a01bee4df29d7a08571dadc"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+def test_exact_command_outputs_are_pinned(capsys, name):
+    argv = {"popp": ["normal-module", "--method", "popp", "--basis"],
+            "morimoto": ["normal-module", "--method", "morimoto", "--basis"],
+            "obstruction": ["obstruction"], "symmetry": ["symmetry"]}
+    digests = {}
+    for key, args in argv.items():
+        code, out, _ = run(capsys, *args, "--builtin", name)
+        assert code == 0
+        digests[key] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == CLI_DIGESTS[name]
 
 
 # [d_x, d_y + x^2 d_z] = 2x d_z: growth (2, 3) on x >= 1/2, but c_12^3 varies

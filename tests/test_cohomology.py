@@ -294,6 +294,29 @@ def test_module_dimensions(name, dims):
     assert co.normal_module_popp().dim == dims[2]
 
 
+def ortho_complement(co, rows, monos):
+    """Orthocomplement of the span of sparse rows within the span of monos,
+    as sparse rows."""
+    return list(rl.kernel(rl.product(rows, co._gram_restricted(monos)), len(monos)).values())
+
+
+def check_h_invariant(co, rows, monos):
+    """Whether the span of sparse rows over monos is h-invariant.
+
+    Each symmetry generator acts as a sparse map from every monomial column
+    to its image; the image of every row of the span's reduced echelon
+    basis must reduce to 0 against that basis (ratlinalg.residual). The
+    row-based reference for the annihilator-based Cohomology._check_h_invariant.
+    """
+    basis = rl.echelon(rows)
+    index = ch._column_index(monos)
+    for alpha in range(co.amb.sym.dimH):
+        images = [ch._coords(co._act(alpha, m), index) for m in monos]
+        if any(rl.residual(basis, r) for r in rl.product(basis.values(), images)):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("name", ["heisenberg3", "free23"])
 def test_popp_normal_module_complements_image(name):
     co = make_cohomology(name)
@@ -303,7 +326,7 @@ def test_popp_normal_module_complements_image(name):
     assert n.dim + im.dim == len(monos)
     assert not rl.span_intersection(n.matrix, im.matrix)
     # invariance under the metric-preserving symmetries
-    assert co._check_h_invariant(list(n.echelon.values()), monos)
+    assert check_h_invariant(co, list(n.echelon.values()), monos)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "free23"])
@@ -314,6 +337,7 @@ def test_morimoto_normal_module_complements_image(name):
     monos = co.positive_monomials(2)
     assert n.dim + im.dim == len(monos)
     assert not rl.span_intersection(n.matrix, im.matrix)
+    assert check_h_invariant(co, list(n.echelon.values()), monos)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "free23"])
@@ -327,17 +351,17 @@ def test_morimoto_module_is_the_kernel_of_the_codifferential(name):
 
 def reference_popp(co):
     """N = (S + (S + O)^perp)^perp by two orthocomplements over hom_+, O the
-    Morimoto module: the reference for normal_module_popp."""
+    Morimoto module (im d+)^perp: the reference for normal_module_popp."""
     monos = co.positive_monomials(2)
     s = list(co.s_module().echelon.values())
-    operp = list(co.normal_module_morimoto().echelon.values())
-    tperp = co._ortho_complement(s + operp, monos)
-    return rl.row_basis(rl.dense(co._ortho_complement(s + tperp, monos), len(monos)))
+    operp = ortho_complement(co, co.image_partial_plus().echelon.values(), monos)
+    tperp = ortho_complement(co, s + operp, monos)
+    return rl.row_basis(rl.dense(ortho_complement(co, s + tperp, monos), len(monos)))
 
 
 def h_action(co, alpha, elem):
     """The induced symmetry action on hom(^2 n, g), monomial by monomial
-    through Cohomology._act, the map _check_h_invariant applies."""
+    through Cohomology._act, the map check_h_invariant applies."""
     return ch.hom_element(2, [(b, js, c * w) for m, c in elem.coeffs.items()
                               for (b, js), w in co._act(alpha, m).items()])
 
@@ -491,42 +515,54 @@ def test_dimensions_equal_the_ranks_mod_a_prime(name):
 def test_popp_certificate_raises_when_not_h_invariant(monkeypatch):
     # the exact certificates are checks that raise, so they hold under python -O
     co = make_cohomology("heisenberg3")
-    monkeypatch.setattr(ch.Cohomology, "_check_h_invariant", lambda self, rows, monos: False)
+    monkeypatch.setattr(ch.Cohomology, "_check_h_invariant", lambda self, bg: False)
     with pytest.raises(ClosureFailure):
         co.normal_module_popp()
 
 
 def test_morimoto_certificate_raises_when_meeting_image(monkeypatch):
     co = make_cohomology("heisenberg3")
-    monkeypatch.setattr(ch.Cohomology, "_complements", lambda self, rows, im, monos: False)
+    monkeypatch.setattr(ch.Cohomology, "_complements", lambda self, bg, im: False)
     with pytest.raises(ClosureFailure):
         co.normal_module_morimoto()
+
+
+def annihilators(co):
+    """B G for annihilators B over hom_+, by name: im d+ (the Morimoto
+    module's), then im d+ with its last row replaced by a row of the
+    Morimoto module (B G im^T singular), by its first row (dependent rows) or
+    dropped (one row short), and one monomial line (a kernel that is not
+    h-invariant)."""
+    monos = co.positive_monomials(2)
+    im = list(co.image_partial_plus().echelon.values())
+    orth = next(iter(co.normal_module_morimoto().echelon.values()))
+    line = {monos.index((0, (0, 1))): Fraction(1)}
+    rows = {"image": im, "singular": im[:-1] + [orth], "dependent": im[:-1] + [im[0]],
+            "short": im[:-1], "line": [line]}
+    return {k: rl.product(b, co._gram_restricted(monos)) for k, b in rows.items()}
 
 
 # Asserts are stripped under -O, so the child reports what the certificates
 # returned and the test compares it
 CERTIFICATES_UNDER_O = """
 import json, sys
-from fractions import Fraction
 from cartandev import builtins as bi, checks as ck
+from test_cohomology import annihilators
 out = {"optimize": sys.flags.optimize}
 for name in ("heisenberg3", "free23"):
     co = ck.cohomology_for(bi.algebra(name))
-    monos = co.positive_monomials(2)
-    rows = list(co.normal_module_popp().echelon.values())
-    im = co.image_partial_plus()
-    line = {monos.index((0, (0, 1))): Fraction(1)}
-    out[name] = [co._check_h_invariant(rows, monos), co._check_h_invariant([line], monos),
-                 co._complements(rows, im, monos),
-                 co._complements(rows[:-1] + [next(iter(im.echelon.values()))], im, monos)]
+    bg, im = annihilators(co), co.image_partial_plus()
+    out[name] = [co._check_h_invariant(bg["image"]), co._check_h_invariant(bg["line"]),
+                 co._complements(bg["image"], im), co._complements(bg["singular"], im)]
 print(json.dumps(out))
 """
 
 
 def test_certificates_reject_under_python_optimize():
-    src = Path(__file__).resolve().parents[1] / "src"
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
     proc = subprocess.run([sys.executable, "-O", "-c", CERTIFICATES_UNDER_O],
-                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"optimize": 1, "heisenberg3": [True, False, True, False],
@@ -536,24 +572,33 @@ def test_certificates_reject_under_python_optimize():
 @pytest.mark.parametrize("name", ["heisenberg3", "free23"])
 def test_complements_rejects_non_complements(name):
     co = make_cohomology(name)
-    rows = list(co.normal_module_popp().echelon.values())
-    im = co.image_partial_plus()
-    monos = co.positive_monomials(2)
-    assert co._complements(rows, im, monos)
-    # right count, but one row now lies in im d+
-    assert not co._complements(rows[:-1] + [next(iter(im.echelon.values()))], im, monos)
+    bg, im = annihilators(co), co.image_partial_plus()
+    assert co._complements(bg["image"], im)
+    # right count, but ker(B G) now meets im d+
+    assert not co._complements(bg["singular"], im)
     # right count, but dependent rows
-    assert not co._complements(rows[:-1] + [rows[0]], im, monos)
-    # independent and meeting im d+ trivially, but one dimension short
-    assert not co._complements(rows[:-1], im, monos)
+    assert not co._complements(bg["dependent"], im)
+    # independent and pairing nondegenerately with im d+, but one row short
+    assert not co._complements(bg["short"], im)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "free23"])
 def test_check_h_invariant_rejects_a_monomial_line(name):
     co = make_cohomology(name)
+    bg = annihilators(co)
+    assert co._check_h_invariant(bg["image"])
+    # the orthocomplement of one monomial line is not h-invariant
+    assert not co._check_h_invariant(bg["line"])
     monos = co.positive_monomials(2)
-    line = {monos.index((0, (0, 1))): Fraction(1)}
-    assert not co._check_h_invariant([line], monos)
+    assert not check_h_invariant(co, ortho_complement(co, [bg["line"][0]], monos), monos)
+
+
+def test_free26_modules_complement_the_image():
+    # both modules raise ClosureFailure unless they are h-invariant
+    # complements of im d+
+    co = cohomology_for(al.free_nilpotent(2, 6))
+    assert (len(co.positive_monomials(2)), co.image_partial_plus().dim) == (5675, 220)
+    assert co.normal_module_morimoto().dim == co.normal_module_popp().dim == 5455
 
 
 def test_h3_degree_one_differential_bijective():

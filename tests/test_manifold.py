@@ -189,6 +189,19 @@ def test_literal_division_by_zero_is_a_singular_frame(row, col):
             mf.StructureField(frame).divergence(frame.chart.sample_points(count, seed=0))
 
 
+def test_non_finite_solve_is_a_singular_frame():
+    # x/0 is inf or nan at every point, and only X3's t1 component carries
+    # it: at and residual both raise SingularFrame, with no RuntimeWarning
+    spec = bi.frame("contact-halfplane").to_spec()
+    spec["frame"][2][2] = "sin(t1) + x/0"
+    frame = mf.build_frame(spec)
+    st = mf.StructureField(frame)
+    points = frame.chart.sample_points(4, seed=0)
+    for method in (st.at, st.residual):
+        with pytest.raises(SingularFrame):
+            method(points)
+
+
 def test_structure_programs_are_compiled_once(monkeypatch):
     # at and residual reuse one compiled frame-and-brackets program
     frame = bi.frame("engel-halfplane")

@@ -283,13 +283,17 @@ def test_every_public_function_equals_the_column_oracle(seed):
         if not m or not m[0]:
             continue
         cols = len(m[0])
-        assert rl.nullspace(m) == oracle_nullspace(m)
+        # the kernel comes as its reduced echelon basis, unique for the span
+        kernel_basis = oracle_row_basis(oracle_nullspace(m))
+        assert rl.nullspace(m) == kernel_basis
         assert rl.matmul(m, rl.transpose(m)) == dense_matmul(m, rl.transpose(m))
         # the sparse core on the same matrix
         rows = rl.sparse(m)
         assert rl.dense(rows, cols) == m
         assert rl.echelon(rows) == dict(zip(pivots, rl.sparse(r)))
-        assert rl.kernel(rows, cols) == rl.sparse(oracle_nullspace(m))
+        kernel = rl.kernel(rows, cols)
+        assert list(kernel.values()) == rl.sparse(kernel_basis)
+        assert rl.echelon(kernel.values()) == kernel
         assert rl.product(rows, rl.sparse(rl.transpose(m))) == rl.sparse(
             dense_matmul(m, rl.transpose(m)))
         probe = random_sparse(rng, 1, cols, 0.5)[0]
