@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratlinalg as rl
-from .errors import (ClosureFailure, DimensionMismatch, GradingViolation,
-                     JacobiViolation, MalformedSpec, NotBracketGenerating,
-                     SurjectivityFailure)
+from .errors import (ClosureFailure, GradingViolation, JacobiViolation,
+                     MalformedSpec, NotBracketGenerating, SurjectivityFailure)
 
 ZERO = Fraction(0)
 
@@ -77,22 +76,6 @@ class GradedLieAlgebra(_SparseBrackets):
             return self.brackets.get((i, j), {}).get(k, ZERO)
         return -self.brackets.get((j, i), {}).get(k, ZERO)
 
-    def bracket(self, x, y):
-        """Bracket of two coefficient vectors over the basis."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch(
-                f"expected vectors of length {self.dim}, got {len(x)}, {len(y)}")
-        out = [ZERO] * self.dim
-        for i in range(self.dim):
-            if x[i] == 0:
-                continue
-            for j in range(self.dim):
-                if y[j] == 0:
-                    continue
-                for k, ck in self.bracket_basis(i, j).items():
-                    out[k] += x[i] * y[j] * ck
-        return out
-
     def to_spec(self):
         """The JSON-interchange dict (1-based indices, rationals as strings)."""
         br = {}
@@ -144,13 +127,8 @@ def _check_grading(alg):
 
 def _check_bracket_generating(alg):
     for l in range(2, alg.step + 1):
-        rows = []
-        target = list(alg.layer(l))
-        for i in alg.layer(1):
-            for j in alg.layer(l - 1):
-                br = alg.bracket_basis(i, j)
-                rows.append([br.get(k, ZERO) for k in target])
-        if rl.rank(rows) != len(target):
+        rows = [alg.bracket_basis(i, j) for i in alg.layer(1) for j in alg.layer(l - 1)]
+        if len(rl.echelon(rows)) != len(alg.layer(l)):
             raise NotBracketGenerating(
                 f"layer-1 brackets with layer {l-1} do not span layer {l}")
 
@@ -312,9 +290,9 @@ def free_nilpotent(generators, step):
 class ExtendedMetric:
     """Block-diagonal Gram matrix of the canonical metric on the algebra.
 
-    Layer 1 carries the identity (the generators are assumed orthonormal);
-    each higher layer carries the metric transported from the orthogonal
-    complement of ker pi_l inside the l-fold tensor power of layer 1.
+    Each layer l carries the metric transported from the orthogonal
+    complement of ker pi_l inside the l-fold tensor power of layer 1; on
+    layer 1, pi_1 is the identity (the generators are orthonormal).
     """
 
     blocks: tuple        # one rational Gram matrix per layer
@@ -329,26 +307,24 @@ def extend_metric(alg):
     """Extended metric from least-norm preimages of iterated brackets.
 
     For layer l, the Gram matrix equals (P P^T)^-1 where P is the matrix of
-    pi_l on degree-1 tensor monomials (left-nested brackets, layer-l part).
+    pi_l on degree-1 tensor monomials: its columns are the left-nested
+    brackets, which lie in layer l.
     """
     k1 = alg.growth[0]
-    blocks = [rl.identity(k1)]
-    for l in range(2, alg.step + 1):
-        target = list(alg.layer(l))
+    blocks = []
+    for l in range(1, alg.step + 1):
+        lo, dim = alg.layer(l).start, len(alg.layer(l))
         cols = []
         for tup in itertools.product(range(k1), repeat=l):
-            # left-nested bracket [e_{t0}, [e_{t1}, ... [e_{t_{l-2}}, e_{t_{l-1}}]]]
-            vec = [ZERO] * alg.dim
-            vec[tup[-1]] = Fraction(1)
+            # left-nested bracket [e_{t0}, [e_{t1}, ... [e_{t_{l-2}}, e_{t_{l-1}}]]],
+            # one ad e_idx at a time: vec times the rows [e_idx, e_j] for j in vec
+            vec = {tup[-1]: Fraction(1)}
             for idx in reversed(tup[:-1]):
-                ei = [ZERO] * alg.dim
-                ei[idx] = Fraction(1)
-                vec = alg.bracket(ei, vec)
-            cols.append([vec[k] for k in target])
-        p = rl.transpose(cols)           # rows: layer-l coords, cols: tuples
-        ppt = rl.matmul(p, rl.transpose(p))
+                vec = rl.product([vec], {j: alg.bracket_basis(idx, j) for j in vec})[0]
+            cols.append({k - lo: x for k, x in vec.items()})
+        ppt = rl.product(rl.columns(cols, dim), cols)
         try:
-            blocks.append(rl.invert(ppt))
+            blocks.append(rl.invert(rl.dense(ppt, dim)))
         except ValueError as e:
             raise SurjectivityFailure(
                 f"pi_{l} is not onto layer {l} (bracket-generating violated)") from e
@@ -386,7 +362,8 @@ def symmetry_algebra(alg, metric=None):
     layer-1 block is not the identity is rejected with MalformedSpec.
     """
     k1 = alg.growth[0]
-    if metric is not None and [list(r) for r in metric.blocks[0]] != rl.identity(k1):
+    if metric is not None and [list(r) for r in metric.blocks[0]] != [
+            [int(r == c) for c in range(k1)] for r in range(k1)]:
         raise MalformedSpec(
             "symmetry_algebra needs a metric with an orthonormal layer 1 "
             "(identity layer-1 block)")
@@ -398,14 +375,9 @@ def symmetry_algebra(alg, metric=None):
     rows = []
 
     def add_row(coeffs):
-        row = [ZERO] * len(slots)
-        for rc, v in coeffs.items():
-            if rc in slot_id:
-                row[slot_id[rc]] += v
-            elif v != 0:
-                raise AssertionError("constraint touches a non-slot entry")
-        if any(x != 0 for x in row):
-            rows.append(row)
+        if not coeffs.keys() <= slot_id.keys():
+            raise AssertionError("constraint touches a non-slot entry")
+        rows.append({slot_id[rc]: v for rc, v in coeffs.items()})
 
     # skewness of the layer-1 block: A_rc + A_cr = 0
     for r in range(k1):
@@ -434,23 +406,17 @@ def symmetry_algebra(alg, metric=None):
                 if coeffs:
                     add_row(coeffs)
 
-    sols = rl.nullspace(rows)
     basis = []
-    for sol in sols:
+    for sol in rl.kernel(rows, len(slots)).values():
         a = [[ZERO] * n for _ in range(n)]
-        for (r, c), i in slot_id.items():
-            a[r][c] = sol[i]
+        for i, x in sol.items():
+            r, c = slots[i]
+            a[r][c] = x
         basis.append(tuple(tuple(row) for row in a))
 
-    if basis:
-        # stack the layer-1 actions: v in ker h iff A_alpha v = 0 for all alpha
-        action = []
-        for a in basis:
-            for r in range(k1):
-                action.append([a[r][c] for c in range(k1)])
-        kerH = rl.nullspace(action)
-    else:
-        kerH = rl.identity(k1)
+    # stack the layer-1 actions: v in ker h iff A_alpha v = 0 for all alpha
+    action = [{c: x for c, x in enumerate(a[r][:k1]) if x} for a in basis for r in range(k1)]
+    kerH = rl.dense(rl.kernel(action, k1).values(), k1)
     return SymmetryAlgebra(basis=tuple(basis), kerH=tuple(map(tuple, kerH)), k1=k1)
 
 
@@ -484,29 +450,32 @@ def ambient(alg, sym):
     n = alg.dim
     dimh = sym.dimH
     brackets = {k: dict(v) for k, v in alg.brackets.items()}
-    for a, mat in enumerate(sym.basis):
-        col = n + a
-        for i in range(n):
-            entry = {}
-            for r in range(n):
-                if mat[r][i] != 0:
-                    entry[r] = -mat[r][i]     # [e_i, e_{n+a}] = -A_a e_i
-            if entry:
-                brackets[(i, col)] = entry
-    flat = [[m[r][c] for r in range(n) for c in range(n)] for m in sym.basis]
+    mats = [rl.sparse(m) for m in sym.basis]
+    # [e_i, e_{n+a}] = -A_a e_i, minus column i of A_a
+    for a, m in enumerate(mats):
+        for i, col in enumerate(rl.columns(m, n)):
+            if col:
+                brackets[(i, n + a)] = {r: -x for r, x in col.items()}
+    # Gauss-Jordan on the flattened A_g, each tagged with a unit column
+    # n^2 + g: a commutator's residual against it is 0 below n^2 exactly when
+    # the commutator lies in the span, and minus its tag part is the
+    # coefficients; the basis need not be in reduced echelon form
+    nn = n * n
+
+    def flat(rows):
+        return {r * n + c: x for r, row in enumerate(rows) for c, x in row.items()}
+
+    tagged = rl.echelon([{**flat(m), nn + g: Fraction(1)} for g, m in enumerate(mats)])
     for a in range(dimh):
         for b in range(a + 1, dimh):
-            ma, mb = sym.basis[a], sym.basis[b]
-            comm = [[sum(ma[r][l] * mb[l][c] - mb[r][l] * ma[l][c]
-                         for l in range(n)) for c in range(n)] for r in range(n)]
-            commflat = [comm[r][c] for r in range(n) for c in range(n)]
-            coeffs = rl.solve(rl.transpose(flat), commflat)
-            if coeffs is None:
+            comm = flat(rl.product(mats[a], mats[b]))
+            rl.eliminate(comm, 1, flat(rl.product(mats[b], mats[a])))
+            res = rl.residual(tagged, comm)
+            if any(c < nn for c in res):
                 raise ClosureFailure(
                     f"[A_{a+1}, A_{b+1}] is outside the span of the symmetry basis")
-            entry = {n + g: c for g, c in enumerate(coeffs) if c != 0}
-            if entry:
-                brackets[(n + a, n + b)] = entry
+            if res:
+                brackets[(n + a, n + b)] = {n + c - nn: -x for c, x in sorted(res.items())}
     amb = AmbientAlgebra(nil=alg, sym=sym, brackets=brackets)
     _check_jacobi(amb)
     return amb

@@ -48,6 +48,14 @@ def _sort_sign(t):
     return tuple(t), sign
 
 
+def _block_rows(blocks):
+    """The block-diagonal matrix of square blocks, as sparse rows."""
+    rows = []
+    for b in blocks:
+        rows += [{len(rows) + c: x for c, x in enumerate(r) if x} for r in b]
+    return rows
+
+
 def _column_index(monos):
     """Map each monomial of a coordinate order to its column."""
     return {m: i for i, m in enumerate(monos)}
@@ -166,15 +174,15 @@ class Cohomology:
     # -- metric -------------------------------------------------------------
 
     def gram_g(self):
-        """Gram matrix on g: extended metric on n, identity on h."""
+        """Gram matrix on g, as sparse rows: extended metric on n, identity on h."""
         if self._gram_g is None:
-            self._gram_g = rl.block_diagonal([*self.metric.blocks, rl.identity(self.N - self.n)])
+            self._gram_g = _block_rows(list(self.metric.blocks) + [[[ONE]]] * (self.N - self.n))
         return self._gram_g
 
     def gram_n_dual(self):
-        """Gram matrix on n*: blockwise inverse of the metric on n."""
+        """Gram matrix on n*, as sparse rows: blockwise inverse of the metric on n."""
         if self._gram_n_dual is None:
-            self._gram_n_dual = rl.block_diagonal(self.metric.dual_blocks)
+            self._gram_n_dual = _block_rows(self.metric.dual_blocks)
         return self._gram_n_dual
 
     def wedge_gram(self, js, ks):
@@ -183,9 +191,10 @@ class Cohomology:
         Gram forms are taken; any other arity raises ValueError."""
         gd = self.gram_n_dual()
         if len(js) == 1:
-            return gd[js[0]][ks[0]]
+            return gd[js[0]].get(ks[0], ZERO)
         (j1, j2), (k1, k2) = js, ks
-        return Fraction(1, 2) * (gd[j1][k1] * gd[j2][k2] - gd[j1][k2] * gd[j2][k1])
+        return Fraction(1, 2) * (gd[j1].get(k1, ZERO) * gd[j2].get(k2, ZERO)
+                                 - gd[j1].get(k2, ZERO) * gd[j2].get(k1, ZERO))
 
     def _block_key(self, m):
         a, js = m
@@ -269,7 +278,7 @@ class Cohomology:
                 a, js = m
                 row = {}
                 for b, cols in blocks[self._block_key(m)].items():
-                    g = gg[a][b]
+                    g = gg[a].get(b)
                     if not g:
                         continue
                     for j, ks in cols:
@@ -296,16 +305,15 @@ class Cohomology:
         """The trace module S spanned by id ^ phi over covectors phi of (ker h)-perp."""
         monos = self.positive_monomials(2)
         sym = self.amb.sym
-        k1 = sym.k1
-        phis = rl.nullspace([list(v) for v in sym.kerH]) if sym.kerH else rl.identity(k1)
+        phis = rl.kernel(rl.sparse(sym.kerH), sym.k1).values()
         index = _column_index(monos)
         rows = []
         for phi in phis:
             terms = []
             for j in range(self.n):
-                for i in range(k1):
-                    if phi[i] != 0 and i != j:
-                        terms.append((j, (j, i), phi[i]))
+                for i, x in sorted(phi.items()):
+                    if i != j:
+                        terms.append((j, (j, i), x))
             rows.append(_coords(hom_element(2, terms).coeffs, index))
         return self._subspace(2, rows, monos)
 

@@ -11,12 +11,13 @@ is independent of the order of elimination. ``eliminate``, ``dot``,
 ``sparse`` / ``dense`` convert. ``kernel`` eliminates with the columns
 reversed, which yields the kernel's reduced echelon basis directly.
 
-The public dense functions (``rref``, ``rank``, ``row_basis``, ``nullspace``,
-``matmul``, ``invert``, ``solve``, ``span_intersection``, ``spans_equal``)
-take and return lists of rows, each a list of ``fractions.Fraction``, and are
-thin wrappers over the core. Except for ``eliminate``, which updates its
-row in place, everything returns fresh lists and dicts; inputs are never
-mutated.
+The few dense functions left take and return lists of rows, each a list of
+``fractions.Fraction``, and are thin wrappers over the core. ``invert``
+inverts the extended metric's Gram blocks in ``algebra``. ``rref``, ``rank``,
+``span_intersection`` and ``spans_equal`` have no caller in the package:
+the benchmark's normal-module check and span recorder and the tests read
+them. Except for ``eliminate``, which updates its row in place, everything
+returns fresh lists and dicts; inputs are never mutated.
 """
 
 from fractions import Fraction
@@ -150,45 +151,6 @@ def rank(m):
     return len(rref(m)[1])
 
 
-def row_basis(m):
-    """Basis of the row space, in reduced echelon form (zero rows dropped)."""
-    return dense(echelon(sparse(m)).values(), len(m[0])) if m else []
-
-
-def nullspace(m):
-    """The reduced echelon basis of the right kernel {x : m x = 0}."""
-    if not m:
-        return []
-    cols = len(m[0])
-    return dense(kernel(sparse(m), cols).values(), cols)
-
-
-def matmul(a, b):
-    if not a or not b:
-        return []
-    return dense(product(sparse(a), sparse(b)), len(b[0]))
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)] if m else []
-
-
-def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def block_diagonal(blocks):
-    """The square matrix with the square blocks down its diagonal, ZERO elsewhere."""
-    n = sum(len(b) for b in blocks)
-    out = [[ZERO] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            out[off + i][off:off + len(b)] = row
-        off += len(b)
-    return out
-
-
 def invert(m):
     """Inverse of a square rational matrix via Gauss-Jordan.
 
@@ -201,32 +163,15 @@ def invert(m):
     return [[r.get(n + c, ZERO) for c in range(n)] for r in basis.values()]
 
 
-def solve(a, b):
-    """One exact solution x of a x = b, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not a:
-        return None
-    cols = len(a[0])
-    basis = echelon([{**r, cols: bv} if bv else r for r, bv in zip(sparse(a), b)])
-    if cols in basis:
-        return None
-    x = [ZERO] * cols
-    for p, r in basis.items():
-        x[p] = r.get(cols, ZERO)
-    return x
-
-
 def span_intersection(a, b):
     """Basis of the intersection of two row spans."""
     if not a or not b:
         return []
     # x = c.a = d.b  <=>  (c, -d) is in the kernel of the transposed stack
-    k = kernel(sparse(transpose(a + b)), len(a) + len(b)).values()
+    k = kernel(columns(sparse(a + b), len(a[0])), len(a) + len(b)).values()
     rows = echelon(product([{i: x for i, x in v.items() if i < len(a)} for v in k], sparse(a)))
     return dense(rows.values(), len(a[0]))
 
 
 def spans_equal(a, b):
-    return row_basis(a) == row_basis(b)
+    return echelon(sparse(a)) == echelon(sparse(b))

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
+from dense_reference import block_diagonal, dense_matmul, transpose
 
 from cartandev import algebra as al
 from cartandev import ratlinalg as rl
@@ -40,11 +42,11 @@ def layer_dims(alg):
 
 def check_metric_preservation(sym, metric):
     """Every symmetry generator must satisfy A^T G + G A = 0."""
-    g = rl.block_diagonal(metric.blocks)
+    g = block_diagonal(metric.blocks)
     for a in sym.basis:
-        at = rl.transpose([list(r) for r in a])
-        lhs = rl.matmul(at, g)
-        rhs = rl.matmul(g, [list(r) for r in a])
+        at = transpose(a)
+        lhs = dense_matmul(at, g)
+        rhs = dense_matmul(g, a)
         for i in range(len(g)):
             for j in range(len(g)):
                 if lhs[i][j] + rhs[i][j] != 0:
@@ -62,13 +64,6 @@ def test_build_and_validate_h3():
     assert alg.degree == (1, 1, 2)
     assert alg.c(0, 1, 2) == 1
     assert alg.c(1, 0, 2) == -1
-
-
-def test_bracket_of_vectors():
-    alg = al.build_algebra(H3)
-    x = [Fraction(2), Fraction(0), Fraction(0)]
-    y = [Fraction(0), Fraction(3), Fraction(0)]
-    assert alg.bracket(x, y) == [0, 0, 6]
 
 
 def test_spec_round_trip():
@@ -212,3 +207,27 @@ def test_ambient_free23_relations():
     assert amb.bracket_basis(1, 5) == {0: Fraction(-1)}    # [e2, e0] = -e1
     assert amb.bracket_basis(3, 5) == {4: Fraction(1)}     # [e4, e0] = e5
     assert amb.bracket_basis(4, 5) == {3: Fraction(-1)}    # [e5, e0] = e4
+
+
+def test_ambient_rejects_a_symmetry_basis_that_is_not_closed():
+    # h of free(3,2) is so(3): the bracket of any two generators has a part
+    # along the third, so no two of them span a subalgebra
+    alg = al.free_nilpotent(3, 2)
+    sym = al.symmetry_algebra(alg)
+    assert sym.dimH == 3
+    for drop in range(3):
+        part = dataclasses.replace(sym, basis=sym.basis[:drop] + sym.basis[drop + 1:])
+        with pytest.raises(ClosureFailure, match=r"\[A_1, A_2\] is outside the span"):
+            al.ambient(alg, part)
+
+
+def test_ambient_brackets_of_a_basis_that_is_not_reduced():
+    # (A1 + A2, A2, A3) spans h but is not its reduced echelon basis: the
+    # [h, h] coefficients are solved for, not read off the basis's pivots
+    alg = al.free_nilpotent(3, 2)
+    sym = al.symmetry_algebra(alg)
+    a1, a2, a3 = sym.basis
+    summed = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a1, a2))
+    amb = al.ambient(alg, dataclasses.replace(sym, basis=(summed, a2, a3)))
+    assert {k: v for k, v in amb.brackets.items() if k[0] >= alg.dim} == {
+        (6, 7): {8: -1}, (6, 8): {6: -1, 7: 2}, (7, 8): {6: -1, 7: 1}}

@@ -1,7 +1,7 @@
 """The benchmark's contract with the package: every package attribute that
-perfbench/*.py reads exists, and every package call there binds to the
-signature it calls, so a deletion from src/ that would break a benchmark run
-fails here."""
+perfbench/*.py and perfbench/tests/*.py read exists, and every package call
+in perfbench/*.py binds to the signature it calls, so a deletion from src/
+that would break a benchmark run or the benchmark's own tests fails here."""
 
 import ast
 import importlib
@@ -37,6 +37,23 @@ def test_benchmark_reads_only_what_the_package_has():
     fields = set(re.findall(r"\bconfig\.(\w+)", workloads))
     assert {"scheme", "projection"} <= fields
     assert all(hasattr(dv.SDEConfig(), f) for f in fields)
+
+
+def test_benchmark_tests_read_only_what_the_package_has():
+    # perfbench/tests reach the package through layers.package_modules(): as
+    # mods["<module>"].name, or as alias.name after alias = mods["<module>"]
+    used = set()
+    for path in sorted((BENCH / "tests").glob("*.py")):
+        text = path.read_text()
+        refs = re.findall(r'\bmods\["(\w+)"\]\.(\w+)', text)
+        for alias, module in re.findall(r'^\s*(\w+) = mods\["(\w+)"\]$', text, re.M):
+            refs += [(module, name) for name in re.findall(rf"\b{alias}\.(\w+)", text)]
+        used |= {(importlib.import_module(f"cartandev.{module}"), name) for module, name in refs}
+    names = {f"{mod.__name__}.{name}" for mod, name in used}
+    assert {"cartandev.ratlinalg.rref", "cartandev.ratlinalg.rank",
+            "cartandev.ratlinalg.invert"} <= names
+    assert sorted(f"{mod.__name__}.{name}" for mod, name in used
+                  if not hasattr(mod, name)) == []
 
 
 def _constants(cls):

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from dense_reference import block_diagonal, dense_matmul, identity, oracle_row_basis, oracle_solve
 
 from cartandev import algebra as al
 from cartandev import cohomology as ch
@@ -24,7 +25,7 @@ def inner(co, x, y):
     """<x, y> = sum of cx cy g(a, b) wedge_gram(J, K) over every pair of
     monomials e_a (x) e^J of x and e_b (x) e^K of y: the Gram oracle."""
     gg = co.gram_g()
-    return sum((cx * cy * gg[a][b] * co.wedge_gram(js, ks)
+    return sum((cx * cy * gg[a].get(b, 0) * co.wedge_gram(js, ks)
                 for (a, js), cx in x.coeffs.items() for (b, ks), cy in y.coeffs.items()),
                Fraction(0))
 
@@ -47,7 +48,7 @@ def codifferential(co, beta):
     monos = co.monomials(k)
     y = [inner(co, co._monomial_differential(k, m), beta) for m in monos]
     gram = rl.dense(co._gram_restricted(monos), len(monos))
-    return ch.HomElement(k, dict(zip(monos, rl.solve(gram, y))))
+    return ch.HomElement(k, dict(zip(monos, oracle_solve(gram, y))))
 
 
 FREE_ALGEBRAS = {"free32": (3, 2), "free25": (2, 5), "free33": (3, 3)}     # (generators, step)
@@ -227,13 +228,14 @@ SMALL_ALGEBRAS = pytest.mark.parametrize(
 def test_gram_g_and_its_dual(alg):
     # g: the extended metric on n, then the identity on h; n*: its inverse
     co = cohomology_for(alg)
-    g, gg, gd = rl.block_diagonal(co.metric.blocks), co.gram_g(), co.gram_n_dual()
     n, N = co.n, co.N
+    g = block_diagonal(co.metric.blocks)
+    gg, gd = rl.dense(co.gram_g(), N), rl.dense(co.gram_n_dual(), n)
     assert [row[:n] for row in gg[:n]] == g
-    assert [row[n:] for row in gg[n:]] == rl.identity(N - n)
+    assert [row[n:] for row in gg[n:]] == identity(N - n)
     assert all(not x for row in gg[:n] for x in row[n:])
     assert all(not x for row in gg[n:] for x in row[:n])
-    assert rl.matmul(gd, g) == rl.identity(n)
+    assert dense_matmul(gd, g) == identity(n)
 
 
 @SMALL_ALGEBRAS
@@ -356,7 +358,7 @@ def reference_popp(co):
     s = list(co.s_module().echelon.values())
     operp = ortho_complement(co, co.image_partial_plus().echelon.values(), monos)
     tperp = ortho_complement(co, s + operp, monos)
-    return rl.row_basis(rl.dense(ortho_complement(co, s + tperp, monos), len(monos)))
+    return oracle_row_basis(rl.dense(ortho_complement(co, s + tperp, monos), len(monos)))
 
 
 def h_action(co, alpha, elem):
@@ -457,6 +459,59 @@ def test_module_bytes_are_pinned(name):
     modules = (co.image_partial_plus(), co.normal_module_morimoto(), co.normal_module_popp())
     assert tuple(matrix_digest(m.matrix) for m in modules) == PINNED_DIGESTS[name]
 
+
+
+# sha256 of the repr of each set-up output: the extended metric's blocks and
+# their inverses, the symmetry basis with its layer-1 kernel, the ambient
+# brackets and the trace module's echelon basis, recorded while the set-up
+# still ran on dense rows; every later engine must give these bytes
+SETUP_DIGESTS = {
+    "heisenberg3": ("b88946f968657b757932c1fbd111de6434e424d9b49bd20af4577cb2cc08c84f",
+                    "249ca848de0526234c6dd0800b6c55894ca1a2f515f37c6063262ddd6c837256",
+                    "3d5ed9d45c4deddc0cdc05e5ceaec3dc510d590345f5d4bf7df7d8fd2dc05fac",
+                    "28c53cc12f7d684afda3629a0e939690da5306ab7b146add543a0855bd745564",
+                    "9781d39f6d88d392e70994a15b37a7664eaf7a8e4788160e01c4e8d13f243918"),
+    "engel": ("3444431881c2056cb223ae5c0020a1582fe58acfd1122d32575bcfb3c9279adb",
+              "1952aac71f71f63dbad7fa370800161787d0448c352f3908f34a7c228ab22fb1",
+              "a1c3b5217b5778c52cae1a6f281887e40138bb6df327987ad023637d0dc6f56a",
+              "469b811ec32d064f14c2612e476ce5a67fbfdf0c9341c4fe16e4e8d73c3ab10a",
+              "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    "free23": ("273d7652ee10d78052107fd90b56270b8ac6347f591b60e31246e889fbe74f65",
+               "89796af6654fbd7f1d1da9894111606248d74090f96eab06ceb9554b498eaa66",
+               "1d524508c484f6167a54d193e6da6cc1fbc24648e4877a8d9e2931cbff7c5d6d",
+               "9ac7c41f7aa9bf898376abdd1e3bcfd1dcc505e60b3a4074ac7ed3814cf05ce8",
+               "e48c0e702fd7de7ccc927212d8de420d446d4d3cb2ece6e4191bbccbdf8ae64f"),
+    "free32": ("4b54c61ccc8ccb0736d0e2ae1f60c29f8ee9f7f4838ab8b456a921053bcad8a4",
+               "1b329b11317467e237a266f22dc6b4eae86573c3762b7576a6076868a3bbbcb6",
+               "c2754b593fb5b69feb763c3400ba2c0cc4bcdeffc239e83663654dac83becf5c",
+               "8b5d3976a05739625e8bc89f0773e66de3c4cea616c09094692f09c2a19ac0fe",
+               "fe3c60419e51586ec236bf26a69ca06d217af887d51c8c668fe5c6eec8d71bac"),
+    "free24": ("b02435e5f3a785edd6f7fdbec27da5f13af2f8ddfc83007ccac74c69797fd109",
+               "bf8a716a3378442f9f1e2e2483a6f727eb5e2930d41021e88892d15c450b2843",
+               "3f995d78d619323e555a6360725118963f128543ef77cd72b759755122b87657",
+               "8a1e5f3dfa5d418d7db0bfaf9ecd5a9c58019686489e40e9923f80c4b39d1d7e",
+               "369e07d4ef591c4b372ee9ac781c8ffa10d44063001b38bf2ad1621fb7d7941b"),
+    "free25": ("a903954f83b5d9478bdd221e55f32a7e192ec220bce8bdd3e3b281a8c267daf1",
+               "7f91215db6ada0365f9a6cf0250417d7f90989a7949f41f5010b7958beeaf376",
+               "14412d22047c8bf8533a875e3f07f66f85e207e7ab746ec6202396d90ad9d1ef",
+               "a822f09025421e95ad9ae75b3701852fa6784739f832fb0c804b2de5c145e31b",
+               "5f9b026d65547d1f80ba11b6530fb87758cd5aea8ea8a59a515b4d6f67678f16"),
+    "free33": ("f876f22d5b9cd1c3ee6076506d9ff24fab962bd60aec8b1764a8e107ae34a42d",
+               "3a82e64795bde66c53ad3f30b420f453fb987861ad6bc65777ef5efdbe86d11d",
+               "d0b07da31cb38bd9fdfcf915f27348189e6f53cdcf56db21330ee66d6cafe8e4",
+               "f3ea50e62608869b798675e74e38da1d3ffc15c2105cae00833d7335efe7ece1",
+               "213f68abd30db6708c920e1f9906384533d26354e854ca19ceef0cc5cf3ad6eb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETUP_DIGESTS))
+def test_setup_outputs_are_pinned(name):
+    co = make_cohomology(name)
+    sym = co.amb.sym
+    outputs = (co.metric.blocks, co.metric.dual_blocks, (sym.basis, sym.kerH),
+               sorted(co.amb.brackets.items()), co.s_module().echelon)
+    assert tuple(hashlib.sha256(repr(x).encode()).hexdigest()
+                 for x in outputs) == SETUP_DIGESTS[name]
 
 def test_free25_morimoto_module_is_a_complement():
     # 1247 positive monomials counted from the degrees, and a rank 85 of the

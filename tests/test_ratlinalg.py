@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense_reference import (column_rref, dense_matmul, identity, oracle_nullspace,
+                             oracle_row_basis, oracle_solve, transpose)
 
+from cartandev import cohomology as ch
 from cartandev import ratlinalg as rl
 
 
@@ -32,7 +35,7 @@ def test_rref_is_canonical_for_the_row_space():
         A + [A[1], A[0]],
     ]
     for b in variants:
-        assert rl.row_basis(b) == rl.row_basis(A)
+        assert rl.echelon(rl.sparse(b)) == rl.echelon(rl.sparse(A))
         assert rl.rref(b)[1] == rl.rref(A)[1]
 
 
@@ -44,44 +47,65 @@ def test_rref_does_not_mutate_its_input():
 
 def test_rank():
     assert rl.rank(A) == 2
-    assert rl.rank(rl.identity(3)) == 3
+    assert rl.rank(identity(3)) == 3
     assert rl.rank(F([[0, 0], [0, 0]])) == 0
     assert rl.rank([]) == 0
 
 
 def test_nullspace_is_the_kernel():
-    ker = rl.nullspace(A)
+    ker = list(rl.kernel(rl.sparse(A), 4).values())
     assert len(ker) == len(A[0]) - rl.rank(A)
-    assert rl.rank(ker) == len(ker)
+    assert len(rl.echelon(ker)) == len(ker)
     for x in ker:
-        assert rl.matmul([x], rl.transpose(A))[0] == [0, 0, 0]
+        assert rl.dense(rl.product([x], rl.columns(rl.sparse(A), 4)), 3)[0] == [0, 0, 0]
 
 
 def test_nullspace_depends_only_on_the_row_space():
-    assert rl.nullspace(A) == rl.nullspace(rl.row_basis(A))
-    assert rl.nullspace(A + [A[0]]) == rl.nullspace(A)
+    ker = rl.kernel(rl.sparse(A), 4)
+    assert rl.kernel(list(rl.echelon(rl.sparse(A)).values()), 4) == ker
+    assert rl.kernel(rl.sparse(A + [A[0]]), 4) == ker
+
+
+def test_kernel_of_no_equations_is_the_unit_rows():
+    units = {f: {f: 1} for f in range(3)}
+    assert rl.kernel([], 3) == rl.kernel([{}], 3) == units
 
 
 def test_invert():
     m = F([[2, 1], [1, 1]])
-    assert rl.matmul(m, rl.invert(m)) == rl.identity(2)
+    assert dense_matmul(m, rl.invert(m)) == identity(2)
     with pytest.raises(ValueError):
         rl.invert(F([[1, 2], [2, 4]]))
 
 
 def test_block_diagonal():
+    # the block-diagonal Gram matrices of cohomology, as sparse rows
     a, b = F([[1, 2], [3, 4]]), F([[5]])
-    assert rl.block_diagonal([a, b]) == F([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
-    assert rl.block_diagonal([]) == []
-    # the zero cells are the shared ZERO, which the sparse rows skip by identity
-    assert rl.block_diagonal([a, b])[0][2] is rl.ZERO
+    assert rl.dense(ch._block_rows([a, b]), 3) == F([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
+    assert ch._block_rows([]) == []
+    # zero cells are not stored, inside a block or outside
+    assert ch._block_rows([F([[1, 0], [0, 2]]), b]) == [{0: 1}, {1: 2}, {2: 5}]
+
+
+def tagged_solve(a, b):
+    """One solution x of a x = b, or None, by Gauss-Jordan on the columns of
+    a, each tagged with a unit column as algebra.ambient solves for the
+    [h, h] coefficients: b's residual is 0 on the first len(a) columns
+    exactly when there is a solution, and minus its tag part is one."""
+    n, cols = len(a), len(a[0])
+    basis = rl.echelon([{**col, n + j: Fraction(1)}
+                        for j, col in enumerate(rl.columns(rl.sparse(a), cols))])
+    res = rl.residual(basis, rl.sparse([b])[0])
+    if any(c < n for c in res):
+        return None
+    return [-res.get(n + j, 0) for j in range(cols)]
 
 
 def test_solve():
-    x = rl.solve(A, F([[3, 0, 3]])[0])
-    assert rl.matmul([x], rl.transpose(A))[0] == F([[3, 0, 3]])[0]
+    x = tagged_solve(A, F([[3, 0, 3]])[0])
+    assert dense_matmul([x], transpose(A))[0] == F([[3, 0, 3]])[0]
     # inconsistent: the third equation must be the sum of the first two
-    assert rl.solve(A, F([[1, 1, 1]])[0]) is None
+    assert tagged_solve(A, F([[1, 1, 1]])[0]) is None
 
 
 def test_span_intersection_and_equality():
@@ -125,11 +149,6 @@ def dense_rref(m):
     return r, pivots
 
 
-def dense_matmul(a, b):
-    return [[sum((a[i][j] * b[j][c] for j in range(len(b))), Fraction(0))
-             for c in range(len(b[0]))] for i in range(len(a))]
-
-
 def random_sparse(rng, rows, cols, density):
     return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density
              else Fraction(0) for _ in range(cols)] for _ in range(rows)]
@@ -147,7 +166,7 @@ def sparse_cases(seed):
     holes[2] = [Fraction(0)] * 10
     holes[5] = [Fraction(0)] * 10
     dupes = square[:4] + [square[1], square[3], square[1]]
-    low_rank = rl.matmul(random_sparse(rng, 10, 3, 0.6), random_sparse(rng, 3, 8, 0.6))
+    low_rank = dense_matmul(random_sparse(rng, 10, 3, 0.6), random_sparse(rng, 3, 8, 0.6))
     return [tall, wide, square, holes, dupes, low_rank,
             [], [[Fraction(0)] * 6 for _ in range(4)], [[Fraction(0)]], [[]]]
 
@@ -164,7 +183,7 @@ def test_rref_of_empty_and_zero_inputs():
     assert rl.rref([]) == ([], [])
     zero = F([[0, 0, 0], [0, 0, 0]])
     assert rl.rref(zero) == (zero, [])
-    assert rl.nullspace(zero) == rl.identity(3)
+    assert rl.dense(rl.kernel(rl.sparse(zero), 3).values(), 3) == identity(3)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -174,68 +193,11 @@ def test_matmul_equals_the_triple_loop(seed):
         a = random_sparse(rng, n, k, 0.4)
         b = random_sparse(rng, k, m, 0.4)
         a_before, b_before = [list(r) for r in a], [list(r) for r in b]
-        assert rl.matmul(a, b) == dense_matmul(a, b)
+        assert rl.dense(rl.product(rl.sparse(a), rl.sparse(b)), m) == dense_matmul(a, b)
         assert (a, b) == (a_before, b_before)
 
 
 # -- every public function against one column-by-column oracle -----------------
-
-
-def column_rref(m):
-    """Column-by-column Gauss-Jordan over {column: entry} rows: each column's
-    pivot row is its first unreduced row, which then clears the column from
-    every other row. The oracle every public function is derived from below."""
-    if not m:
-        return [], []
-    cols = len(m[0])
-    rest = [{c: x for c, x in enumerate(row) if x} for row in m]
-    done, pivots = [], []
-    for col in range(cols):
-        hits = [r for r in rest if col in r]
-        if not hits:
-            continue
-        src = hits[0]
-        lead = {c: x / src[col] for c, x in src.items()}
-        for r in hits[1:] + [r for r in done if col in r]:
-            f = r[col]
-            for c, x in lead.items():
-                r[c] = r.get(c, 0) - f * x
-                if not r[c]:
-                    del r[c]
-        rest = [r for r in rest if r and r is not src]
-        done.append(lead)
-        pivots.append(col)
-    out = [[Fraction(r.get(c, 0)) for c in range(cols)] for r in done]
-    return out + [[Fraction(0)] * cols for _ in range(len(m) - len(done))], pivots
-
-
-def oracle_row_basis(m):
-    r, pivots = column_rref(m)
-    return r[:len(pivots)]
-
-
-def oracle_nullspace(m):
-    r, pivots = column_rref(m)
-    out = []
-    for f in range(len(m[0])):
-        if f not in pivots:
-            v = [Fraction(0)] * len(m[0])
-            v[f] = Fraction(1)
-            for row, p in zip(r, pivots):
-                v[p] = -row[f]
-            out.append(v)
-    return out
-
-
-def oracle_solve(a, b):
-    cols = len(a[0])
-    r, pivots = column_rref([row + [bv] for row, bv in zip(a, b)])
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for row, p in zip(r, pivots):
-        x[p] = row[cols]
-    return x
 
 
 def oracle_invert(m):
@@ -279,23 +241,20 @@ def test_every_public_function_equals_the_column_oracle(seed):
         r, pivots = column_rref(m)
         assert rl.rref(m) == (r, pivots)
         assert rl.rank(m) == len(pivots)
-        assert rl.row_basis(m) == oracle_row_basis(m)
+        rows = rl.sparse(m)
+        assert rl.echelon(rows) == dict(zip(pivots, rl.sparse(oracle_row_basis(m))))
         if not m or not m[0]:
             continue
         cols = len(m[0])
+        assert rl.dense(rows, cols) == m
         # the kernel comes as its reduced echelon basis, unique for the span
         kernel_basis = oracle_row_basis(oracle_nullspace(m))
-        assert rl.nullspace(m) == kernel_basis
-        assert rl.matmul(m, rl.transpose(m)) == dense_matmul(m, rl.transpose(m))
-        # the sparse core on the same matrix
-        rows = rl.sparse(m)
-        assert rl.dense(rows, cols) == m
-        assert rl.echelon(rows) == dict(zip(pivots, rl.sparse(r)))
         kernel = rl.kernel(rows, cols)
         assert list(kernel.values()) == rl.sparse(kernel_basis)
         assert rl.echelon(kernel.values()) == kernel
-        assert rl.product(rows, rl.sparse(rl.transpose(m))) == rl.sparse(
-            dense_matmul(m, rl.transpose(m)))
+        assert rl.columns(rows, cols) == rl.sparse(transpose(m))
+        assert rl.product(rows, rl.columns(rows, cols)) == rl.sparse(
+            dense_matmul(m, transpose(m)))
         probe = random_sparse(rng, 1, cols, 0.5)[0]
         assert rl.residual(rl.echelon(rows), rl.sparse([probe])[0]) == rl.sparse(
             [oracle_residual(m, probe)])[0]
@@ -304,9 +263,12 @@ def test_every_public_function_equals_the_column_oracle(seed):
         # a consistent right-hand side, then one that is inconsistent unless m has full row rank
         weights = random_sparse(rng, 1, len(m), 0.7)[0]
         b = [sum((w * x for w, x in zip(weights, col)), Fraction(0)) for col in zip(*m)]
-        assert rl.solve(rl.transpose(m), b) == oracle_solve(rl.transpose(m), b)
+        x = tagged_solve(transpose(m), b)
+        assert oracle_solve(transpose(m), b) is not None and dense_matmul([x], m)[0] == b
         b = random_sparse(rng, 1, len(m), 0.7)[0]
-        assert rl.solve(m, b) == oracle_solve(m, b)
+        x = tagged_solve(m, b)
+        assert (x is None) == (oracle_solve(m, b) is None)
+        assert x is None or dense_matmul([x], transpose(m))[0] == b
         k = min(len(m), cols)
         check_invert([row[:k] for row in m[:k]])
         top, bottom = m[:len(m) // 2 + 1], m[len(m) // 2:]
