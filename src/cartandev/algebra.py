@@ -128,7 +128,7 @@ def _check_grading(alg):
 def _check_bracket_generating(alg):
     for l in range(2, alg.step + 1):
         rows = [alg.bracket_basis(i, j) for i in alg.layer(1) for j in alg.layer(l - 1)]
-        if len(rl.echelon(rows)) != len(alg.layer(l)):
+        if len(rl.basis(rows)) != len(alg.layer(l)):
             raise NotBracketGenerating(
                 f"layer-1 brackets with layer {l-1} do not span layer {l}")
 
@@ -457,20 +457,20 @@ def ambient(alg, sym):
             if col:
                 brackets[(i, n + a)] = {r: -x for r, x in col.items()}
     # Gauss-Jordan on the flattened A_g, each tagged with a unit column
-    # n^2 + g: a commutator's residual against it is 0 below n^2 exactly when
-    # the commutator lies in the span, and minus its tag part is the
+    # n^2 + g: a commutator's exact residual against it is 0 below n^2 exactly
+    # when the commutator lies in the span, and minus its tag part is the
     # coefficients; the basis need not be in reduced echelon form
     nn = n * n
 
     def flat(rows):
         return {r * n + c: x for r, row in enumerate(rows) for c, x in row.items()}
 
-    tagged = rl.echelon([{**flat(m), nn + g: Fraction(1)} for g, m in enumerate(mats)])
+    tagged = rl.basis([{**flat(m), nn + g: 1} for g, m in enumerate(mats)])
     for a in range(dimh):
         for b in range(a + 1, dimh):
-            comm = flat(rl.product(mats[a], mats[b]))
-            rl.eliminate(comm, 1, flat(rl.product(mats[b], mats[a])))
-            res = rl.residual(tagged, comm)
+            ab, ba = flat(rl.product(mats[a], mats[b])), flat(rl.product(mats[b], mats[a]))
+            res = rl.residual(tagged, {c: x for c in ab.keys() | ba.keys()
+                                       if (x := ab.get(c, 0) - ba.get(c, 0))})
             if any(c < nn for c in res):
                 raise ClosureFailure(
                     f"[A_{a+1}, A_{b+1}] is outside the span of the symmetry basis")

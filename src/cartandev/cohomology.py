@@ -9,9 +9,10 @@ built one way, as the kernel {x : B G x = 0} of an annihilator B of
 dim im d+ rows and the Gram matrix G, and certified on B.
 
 Subspaces of hom(^2 n, g) are sparse rows over the positive monomials
-(``ratlinalg``'s {column: Fraction} dicts) from the image of the
-differential to the finished modules, and each HomSubspace keeps its
-reduced echelon basis; dense rows and HomElements are views of it.
+(``ratlinalg``'s {column: entry} dicts), from the image of the differential
+to the finished modules, and integer multiples of the Gram matrix and the
+h-actions act on them. Each HomSubspace keeps its primitive integer echelon
+basis; the reduced echelon basis, dense rows and HomElements are views of it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import ratlinalg as rl
 from .errors import ClosureFailure, IntersectionNonTrivial
 
 ZERO = rl.ZERO
-ONE = rl.ONE
+ONE = Fraction(1)
 
 
 def _sort_sign(t):
@@ -112,16 +113,21 @@ def hom_element(arity, terms):
 
 @dataclass
 class HomSubspace:
-    """A subspace of positive-degree hom(^k n, g), kept as its reduced echelon
-    basis over the positive-monomial coordinates."""
+    """A subspace of positive-degree hom(^k n, g), kept as its primitive
+    integer echelon basis over the positive-monomial coordinates."""
 
     arity: int
-    echelon: dict                  # {pivot column: sparse row}, ratlinalg.echelon
+    basis: dict                    # {pivot column: integer row}, ratlinalg.basis
     monomials: list                # the positive-monomial coordinate order
 
     @property
     def dim(self):
-        return len(self.echelon)
+        return len(self.basis)
+
+    @functools.cached_property
+    def echelon(self):
+        """The reduced echelon basis, {pivot column: Fraction row}."""
+        return rl.rational(self.basis)
 
     @functools.cached_property
     def matrix(self):
@@ -149,6 +155,7 @@ class Cohomology:
         self.n = amb.nil.dim
         self.N = amb.dim
         self._monomials = {}
+        self._positive = {}
         self._gram_g = None
         self._gram_n_dual = None
         self._grams = {}
@@ -169,7 +176,10 @@ class Cohomology:
         return self._monomials[arity]
 
     def positive_monomials(self, arity):
-        return [m for m in self.monomials(arity) if self.degree_of_monomial(m) > 0]
+        if arity not in self._positive:
+            self._positive[arity] = [m for m in self.monomials(arity)
+                                     if self.degree_of_monomial(m) > 0]
+        return self._positive[arity]
 
     # -- metric -------------------------------------------------------------
 
@@ -256,8 +266,14 @@ class Cohomology:
     # -- subspaces of positive-degree hom(^2 n, g) ---------------------------
 
     def _subspace(self, arity, rows, monos):
-        """The span of sparse rows over monos, by its reduced echelon basis."""
-        return HomSubspace(arity=arity, echelon=rl.echelon(rows), monomials=monos)
+        """The span of sparse rows over monos, by its primitive echelon basis."""
+        return HomSubspace(arity=arity, basis=rl.basis(rows), monomials=monos)
+
+    def _gram(self, arity):
+        """The positive monomials' _gram_restricted as integer rows (rl.integral)."""
+        if arity not in self._grams:
+            self._grams[arity] = rl.integral(self._gram_restricted(self.positive_monomials(arity)))
+        return self._grams[arity]
 
     def _gram_restricted(self, monos):
         """Sparse rows of the Gram matrix of monos, all of one arity.
@@ -266,30 +282,27 @@ class Cohomology:
         nonzero of gram_g and a wedge Gram entry, computed once per (J, K)
         pair in this call. Entries across _block_key blocks are zero.
         """
-        key = tuple(monos)
-        if key not in self._grams:
-            gg = self.gram_g()
-            blocks = {}                # block key -> {a: [(column, J)]}
-            for i, m in enumerate(monos):
-                blocks.setdefault(self._block_key(m), {}).setdefault(m[0], []).append((i, m[1]))
-            wedge = {}
-            gram = []
-            for m in monos:
-                a, js = m
-                row = {}
-                for b, cols in blocks[self._block_key(m)].items():
-                    g = gg[a].get(b)
-                    if not g:
-                        continue
-                    for j, ks in cols:
-                        w = wedge.get((js, ks))
-                        if w is None:
-                            w = wedge[js, ks] = self.wedge_gram(js, ks)
-                        if w:
-                            row[j] = g * w
-                gram.append(row)
-            self._grams[key] = gram
-        return self._grams[key]
+        gg = self.gram_g()
+        blocks = {}                # block key -> {a: [(column, J)]}
+        for i, m in enumerate(monos):
+            blocks.setdefault(self._block_key(m), {}).setdefault(m[0], []).append((i, m[1]))
+        wedge = {}
+        gram = []
+        for m in monos:
+            a, js = m
+            row = {}
+            for b, cols in blocks[self._block_key(m)].items():
+                g = gg[a].get(b)
+                if not g:
+                    continue
+                for j, ks in cols:
+                    w = wedge.get((js, ks))
+                    if w is None:
+                        w = wedge[js, ks] = self.wedge_gram(js, ks)
+                    if w:
+                        row[j] = g * w
+            gram.append(row)
+        return gram
 
     def image_partial_plus(self):
         """Basis of the differential's image of positive-degree hom(n, g)."""
@@ -305,7 +318,7 @@ class Cohomology:
         """The trace module S spanned by id ^ phi over covectors phi of (ker h)-perp."""
         monos = self.positive_monomials(2)
         sym = self.amb.sym
-        phis = rl.kernel(rl.sparse(sym.kerH), sym.k1).values()
+        phis = rl.null_basis(rl.sparse(sym.kerH), sym.k1).values()
         index = _column_index(monos)
         rows = []
         for phi in phis:
@@ -339,38 +352,39 @@ class Cohomology:
 
     @functools.cached_property
     def _actions(self):
-        """Each symmetry generator's action A on hom_+ as sparse rows over the
-        positive monomials: column m of A is _act of m."""
+        """Each symmetry generator's action A on hom_+ as integer rows over the
+        positive monomials: a positive multiple of the matrix of columns _act."""
         monos = self.positive_monomials(2)
         index = _column_index(monos)
-        return [rl.columns([_coords(self._act(alpha, m), index) for m in monos], len(monos))
-                for alpha in range(self.amb.sym.dimH)]
+        return [rl.integral(rl.columns([_coords(self._act(alpha, m), index) for m in monos],
+                                       len(monos))) for alpha in range(self.amb.sym.dimH)]
 
     def _check_h_invariant(self, bg):
-        """Whether ker(B G) is h-invariant, for the sparse rows bg = B G over
-        the positive monomials: whether, for each generator A, every row of
-        B G A reduces to 0 against echelon(B G) (ratlinalg.residual)."""
-        basis = rl.echelon(bg)
-        return not any(rl.residual(basis, r) for a in self._actions for r in rl.product(bg, a))
+        """Whether ker(B G) is h-invariant, for the integer or rational rows
+        bg = B G over the positive monomials: whether, for each generator A,
+        every row of B G A reduces to 0 against B G (ratlinalg.reduce)."""
+        basis = rl.basis(bg)
+        return not any(rl.reduce(basis, r) for a in self._actions for r in rl.product(bg, a))
 
     def _complements(self, bg, im):
-        """Whether ker(B G) complements im d+ within hom_+, for the sparse rows
-        bg = B G: |B| = dim im and B G im^T is nonsingular. Then B G has rank
-        dim im, so ker(B G) has dimension |hom_+| - dim im, and no nonzero
-        combination of im's rows lies in it."""
-        imt = rl.columns(im.echelon.values(), len(im.monomials))
-        return len(bg) == im.dim and len(rl.echelon(rl.product(bg, imt))) == im.dim
+        """Whether ker(B G) complements im d+ within hom_+, for the integer or
+        rational rows bg = B G: |B| = dim im and B G im^T is nonsingular. Then
+        B G has rank dim im, so ker(B G) has dimension |hom_+| - dim im, and
+        no nonzero combination of im's rows lies in it."""
+        imt = rl.columns(im.basis.values(), len(im.monomials))
+        return len(bg) == im.dim and len(rl.basis(rl.product(bg, imt))) == im.dim
 
-    def _module(self, annihilator, monos):
-        """The normal module {x : B G x = 0} for the annihilator B (sparse
-        rows over monos), by the reduced echelon basis rl.kernel gives.
+    def _module(self, annihilator):
+        """The normal module {x : B G x = 0} for the annihilator B (sparse rows
+        over the positive monomials), by the basis rl.null_basis gives.
 
         Raises ClosureFailure unless it is an h-invariant complement of im d+.
         """
-        bg = rl.product(annihilator, self._gram_restricted(monos))
+        monos = self.positive_monomials(2)
+        bg = rl.product(annihilator, self._gram(2))
         if not self._complements(bg, self.image_partial_plus()) or not self._check_h_invariant(bg):
             raise ClosureFailure("the normal module is not an h-invariant complement of im d+")
-        return HomSubspace(arity=2, echelon=rl.kernel(bg, len(monos)), monomials=monos)
+        return HomSubspace(arity=2, basis=rl.null_basis(bg, len(monos)), monomials=monos)
 
     def normal_module_popp(self):
         """Normal module orthogonal to the trace module S:
@@ -384,18 +398,18 @@ class Cohomology:
         orthocomplement of the differential's image.
         """
         monos = self.positive_monomials(2)
-        im = list(self.image_partial_plus().echelon.values())
-        s = list(self.s_module().echelon.values())
-        sg = rl.product(s, self._gram_restricted(monos))
+        im = list(self.image_partial_plus().basis.values())
+        s = list(self.s_module().basis.values())
+        sg = rl.product(s, self._gram(2))
         # combinations of S orthogonal to im d+: an |im| x |S| kernel
         pairings = [{i: x for i, a in enumerate(sg) if (x := rl.dot(r, a))} for r in im]
-        meet = rl.kernel(pairings, len(s))
+        meet = rl.null_basis(pairings, len(s))
         if meet:
             witness = self._subspace(2, rl.product(meet.values(), s), monos).elements[0]
             raise IntersectionNonTrivial(
                 "the trace module meets the orthocomplement of im d+", witness)
-        t = rl.product(rl.kernel(rl.columns(pairings, len(s)), len(im)).values(), im)
-        return self._module(s + t, monos)
+        t = rl.product(rl.null_basis(rl.columns(pairings, len(s)), len(im)).values(), im)
+        return self._module(s + t)
 
     def normal_module_morimoto(self):
         """Morimoto's normal module: ker d* in positive degree.
@@ -403,8 +417,7 @@ class Cohomology:
         Equals the orthocomplement of im d+ within hom_+, the kernel of
         im G, because the metric blocks are degree-homogeneous.
         """
-        return self._module(list(self.image_partial_plus().echelon.values()),
-                            self.positive_monomials(2))
+        return self._module(list(self.image_partial_plus().basis.values()))
 
     def morimoto_popp_obstruction(self, i):
         """The arity-3 element d(sum_j e_j (x) e^j) ^ e^i for a generator index i.

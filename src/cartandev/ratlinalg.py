@@ -1,29 +1,21 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, eliminated on integer rows.
 
-One sparse core does the work: a row is a ``{column: Fraction}`` dict of its
-nonzeros, and ``echelon`` keeps the reduced row echelon basis of a span as
-``{pivot: row}``. Each row is reduced against the basis built so far
-(``residual``) and, if anything is left, becomes a new pivot row that is
-eliminated from the earlier ones, so the cost follows the nonzeros, not the
-matrix size. A reduced echelon basis is unique for its span, so every result
-is independent of the order of elimination. ``eliminate``, ``dot``,
-``product``, ``columns`` and ``kernel`` work on the same rows, and
-``sparse`` / ``dense`` convert. ``kernel`` eliminates with the columns
-reversed, which yields the kernel's reduced echelon basis directly.
-
-The few dense functions left take and return lists of rows, each a list of
-``fractions.Fraction``, and are thin wrappers over the core. ``invert``
-inverts the extended metric's Gram blocks in ``algebra``. ``rref``, ``rank``,
-``span_intersection`` and ``spans_equal`` have no caller in the package:
-the benchmark's normal-module check and span recorder and the tests read
-them. Except for ``eliminate``, which updates its row in place, everything
-returns fresh lists and dicts; inputs are never mutated.
+A row is a ``{column: entry}`` dict of its nonzeros. ``basis`` keeps a span
+as its primitive integer echelon basis ``{pivot: row}``: int rows of gcd 1,
+positive at their pivot and 0 at every other pivot, unique for the span, and
+over their pivots the reduced echelon basis (``rational``). Each incoming row
+is scaled once to its primitive integer multiple; elimination cross-multiplies,
+then divides by the gcd, so no ``Fraction`` arithmetic runs. ``Fraction``s are
+made only for rational results: ``echelon``, ``kernel``, ``residual`` and the
+dense functions (``invert`` for ``algebra``'s Gram blocks; ``rref``, ``rank``,
+``span_intersection``, ``spans_equal`` for the benchmark and the tests).
+Inputs are never mutated.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # -- the sparse core ------------------------------------------------------------
@@ -46,53 +38,80 @@ def dense(rows, cols):
     return out
 
 
-def eliminate(row, f, pivot):
-    """row -= f * pivot in place, over the pivot's nonzeros; entries that
-    cancel are dropped."""
+def integral(rows):
+    """Rational rows times the lcm of all their denominators: integer rows,
+    one positive multiple of the matrix."""
+    d = lcm(*(x.denominator for r in rows for x in r.values()))
+    return [{c: x.numerator * (d // x.denominator) for c, x in r.items()} for r in rows]
+
+
+def _eliminate(row, pivot, p):
+    """row <- (a * row - b * pivot) / gcd in place, for integer rows with
+    pivot[p] : row[p] = a : b in lowest terms; entries that cancel are dropped."""
+    g = gcd(pivot[p], row[p])
+    a, b = pivot[p] // g, row[p] // g
+    if a != 1:
+        row.update({c: a * x for c, x in row.items()})
     for c, x in pivot.items():
-        v = row[c] - f * x if c in row else -(f * x)
+        v = row.get(c, 0) - b * x
         if v:
             row[c] = v
         else:
             del row[c]
+    if (g := gcd(*row.values())) > 1:
+        row.update({c: x // g for c, x in row.items()})
 
 
-def residual(basis, v):
-    """v - sum_p v[p] * basis[p] over the pivots of a reduced echelon basis.
-
-    A pivot row is 1 at its pivot and 0 at every other pivot, so one pass
-    clears every pivot column: the result is {} exactly when v lies in the
-    span, and two rows have equal residuals exactly when they are equal
-    modulo the span.
-    """
-    out = dict(v)
-    for p in [p for p in v if p in basis]:
-        eliminate(out, v[p], basis[p])
+def reduce(basis, v):
+    """A positive primitive integer multiple of v's residual modulo the span of
+    a primitive echelon basis (of v for basis {}); {} exactly when v is in it."""
+    if not all(type(x) is int for x in v.values()):
+        v = integral([v])[0]
+    g = gcd(*v.values())
+    out = {c: x // g for c, x in v.items()}
+    for p in [p for p in out if p in basis]:
+        _eliminate(out, basis[p], p)
     return out
 
 
-def echelon(rows):
-    """The reduced row echelon basis of the span of sparse rows, {pivot: row}
-    in increasing pivot order; rows that reduce to 0 add nothing."""
-    basis = {}
+def basis(rows):
+    """The primitive integer echelon basis {pivot: row} of the rows' span, by pivot."""
+    out = {}
     for v in rows:
-        v = residual(basis, v)
+        v = reduce(out, v)
         if not v:
             continue
         p = min(v)
-        if v[p] != 1:
-            inv = ONE / v[p]
-            v = {c: x * inv for c, x in v.items()}
-        for r in basis.values():
+        if v[p] < 0:
+            v = {c: -x for c, x in v.items()}
+        for r in out.values():
             if p in r:
-                eliminate(r, r[p], v)
-        basis[p] = v
-    return dict(sorted(basis.items()))
+                _eliminate(r, v, p)
+        out[p] = v
+    return dict(sorted(out.items()))
+
+
+def rational(basis):
+    """Each row of an echelon basis over its pivot, Fractions in column order."""
+    return {p: {c: Fraction(x, r[p]) for c, x in sorted(r.items())} for p, r in basis.items()}
+
+
+def echelon(rows):
+    """The reduced row echelon basis {pivot: row} of the span of sparse rows."""
+    return rational(basis(rows))
+
+
+def residual(basis, v):
+    """The exact residual of v modulo the span of a primitive or reduced
+    echelon basis: reduce's row, whose tag column -1 (1 in v) carries its
+    scale, over that scale."""
+    out = reduce({p: reduce({}, basis[p]) for p in v if p in basis}, {-1: 1, **v})
+    return {c: Fraction(x, out[-1]) for c, x in out.items() if c != -1}
 
 
 def dot(u, v):
     """The sum of u[c] * v[c] over the columns of u."""
-    return sum((x * v[c] for c, x in u.items() if c in v), ZERO)
+    return sum(x * v[c] for c, x in u.items() if c in v)
 
 
 def product(rows, m):
@@ -116,19 +135,27 @@ def columns(rows, cols):
     return out
 
 
-def kernel(rows, cols):
-    """The reduced echelon basis {f: v_f} of the right kernel {x : rows x = 0}
-    in Q^cols. With the columns reversed, echelon makes each pivot p the last
-    column of its row R[p]; v_f, for each non-pivot f, is 1 at f and -R[p][f]
-    at each pivot p > f, so it is 0 at every other non-pivot f'."""
+def null_basis(rows, cols):
+    """The primitive echelon basis {f: v_f} of {x in Q^cols : rows x = 0}. With
+    the columns reversed, each pivot p is the last column of its row R[p], and
+    v_f is a multiple of e_f - sum_p R[p][f] / R[p][p] e_p, 0 at other f'."""
     last = cols - 1
-    basis = echelon([{last - c: x for c, x in r.items()} for r in rows])
-    out = {f: {f: ONE} for f in range(cols) if last - f not in basis}
-    for q, r in basis.items():
+    rev = basis([{last - c: x for c, x in r.items()} for r in rows])
+    terms = {f: [] for f in range(cols) if last - f not in rev}
+    for q, r in rev.items():
         for c, x in r.items():
             if c != q:
-                out[last - c][last - q] = -x
+                terms[last - c].append((last - q, x, r[q]))
+    out = {}
+    for f, ts in terms.items():
+        m = lcm(*(d for _, _, d in ts))
+        out[f] = reduce({}, {f: m, **{p: -x * (m // d) for p, x, d in ts}})
     return out
+
+
+def kernel(rows, cols):
+    """The reduced echelon basis {f: v_f} of {x in Q^cols : rows x = 0}."""
+    return rational(null_basis(rows, cols))
 
 
 # -- the dense interface ----------------------------------------------------------
@@ -140,11 +167,11 @@ def rref(m):
     """
     if not m:
         return [], []
-    basis = echelon(sparse(m))
+    ech = echelon(sparse(m))
     cols = len(m[0])
-    out = dense(basis.values(), cols)
-    out.extend([ZERO] * cols for _ in range(len(m) - len(basis)))
-    return out, list(basis)
+    out = dense(ech.values(), cols)
+    out.extend([ZERO] * cols for _ in range(len(m) - len(ech)))
+    return out, list(ech)
 
 
 def rank(m):
@@ -157,10 +184,10 @@ def invert(m):
     Raises ValueError on singular input.
     """
     n = len(m)
-    basis = echelon([{**r, n + i: ONE} for i, r in enumerate(sparse(m))])
-    if list(basis)[:n] != list(range(n)):
+    ech = basis([{**r, n + i: 1} for i, r in enumerate(sparse(m))])
+    if list(ech)[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[r.get(n + c, ZERO) for c in range(n)] for r in basis.values()]
+    return [[Fraction(r.get(n + c, 0), r[p]) for c in range(n)] for p, r in ech.items()]
 
 
 def span_intersection(a, b):
@@ -168,10 +195,10 @@ def span_intersection(a, b):
     if not a or not b:
         return []
     # x = c.a = d.b  <=>  (c, -d) is in the kernel of the transposed stack
-    k = kernel(columns(sparse(a + b), len(a[0])), len(a) + len(b)).values()
+    k = null_basis(columns(sparse(a + b), len(a[0])), len(a) + len(b)).values()
     rows = echelon(product([{i: x for i, x in v.items() if i < len(a)} for v in k], sparse(a)))
     return dense(rows.values(), len(a[0]))
 
 
 def spans_equal(a, b):
-    return echelon(sparse(a)) == echelon(sparse(b))
+    return basis(sparse(a)) == basis(sparse(b))

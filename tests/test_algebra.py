@@ -1,9 +1,10 @@
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
-from dense_reference import block_diagonal, dense_matmul, transpose
+from dense_reference import block_diagonal, dense_matmul, oracle_solve, transpose
 
 from cartandev import algebra as al
 from cartandev import ratlinalg as rl
@@ -219,6 +220,29 @@ def test_ambient_rejects_a_symmetry_basis_that_is_not_closed():
         part = dataclasses.replace(sym, basis=sym.basis[:drop] + sym.basis[drop + 1:])
         with pytest.raises(ClosureFailure, match=r"\[A_1, A_2\] is outside the span"):
             al.ambient(alg, part)
+
+
+def test_ambient_brackets_of_a_rescaled_basis():
+    # (2 A1, A2, A3) spans h, and its [h, h] coefficients are not all integers
+    # (1/2 appears), so a residual that dropped its scale would fail here
+    alg = al.free_nilpotent(3, 2)
+    sym = al.symmetry_algebra(alg)
+    a1, a2, a3 = sym.basis
+    basis = (tuple(tuple(2 * x for x in r) for r in a1), a2, a3)
+    amb = al.ambient(alg, dataclasses.replace(sym, basis=basis))
+    n = alg.dim
+    flat = transpose([[x for r in m for x in r] for m in basis])
+    expected = {}
+    for a, b in itertools.combinations(range(3), 2):
+        ab, ba = dense_matmul(basis[a], basis[b]), dense_matmul(basis[b], basis[a])
+        comm = [x - y for r, s in zip(ab, ba) for x, y in zip(r, s)]
+        coeffs = oracle_solve(flat, comm)
+        if any(coeffs):
+            expected[n + a, n + b] = {n + g: x for g, x in enumerate(coeffs) if x}
+    got = {k: v for k, v in amb.brackets.items() if k[0] >= n}
+    assert got == expected
+    assert Fraction(1, 2) in {abs(x) for v in got.values() for x in v.values()}
+    assert all(type(x) is Fraction for v in got.values() for x in v.values())
 
 
 def test_ambient_brackets_of_a_basis_that_is_not_reduced():

@@ -648,6 +648,38 @@ def test_check_h_invariant_rejects_a_monomial_line(name):
     assert not check_h_invariant(co, ortho_complement(co, [bg["line"][0]], monos), monos)
 
 
+@pytest.mark.parametrize("name", ["heisenberg3", "free23"])
+def test_certificates_take_integer_rows(name):
+    # each annihilator's B G as rational rows and as one integral multiple,
+    # which has the same kernel: the same verdicts
+    co = make_cohomology(name)
+    im = co.image_partial_plus()
+    verdicts = {}
+    for key, bg in annihilators(co).items():
+        ints = rl.integral(bg)
+        assert ints != bg and all(type(x) is int for r in ints for x in r.values())
+        verdicts[key] = (co._complements(ints, im), co._check_h_invariant(ints))
+        assert verdicts[key] == (co._complements(bg, im), co._check_h_invariant(bg))
+    assert verdicts["image"] == (True, True)
+    assert not any(verdicts[k][0] for k in ("singular", "dependent", "short"))
+    assert not verdicts["line"][1]
+
+
+@pytest.mark.parametrize("name", ["free32", "free24"])
+def test_module_path_runs_on_ints(name):
+    # B G, B G A and B G im^T come from integer rows; a silent fallback to
+    # Fraction arithmetic would stay correct and lose the speed
+    co = make_cohomology(name)
+    modules = (co.image_partial_plus(), co.s_module(), co.normal_module_morimoto(),
+               co.normal_module_popp())
+    rows = co._gram(2) + [r for a in co._actions for r in a]
+    rows += [r for m in modules for r in m.basis.values()]
+    assert all(type(x) is int for r in rows for x in r.values())
+    # the views keep their Fraction type
+    views = [r for m in modules for r in m.echelon.values()]
+    assert all(type(x) is Fraction for r in views for x in r.values())
+
+
 def test_free26_modules_complement_the_image():
     # both modules raise ClosureFailure unless they are h-invariant
     # complements of im d+

@@ -1,5 +1,6 @@
 """Tests for the exact rational linear algebra under every exact certificate."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -275,3 +276,108 @@ def test_every_public_function_equals_the_column_oracle(seed):
         assert rl.span_intersection(top, bottom) == oracle_span_intersection(top, bottom)
         assert rl.spans_equal(top, bottom) == (oracle_row_basis(top) == oracle_row_basis(bottom))
         assert rl.spans_equal(m, r)
+
+
+# -- the integer core against the Fraction oracle -------------------------------
+
+# seeds and sizes fixed before the first run
+INTEGER_CORE_SEEDS = range(300, 308)
+
+
+def rational_cases(seed):
+    """Random sparse rational matrices with denominators 1 to 9: square, wide
+    and tall ones, one with a negative first entry in every row, one with zero
+    and duplicate rows, and one of 2^40-size entries, whose cross-multiplied
+    entries pass 2^63; then the empty matrix."""
+    rng = random.Random(seed)
+
+    def matrix(rows, cols, density, size=9):
+        return [[Fraction(rng.randint(-size, size), rng.randint(1, 9))
+                 if rng.random() < density else Fraction(0) for _ in range(cols)]
+                for _ in range(rows)]
+
+    square, wide, tall = matrix(7, 7, 0.5), matrix(5, 12, 0.35), matrix(11, 6, 0.4)
+    negative = [[-x for x in row] if next(y for y in row if y) > 0 else row
+                for row in matrix(6, 9, 0.5) if any(row)]
+    repeated = matrix(5, 8, 0.4)
+    repeated += [[Fraction(0)] * 8, repeated[1], repeated[3], [Fraction(0)] * 8, repeated[1]]
+    big = matrix(5, 6, 0.9, size=2 ** 40)
+    return [square, wide, tall, negative, repeated, big, []]
+
+
+def combination(rng, rows):
+    """A random rational combination of sparse rows."""
+    out = {}
+    for r in rows:
+        f = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for c, x in r.items():
+            out[c] = out.get(c, 0) + f * x
+    return {c: x for c, x in out.items() if x}
+
+
+def over_pivots(basis):
+    """A primitive integer echelon basis divided by its pivots."""
+    return {p: {c: Fraction(x, r[p]) for c, x in r.items()} for p, r in basis.items()}
+
+
+@pytest.mark.parametrize("seed", INTEGER_CORE_SEEDS)
+def test_integer_core_equals_the_fraction_oracle(seed):
+    rng = random.Random(seed)
+    for m in rational_cases(seed):
+        rows = rl.sparse(m)
+        basis = rl.basis(rows)
+        if not m:
+            assert basis == {} and rl.reduce(basis, {}) == {} and rl.echelon(rows) == {}
+            continue
+        cols = len(m[0])
+        r, pivots = column_rref(m)
+        rref = dict(zip(pivots, rl.sparse(r[:len(pivots)])))
+        # primitive: positive pivot, gcd 1; divided by its pivots, the RREF
+        assert list(basis) == pivots
+        assert all(row[p] > 0 and math.gcd(*row.values()) == 1 for p, row in basis.items())
+        assert over_pivots(basis) == rref == rl.echelon(rows)
+        # the kernel comes as its reduced echelon basis, unique for the span
+        assert list(rl.kernel(rows, cols).values()) == rl.sparse(
+            oracle_row_basis(oracle_nullspace(m)))
+        assert over_pivots(rl.null_basis(rows, cols)) == rl.kernel(rows, cols)
+        # the same basis from the rows permuted and rescaled
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert rl.basis(shuffled) == basis
+        factors = [Fraction(rng.choice([-7, -2, 1, 3, 5]), rng.randint(1, 9)) for _ in rows]
+        assert rl.basis([{c: f * x for c, x in row.items()}
+                         for row, f in zip(rows, factors)]) == basis
+        assert rl.basis(rl.integral(rows)) == basis
+        for _ in range(5):
+            inside = combination(rng, rows)
+            assert rl.reduce(basis, inside) == {} and rl.residual(basis, inside) == {}
+            # outside the span: a positive multiple of the oracle's residual
+            probe = rl.sparse(random_sparse(rng, 1, cols, 0.6))[0]
+            expected = rl.sparse([oracle_residual(m, rl.dense([probe], cols)[0])])[0]
+            got = rl.reduce(basis, probe)
+            assert rl.residual(basis, probe) == expected
+            assert got.keys() == expected.keys()
+            assert len({Fraction(x) / expected[c] for c, x in got.items()}) <= 1
+            assert not got or Fraction(got[min(got)]) / expected[min(got)] > 0
+
+
+def test_integer_core_passes_2_to_the_63():
+    # the 2^40-size case really leaves machine integers behind
+    big = rational_cases(INTEGER_CORE_SEEDS[0])[-2]
+    assert max(abs(x) for r in rl.basis(rl.sparse(big)).values() for x in r.values()) > 2 ** 63
+
+
+@pytest.mark.parametrize("seed", INTEGER_CORE_SEEDS)
+def test_integer_core_returns_only_ints(seed):
+    # a silent fallback to Fraction arithmetic would stay correct and lose the
+    # speed: only this test sees it
+    rng = random.Random(seed)
+    for m in rational_cases(seed):
+        rows = rl.sparse(m)
+        cols = len(m[0]) if m else 0
+        for given in (rows, rl.integral(rows)):
+            basis = rl.basis(given)
+            probes = [combination(rng, given)] + rl.sparse(random_sparse(rng, 2, cols, 0.6))
+            out = list(basis.values()) + [rl.reduce(basis, v) for v in given + probes]
+            out += list(rl.null_basis(given, cols).values()) + rl.integral(given)
+            assert all(type(x) is int for row in out for x in row.values())
