@@ -10,8 +10,9 @@ dim im d+ rows and the Gram matrix G, and certified on B.
 
 Subspaces of hom(^2 n, g) are sparse rows over the positive monomials
 (``ratlinalg``'s {column: entry} dicts), from the image of the differential
-to the finished modules, and integer multiples of the Gram matrix and the
-h-actions act on them. Each HomSubspace keeps its primitive integer echelon
+to the finished modules. The Gram matrix and the h-actions act on them as
+int rows, each one positive multiple of its rational matrix, written with no
+Fraction arithmetic. Each HomSubspace keeps its primitive integer echelon
 basis; the reduced echelon basis, dense rows and HomElements are views of it.
 """
 
@@ -60,6 +61,14 @@ def _block_rows(blocks):
 def _column_index(monos):
     """Map each monomial of a coordinate order to its column."""
     return {m: i for i, m in enumerate(monos)}
+
+
+def _minor(rows, js, ks):
+    """det(rows[j_r][k_s]) of sparse rows, for 1 or 2 indices j and k."""
+    if len(js) == 1:
+        return rows[js[0]].get(ks[0], 0)
+    (r1, r2), (k1, k2) = (rows[j] for j in js), ks
+    return r1.get(k1, 0) * r2.get(k2, 0) - r1.get(k2, 0) * r2.get(k1, 0)
 
 
 def _coords(coeffs, index):
@@ -144,9 +153,9 @@ class HomSubspace:
 class Cohomology:
     """All cohomological operations for one ambient algebra with its metric.
 
-    Caches monomial enumerations, Gram matrices, im d+, the symmetry
-    actions on hom_+ and d of the identity; callers share im d+ and must not
-    modify it.
+    Caches monomial enumerations, the integer Gram matrices and symmetry
+    actions on hom_+, im d+ and d of the identity; callers share im d+ and
+    must not modify it.
     """
 
     def __init__(self, amb, metric):
@@ -194,17 +203,6 @@ class Cohomology:
         if self._gram_n_dual is None:
             self._gram_n_dual = _block_rows(self.metric.dual_blocks)
         return self._gram_n_dual
-
-    def wedge_gram(self, js, ks):
-        """<e^{j_1}^...^e^{j_k}, e^{k_1}^...^e^{k_k}> = det(g^{j_r k_s}) / k!
-        at arity k = 1 or 2, the arities of hom(n, g) and hom(^2 n, g) whose
-        Gram forms are taken; any other arity raises ValueError."""
-        gd = self.gram_n_dual()
-        if len(js) == 1:
-            return gd[js[0]].get(ks[0], ZERO)
-        (j1, j2), (k1, k2) = js, ks
-        return Fraction(1, 2) * (gd[j1].get(k1, ZERO) * gd[j2].get(k2, ZERO)
-                                 - gd[j1].get(k2, ZERO) * gd[j2].get(k1, ZERO))
 
     def _block_key(self, m):
         a, js = m
@@ -270,39 +268,32 @@ class Cohomology:
         return HomSubspace(arity=arity, basis=rl.basis(rows), monomials=monos)
 
     def _gram(self, arity):
-        """The positive monomials' _gram_restricted as integer rows (rl.integral)."""
+        """The Gram matrix of the positive monomials of arity 1 or 2 as int
+        rows, one positive multiple of <e_a (x) e^J, e_b (x) e^K> =
+        g(a, b) det(g^{j_r k_s}) / k!: g'(a, b) det(d'(j_r, k_s)) for the
+        integral multiples g' of gram_g and d' of gram_n_dual, each determinant
+        once per (J, K). Entries across _block_key blocks are zero."""
         if arity not in self._grams:
-            self._grams[arity] = rl.integral(self._gram_restricted(self.positive_monomials(arity)))
+            gg, gd = rl.integral(self.gram_g()), rl.integral(self.gram_n_dual())
+            monos = self.positive_monomials(arity)
+            keys = [self._block_key(m) for m in monos]
+            blocks = {}            # block key -> {a: [(column, J)]}
+            for i, (key, (a, js)) in enumerate(zip(keys, monos)):
+                blocks.setdefault(key, {}).setdefault(a, []).append((i, js))
+            dets, gram = {}, []
+            for key, (a, js) in zip(keys, monos):
+                row = {}
+                for b, cols in blocks[key].items():
+                    if g := gg[a].get(b):
+                        for j, ks in cols:
+                            w = dets.get((js, ks))
+                            if w is None:
+                                w = dets[js, ks] = _minor(gd, js, ks)
+                            if w:
+                                row[j] = g * w
+                gram.append(row)
+            self._grams[arity] = gram
         return self._grams[arity]
-
-    def _gram_restricted(self, monos):
-        """Sparse rows of the Gram matrix of monos, all of one arity.
-
-        <e_a (x) e^J, e_b (x) e^K> = g(a, b) wedge_gram(J, K): a product of a
-        nonzero of gram_g and a wedge Gram entry, computed once per (J, K)
-        pair in this call. Entries across _block_key blocks are zero.
-        """
-        gg = self.gram_g()
-        blocks = {}                # block key -> {a: [(column, J)]}
-        for i, m in enumerate(monos):
-            blocks.setdefault(self._block_key(m), {}).setdefault(m[0], []).append((i, m[1]))
-        wedge = {}
-        gram = []
-        for m in monos:
-            a, js = m
-            row = {}
-            for b, cols in blocks[self._block_key(m)].items():
-                g = gg[a].get(b)
-                if not g:
-                    continue
-                for j, ks in cols:
-                    w = wedge.get((js, ks))
-                    if w is None:
-                        w = wedge[js, ks] = self.wedge_gram(js, ks)
-                    if w:
-                        row[j] = g * w
-            gram.append(row)
-        return gram
 
     def image_partial_plus(self):
         """Basis of the differential's image of positive-degree hom(n, g)."""
@@ -330,34 +321,41 @@ class Cohomology:
             rows.append(_coords(hom_element(2, terms).coeffs, index))
         return self._subspace(2, rows, monos)
 
-    def _act(self, alpha, m):
-        """The induced symmetry action on one monomial of hom(^2 n, g), as
-        {monomial: coefficient}: (A.f)(v, w) = A f(v, w) - f(Av, w) - f(v, Aw).
-        As e^i o A = sum_p A[i][p] e^p, e_a (x) e^i ^ e^j goes to
-        [e_{n+alpha}, e_a] at (i, j), to -A[i][p] at (p, j) and to -A[j][p]
-        at (i, p)."""
-        amb = self.amb
-        mat = amb.sym.basis[alpha]
-        a, (i, j) = m
-        # the wedge e^q ^ e^r with q > r is -e^r ^ e^q, and 0 when q = r
-        terms = [((b, (i, j)), w) for b, w in amb.bracket_basis(self.n + alpha, a).items()]
-        terms += [((a, (p, j)), -x) if p < j else ((a, (j, p)), x)
-                  for p, x in enumerate(mat[i]) if x and p != j]
-        terms += [((a, (i, p)), -x) if i < p else ((a, (p, i)), x)
-                  for p, x in enumerate(mat[j]) if x and p != i]
-        out = {}
-        for key, x in terms:
-            out[key] = out[key] + x if key in out else x
-        return {key: x for key, x in out.items() if x}
-
     @functools.cached_property
     def _actions(self):
-        """Each symmetry generator's action A on hom_+ as integer rows over the
-        positive monomials: a positive multiple of the matrix of columns _act."""
+        """Each symmetry generator's action on hom_+ as int rows over the positive
+        monomials, one positive multiple of the matrix whose column m is the
+        image of m under (A.f)(v, w) = A f(v, w) - f(Av, w) - f(v, Aw): with
+        e^i o A = sum_p A[i][p] e^p, e_a (x) e^i ^ e^j goes to [e_{n+alpha}, e_a]
+        at (i, j), to -A[i][p] at (p, j) and to -A[j][p] at (i, p). A's rows and
+        [e_{n+alpha}, .] are scaled by one lcm. Raises ValueError if an image
+        leaves the positive monomials."""
+        amb, n = self.amb, self.n
         monos = self.positive_monomials(2)
         index = _column_index(monos)
-        return [rl.integral(rl.columns([_coords(self._act(alpha, m), index) for m in monos],
-                                       len(monos))) for alpha in range(self.amb.sym.dimH)]
+        out = []
+        for alpha, mat in enumerate(amb.sym.basis):
+            ints = rl.integral(rl.sparse(mat) + [amb.bracket_basis(n + alpha, a)
+                                                 for a in range(self.N)])
+            rows, brackets = ints[:n], ints[n:]
+            act = [{} for _ in monos]
+            for col, (a, (i, j)) in enumerate(monos):
+                terms = [((b, (i, j)), w) for b, w in brackets[a].items()]
+                # the wedge e^q ^ e^r with q > r is -e^r ^ e^q, and 0 when q = r
+                terms += [((a, (p, j)), -x) if p < j else ((a, (j, p)), x)
+                          for p, x in rows[i].items() if p != j]
+                terms += [((a, (i, p)), -x) if i < p else ((a, (p, i)), x)
+                          for p, x in rows[j].items() if p != i]
+                for key, x in terms:
+                    if (c := index.get(key)) is None:
+                        raise ValueError(f"the action leaves the positive monomials: {key}")
+                    row = act[c]
+                    if v := row.get(col, 0) + x:
+                        row[col] = v
+                    else:
+                        del row[col]
+            out.append(act)
+        return out
 
     def _check_h_invariant(self, bg):
         """Whether ker(B G) is h-invariant, for the integer or rational rows

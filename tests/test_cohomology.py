@@ -1,5 +1,7 @@
 """Tests for hom-valued forms, the graded differential, and normal modules."""
 
+import dataclasses
+import fractions
 import hashlib
 import itertools
 import json
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 from dense_reference import block_diagonal, dense_matmul, identity, oracle_row_basis, oracle_solve
+from hom_reference import act, gram_restricted, wedge_gram
 
 from cartandev import algebra as al
 from cartandev import cohomology as ch
@@ -25,7 +28,7 @@ def inner(co, x, y):
     """<x, y> = sum of cx cy g(a, b) wedge_gram(J, K) over every pair of
     monomials e_a (x) e^J of x and e_b (x) e^K of y: the Gram oracle."""
     gg = co.gram_g()
-    return sum((cx * cy * gg[a].get(b, 0) * co.wedge_gram(js, ks)
+    return sum((cx * cy * gg[a].get(b, 0) * wedge_gram(co, js, ks)
                 for (a, js), cx in x.coeffs.items() for (b, ks), cy in y.coeffs.items()),
                Fraction(0))
 
@@ -47,7 +50,7 @@ def codifferential(co, beta):
     k = beta.arity - 1
     monos = co.monomials(k)
     y = [inner(co, co._monomial_differential(k, m), beta) for m in monos]
-    gram = rl.dense(co._gram_restricted(monos), len(monos))
+    gram = rl.dense(gram_restricted(co, monos), len(monos))
     return ch.HomElement(k, dict(zip(monos, oracle_solve(gram, y))))
 
 
@@ -244,7 +247,7 @@ def test_gram_restricted_equals_pairwise_inner(alg):
     co = cohomology_for(alg)
     monos = co.positive_monomials(2)
     units = [ch.HomElement(2, {m: Fraction(1)}) for m in monos]
-    gram = rl.dense(co._gram_restricted(monos), len(monos))
+    gram = rl.dense(gram_restricted(co, monos), len(monos))
     assert gram == [[inner(co, x, y) for y in units] for x in units]
 
 
@@ -299,7 +302,7 @@ def test_module_dimensions(name, dims):
 def ortho_complement(co, rows, monos):
     """Orthocomplement of the span of sparse rows within the span of monos,
     as sparse rows."""
-    return list(rl.kernel(rl.product(rows, co._gram_restricted(monos)), len(monos)).values())
+    return list(rl.kernel(rl.product(rows, gram_restricted(co, monos)), len(monos)).values())
 
 
 def check_h_invariant(co, rows, monos):
@@ -313,7 +316,7 @@ def check_h_invariant(co, rows, monos):
     basis = rl.echelon(rows)
     index = ch._column_index(monos)
     for alpha in range(co.amb.sym.dimH):
-        images = [ch._coords(co._act(alpha, m), index) for m in monos]
+        images = [ch._coords(act(co, alpha, m), index) for m in monos]
         if any(rl.residual(basis, r) for r in rl.product(basis.values(), images)):
             return False
     return True
@@ -363,9 +366,9 @@ def reference_popp(co):
 
 def h_action(co, alpha, elem):
     """The induced symmetry action on hom(^2 n, g), monomial by monomial
-    through Cohomology._act, the map check_h_invariant applies."""
+    through the reference act, the map check_h_invariant applies."""
     return ch.hom_element(2, [(b, js, c * w) for m, c in elem.coeffs.items()
-                              for (b, js), w in co._act(alpha, m).items()])
+                              for (b, js), w in act(co, alpha, m).items()])
 
 
 def reference_h_action(co, alpha, elem):
@@ -405,6 +408,89 @@ def test_h_action_equals_the_pairwise_evaluation(alg):
     for alpha in range(co.amb.sym.dimH):
         for e in elems:
             assert h_action(co, alpha, e) == reference_h_action(co, alpha, e)
+
+
+def rescaled_free32(factor):
+    """free(3,2) with the symmetry basis (factor A_1, A_2, A_3). For factor 2,
+    test_algebra's test_ambient_brackets_of_a_rescaled_basis, the [h, h]
+    coefficients have denominators; for factor 1/2 the entries of A_1 do too."""
+    alg = al.free_nilpotent(3, 2)
+    metric = al.extend_metric(alg)
+    sym = al.symmetry_algebra(alg, metric)
+    a1, a2, a3 = sym.basis
+    basis = (tuple(tuple(factor * x for x in r) for r in a1), a2, a3)
+    return ch.Cohomology(al.ambient(alg, dataclasses.replace(sym, basis=basis)), metric)
+
+
+def scales(ints, rows):
+    """The set of ratios ints[i][c] / rows[i][c] of int rows to rational rows,
+    both sparse; empty unless every entry of ints is an int and both have the
+    same nonzero pattern."""
+    if ([r.keys() for r in ints] != [r.keys() for r in rows]
+            or not all(type(x) is int for r in ints for x in r.values())):
+        return set()
+    return {Fraction(x) / r[c] for i, r in zip(ints, rows) for c, x in i.items()}
+
+
+BUILDER_ALGEBRAS = pytest.mark.parametrize(
+    "make", [lambda: builtin_algebra("heisenberg3"), lambda: builtin_algebra("free23"),
+             lambda: builtin_algebra("engel"), lambda: al.free_nilpotent(3, 2),
+             lambda: al.build_algebra(SKEWED_FREE23_SPEC), lambda: builtin_algebra("free24"),
+             lambda: rescaled_free32(2), lambda: rescaled_free32(Fraction(1, 2))],
+    ids=["heisenberg3", "free23", "engel", "free32", "skewed-free23", "free24", "free32-2A1",
+         "free32-halfA1"])
+
+
+def builder_cohomology(make):
+    out = make()
+    return out if isinstance(out, ch.Cohomology) else cohomology_for(out)
+
+
+@BUILDER_ALGEBRAS
+def test_integer_gram_is_one_positive_multiple_of_the_pairwise_inner(make):
+    # one scale for the whole matrix: a per-row or per-block scaling fails here
+    co = builder_cohomology(make)
+    for k in (1, 2):
+        units = [ch.HomElement(k, {m: Fraction(1)}) for m in co.positive_monomials(k)]
+        ratios = scales(co._gram(k), rl.sparse([[inner(co, x, y) for y in units] for x in units]))
+        assert len(ratios) == 1 and min(ratios) > 0
+
+
+@BUILDER_ALGEBRAS
+def test_integer_actions_are_positive_multiples_of_the_reference(make):
+    # each _actions[alpha] is one positive multiple of the matrix whose
+    # columns are the reference act's images; a wrong lcm leaves a
+    # non-integer entry or two scales
+    co = builder_cohomology(make)
+    monos = co.positive_monomials(2)
+    index = ch._column_index(monos)
+    assert len(co._actions) == co.amb.sym.dimH
+    for alpha, ints in enumerate(co._actions):
+        ref = rl.columns([ch._coords(act(co, alpha, m), index) for m in monos], len(monos))
+        ratios = scales(ints, ref)
+        assert len(ratios) == 1 and min(ratios) > 0
+
+
+def test_actions_raise_when_an_image_leaves_hom_plus():
+    # e_1 -> e_3 is a derivation of heisenberg3 that raises the layer, so
+    # e_3 (x) e^2 ^ e^3 (degree 1) goes to e_3 (x) e^1 ^ e^2 (degree 0)
+    alg = builtin_algebra("heisenberg3")
+    metric = al.extend_metric(alg)
+    sym = al.symmetry_algebra(alg, metric)
+    raising = tuple(tuple(Fraction(int((r, c) == (2, 0))) for c in range(3)) for r in range(3))
+    co = ch.Cohomology(al.ambient(alg, dataclasses.replace(sym, basis=(raising,))), metric)
+    with pytest.raises(ValueError, match="leaves the positive monomials"):
+        co._actions
+
+
+@pytest.mark.parametrize("factor,in_a,in_hh", [(2, False, True), (Fraction(1, 2), True, True)])
+def test_rescaled_bases_have_denominators(factor, in_a, in_hh):
+    # the rescaled bases are not vacuous: an lcm taken over the A_alpha alone,
+    # or over the [h, h] coefficients alone, leaves a Fraction in _actions
+    co = rescaled_free32(factor)
+    hh = [x for (a, b), v in co.amb.brackets.items() if a >= co.n for x in v.values()]
+    assert any(x.denominator > 1 for m in co.amb.sym.basis for r in m for x in r) == in_a
+    assert any(x.denominator > 1 for x in hh) == in_hh
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "free23"])
@@ -594,7 +680,7 @@ def annihilators(co):
     line = {monos.index((0, (0, 1))): Fraction(1)}
     rows = {"image": im, "singular": im[:-1] + [orth], "dependent": im[:-1] + [im[0]],
             "short": im[:-1], "line": [line]}
-    return {k: rl.product(b, co._gram_restricted(monos)) for k, b in rows.items()}
+    return {k: rl.product(b, gram_restricted(co, monos)) for k, b in rows.items()}
 
 
 # Asserts are stripped under -O, so the child reports what the certificates
@@ -680,12 +766,54 @@ def test_module_path_runs_on_ints(name):
     assert all(type(x) is Fraction for r in views for x in r.values())
 
 
+@pytest.mark.parametrize("name", ["free32", "free24"])
+def test_integer_builders_make_no_fraction_arithmetic(name):
+    # a performance test with no timing: on a fresh Cohomology whose metric
+    # rows are built, building the Gram and the actions calls none of
+    # fractions.py's binary operators (forward and reverse, the bodies of
+    # Fraction's +, -, *, / and their reflections)
+    co = make_cohomology(name)
+    co.gram_g(), co.gram_n_dual()
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename == fractions.__file__
+                and code.co_name in ("forward", "reverse")):
+            calls.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        co._gram(2), co._actions
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 0
+
+
+def basis_digest(sub):
+    """sha256 of a HomSubspace's primitive integer echelon basis, one row a
+    line of column:entry pairs in column order."""
+    h = hashlib.sha256()
+    for r in sub.basis.values():
+        h.update((",".join(f"{c}:{x}" for c, x in sorted(r.items())) + "\n").encode())
+    return h.hexdigest()
+
+
+# sha256 (basis_digest) of im d+, N_Morimoto and N_Popp on free(2,6), recorded
+# while the Gram and the h-actions were still built in Fraction arithmetic
+FREE26_DIGESTS = ("c4e3661348ac3299caef784d5fcdeca3f5e9881eb3ed0e94aedccb85ac267b2b",
+                  "31eb16ac8e09504b69ab33bc36c1440899041bf8f578848399b86c0141c2c3de",
+                  "18d1824f31b18ce8f0ff4792034f6b98f50681b05202213a6a70cc725f55c183")
+
+
 def test_free26_modules_complement_the_image():
     # both modules raise ClosureFailure unless they are h-invariant
     # complements of im d+
     co = cohomology_for(al.free_nilpotent(2, 6))
     assert (len(co.positive_monomials(2)), co.image_partial_plus().dim) == (5675, 220)
     assert co.normal_module_morimoto().dim == co.normal_module_popp().dim == 5455
+    modules = (co.image_partial_plus(), co.normal_module_morimoto(), co.normal_module_popp())
+    assert tuple(basis_digest(m) for m in modules) == FREE26_DIGESTS
 
 
 def test_h3_degree_one_differential_bijective():
